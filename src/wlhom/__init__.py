@@ -30,6 +30,7 @@ from .homs import (
 from .synth import (
     Certificate,
     CertificateError,
+    InconclusiveError,
     LiftCeilingError,
     SynthesisInvariantError,
     base_family,
@@ -64,6 +65,7 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "HomTable",
+    "InconclusiveError",
     "LabelConsistencyError",
     "LabelTable",
     "LiftCeilingError",

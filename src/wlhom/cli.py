@@ -99,7 +99,9 @@ def _json_text(payload) -> str:
 def _cmd_compare(args) -> int:
     g1 = parse_graph(_read(args.g1))
     g2 = parse_graph(_read(args.g2))
-    comparison = distinguishing_level(g1, g2, args.max_level)
+    comparison = distinguishing_level(
+        g1, g2, args.max_level, stop_at_difference=not args.json
+    )
     if args.json:
         _emit(args, _json_text({
             "distinguished": comparison.distinguished,

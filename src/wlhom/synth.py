@@ -62,6 +62,10 @@ class CertificateError(ValueError):
     """Certificate JSON is malformed."""
 
 
+class InconclusiveError(ValueError):
+    """The level cap was reached before a difference or stabilization."""
+
+
 def _resolve_lift_ceiling(ceiling: int | None) -> int:
     if ceiling is None:
         env = os.environ.get("WLHOM_LIFT_CEILING")
@@ -321,16 +325,19 @@ def synthesize(
 ) -> Certificate:
     """Distinguishing tree plus transcript, or an equivalent-mode certificate.
 
-    Mode selection: if no level's histograms differ, the graphs are
-    equivalent. If they differ only through isolated vertices (the
+    Mode selection: if no level's histograms differ up to stabilization,
+    the graphs are equivalent; reaching max_level first raises
+    InconclusiveError. If they differ only through isolated vertices (the
     non-isolated restrictions agree at the distinguishing level), the
     vertex counts must differ and a lone leaf distinguishes. Otherwise the
     construction runs at k, the least level where the non-isolated
-    restrictions differ.
+    restrictions differ; refinement stops at the first differing level.
     """
     ceiling = _resolve_lift_ceiling(lift_ceiling)
-    comparison = distinguishing_level(g1, g2, max_level)
+    comparison = distinguishing_level(g1, g2, max_level, stop_at_difference=True)
     if not comparison.distinguished:
+        if not comparison.table.complete:
+            raise InconclusiveError(f"inconclusive: no verdict by level {max_level}")
         return Certificate(mode="equivalent")
     labels = comparison.table
     d = comparison.distinguishing_level
@@ -437,7 +444,7 @@ def verify(cert: Certificate, g1: Graph, g2: Graph) -> bool:
     if cert.mode not in MODES:
         raise CertificateError(f"unknown mode {cert.mode!r}")
     if cert.mode == "equivalent":
-        return not distinguishing_level(g1, g2).distinguished
+        return not distinguishing_level(g1, g2, stop_at_difference=True).distinguished
     arena, root = cert.tree()
     if cert.mode == "single-node":
         return (

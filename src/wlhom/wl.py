@@ -17,14 +17,16 @@ label of its level; the empty multiset (isolated vertices) is always minimal.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .graphs import Graph
 
 # A label is a multiset of previous-level ranks, canonically encoded as
-# (rank, multiplicity) pairs sorted by rank descending.
+# (rank, multiplicity) pairs sorted by rank descending. On this encoding,
+# and on the flat descending rank sequence it is built from, plain tuple
+# order is the label order that compare_labels specifies.
 LabelDef = tuple[tuple[int, int], ...]
 
 
@@ -72,8 +74,8 @@ class LevelLabels:
 
     defs[r] is the definition of the rank-r label in terms of
     previous-level ranks; ranks[i][v] is the rank of vertex v of graph i.
-    defs is sorted ascending under compare_labels, so the integer rank IS
-    the label order.
+    defs is sorted ascending in tuple order, which is the label order of
+    compare_labels, so the integer rank IS the label order.
     """
 
     defs: tuple[LabelDef, ...]
@@ -81,14 +83,6 @@ class LevelLabels:
 
     def histogram(self, which: int) -> Counter:
         return Counter(self.ranks[which])
-
-    def partition_key(self):
-        # Canonical encoding of the joint partition, for stabilization checks.
-        classes: dict[int, list[tuple[int, int]]] = {}
-        for i in (0, 1):
-            for v, r in enumerate(self.ranks[i]):
-                classes.setdefault(r, []).append((i, v))
-        return frozenset(tuple(c) for c in classes.values())
 
 
 @dataclass
@@ -135,58 +129,51 @@ class LabelTable:
     def histogram(self, which: int, level: int) -> Counter:
         return Counter(self.ranks_at(which, level))
 
-    def effective_level(self, level: int) -> int:
-        return min(level, self.max_recorded_level)
 
-
-def _sort_defs(defs: set[LabelDef]) -> tuple[LabelDef, ...]:
-    # compare_labels agrees with tuple comparison on canonical encodings,
-    # but sorting goes through it so the order has a single definition.
-    return tuple(sorted(defs, key=functools.cmp_to_key(compare_labels)))
-
-
-def joint_refine(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTable:
+def joint_refine(
+    g1: Graph, g2: Graph, max_level: int | None = None, stop_at_difference: bool = False
+) -> LabelTable:
     """Refine labels on the disjoint union of g1 and g2.
 
     Stops after recording level stabilization+1 (the round that first fails
     to refine the joint partition), or after max_level, whichever is first.
     Default max_level is |V1|+|V2|, which always reaches stabilization.
+    With stop_at_difference it also stops at the first level whose two
+    histograms differ, leaving an incomplete table whose levels are the
+    first levels of the full one. Ranks follow the tuple order of the label
+    definitions, which is the label order of compare_labels.
     """
     if max_level is None:
         max_level = g1.vertex_count + g2.vertex_count
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
     pair = (g1, g2)
-    level0 = LevelLabels(
-        defs=((),),
-        ranks=(
-            (0,) * g1.vertex_count,
-            (0,) * g2.vertex_count,
-        ),
-    )
+    level0 = LevelLabels(defs=((),), ranks=tuple((0,) * g.vertex_count for g in pair))
     table = LabelTable(graphs=pair, levels=[level0])
     if g1.vertex_count + g2.vertex_count == 0:
         table.stabilization_level = 0
         return table
     while table.max_recorded_level < max_level:
         prev = table.levels[-1]
-        vertex_defs: tuple[list[LabelDef], list[LabelDef]] = ([], [])
-        for i in (0, 1):
-            prev_ranks = prev.ranks[i]
-            for v in range(pair[i].vertex_count):
-                counts = Counter(prev_ranks[w] for w in pair[i].adjacency[v])
-                vertex_defs[i].append(tuple(sorted(counts.items(), reverse=True)))
-        defs = _sort_defs(set(vertex_defs[0]) | set(vertex_defs[1]))
-        rank_of = {d: r for r, d in enumerate(defs)}
-        nxt = LevelLabels(
-            defs=defs,
-            ranks=(
-                tuple(rank_of[d] for d in vertex_defs[0]),
-                tuple(rank_of[d] for d in vertex_defs[1]),
-            ),
-        )
-        table.levels.append(nxt)
-        if nxt.partition_key() == prev.partition_key():
+        if stop_at_difference and prev.histogram(0) != prev.histogram(1):
+            break
+        # Neighbor ranks sorted descending: tuple order on these is the
+        # label order, and each run of equal ranks is one (rank, mult) pair.
+        signatures = [
+            [tuple(sorted([ranks[w] for w in nbrs], reverse=True))
+             for nbrs in g.adjacency]
+            for g, ranks in zip(pair, prev.ranks)
+        ]
+        order = sorted(set(signatures[0]).union(signatures[1]))
+        rank_of = {sig: r for r, sig in enumerate(order)}
+        table.levels.append(LevelLabels(
+            defs=tuple(tuple((r, len(list(run))) for r, run in groupby(sig))
+                       for sig in order),
+            ranks=tuple(tuple(map(rank_of.__getitem__, sigs)) for sigs in signatures),
+        ))
+        # Refinement is monotone (a level's label determines the previous
+        # one), so an unchanged class count means an unchanged partition.
+        if len(order) == len(prev.defs):
             table.stabilization_level = table.max_recorded_level - 1
             break
     return table
@@ -207,7 +194,7 @@ class WlComparison:
 
 
 def distinguishing_level(
-    g1: Graph, g2: Graph, max_level: int | None = None
+    g1: Graph, g2: Graph, max_level: int | None = None, stop_at_difference: bool = False
 ) -> WlComparison:
     """Least level whose label histograms differ between the graphs.
 
@@ -215,8 +202,13 @@ def distinguishing_level(
     with equal histograms at every level; by persistence no deeper level can
     differ, so that verdict is conclusive. With an explicit max_level too
     small to reach stabilization, None merely means "none found".
+
+    Refinement runs to stabilization unless stop_at_difference is set;
+    then it stops at the least differing level, and a distinguished pair
+    reports stabilization_level None and histograms up to that level only.
+    Either way ranks follow tuple order, which is the label order.
     """
-    table = joint_refine(g1, g2, max_level)
+    table = joint_refine(g1, g2, max_level, stop_at_difference)
     hists = [(lvl.histogram(0), lvl.histogram(1)) for lvl in table.levels]
     found = None
     for k, (h1, h2) in enumerate(hists):

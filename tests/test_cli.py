@@ -6,7 +6,13 @@ import json
 
 import pytest
 
-from wlhom import serialize_graph, synthesize, certificate_to_json
+from wlhom import (
+    certificate_to_json,
+    disjoint_union,
+    path_graph,
+    serialize_graph,
+    synthesize,
+)
 from wlhom.cli import main
 
 from .conftest import C6, K13, P4, TA, TB, TWO_C3
@@ -45,6 +51,19 @@ class TestCompare:
             "distinguished": True,
             "level": 1,
             "stabilization": 2,
+        }
+
+    def test_json_refines_to_stabilization(self, gfile, capsys):
+        # text mode stops at level 1; --json still reports stabilization
+        a = gfile("a", path_graph(600))
+        b = gfile("b", disjoint_union(path_graph(300), path_graph(300)))
+        assert main(["compare", a, b]) == 0
+        assert capsys.readouterr().out == "distinguished at level 1\n"
+        assert main(["compare", a, b, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "distinguished": True,
+            "level": 1,
+            "stabilization": 300,
         }
 
     def test_out_file(self, gfile, capsys, tmp_path):
@@ -164,6 +183,14 @@ class TestSynthesize:
         rc = main(["synthesize", gfile("a", C6), gfile("b", TWO_C3)])
         assert rc == 1
         assert json.loads(capsys.readouterr().out) == {"mode": "equivalent"}
+
+    def test_capped_run_is_inconclusive(self, gfile, capsys, tmp_path):
+        out = tmp_path / "cert.json"
+        rc = main(["synthesize", gfile("a", K13), gfile("b", P4),
+                   "--max-level", "0", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: inconclusive")
+        assert not out.exists()
 
 
 class TestVerify:

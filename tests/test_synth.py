@@ -12,6 +12,7 @@ from wlhom import (
     Certificate,
     CertificateError,
     Graph,
+    InconclusiveError,
     LiftCeilingError,
     SynthesisInvariantError,
     TreeArena,
@@ -171,6 +172,16 @@ class TestSynthesizeKnownPairs:
         assert cert.mode == "equivalent"
         assert cert.tree_text is None
         assert verify(cert, C6, TWO_C3)
+
+    def test_capped_run_is_inconclusive(self):
+        # level 0 neither separates K1,3 from P4 nor is stable: claiming
+        # "equivalent" there would fail verify
+        assert issubclass(InconclusiveError, ValueError)
+        with pytest.raises(InconclusiveError):
+            synthesize(K13, P4, max_level=0)
+        # a cap past the difference, or past stabilization, still decides
+        assert synthesize(K13, P4, max_level=1).mode == "tree"
+        assert synthesize(C6, TWO_C3, max_level=1).mode == "equivalent"
 
     def test_triangle_plus_point_vs_triangle(self):
         g1 = disjoint_union(cycle_graph(3), empty_graph(1))

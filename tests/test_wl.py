@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from wlhom import (
     compare_labels,
+    disjoint_union,
     distinguishing_level,
     joint_refine,
     empty_graph,
@@ -270,3 +271,37 @@ class TestDistinguishingLevel:
         perm = list(range(g.vertex_count))
         rnd.shuffle(perm)
         assert not distinguishing_level(g, permute(g, perm)).distinguished
+
+
+class TestEarlyExit:
+    @PROPERTY_SETTINGS
+    @given(graphs(max_vertices=8), st.data())
+    def test_early_table_is_prefix_of_full_table(self, g1, data):
+        # equal sizes half the time, so differences show past level 0
+        if data.draw(st.booleans()):
+            n = g1.vertex_count
+            g2 = data.draw(graphs(max_vertices=n, min_vertices=n))
+        else:
+            g2 = data.draw(graphs(max_vertices=8))
+        full = distinguishing_level(g1, g2)
+        early = distinguishing_level(g1, g2, stop_at_difference=True)
+        assert early.distinguishing_level == full.distinguishing_level
+        levels = early.table.levels
+        assert levels == full.table.levels[: len(levels)]
+        if early.distinguished:
+            assert len(levels) == early.distinguishing_level + 1
+        else:
+            assert levels == full.table.levels
+        for lvl in full.table.levels:
+            assert list(lvl.defs) == sorted(
+                set(lvl.defs), key=functools.cmp_to_key(compare_labels)
+            )
+
+    def test_long_path_vs_half_paths_stops_at_level_1(self):
+        # the full run takes 300 rounds to stabilize (see test_cli)
+        g1 = path_graph(600)
+        g2 = disjoint_union(path_graph(300), path_graph(300))
+        early = distinguishing_level(g1, g2, stop_at_difference=True)
+        assert early.distinguishing_level == 1
+        assert len(early.table.levels) <= 2
+        assert early.stabilization_level is None
