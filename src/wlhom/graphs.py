@@ -30,7 +30,13 @@ class Graph:
         edge_set: set[tuple[int, int]] = set()
         neighbors: list[list[int]] = [[] for _ in range(vertex_count)]
         for u, v in edges:
-            self._check_edge(vertex_count, u, v)
+            for x in (u, v):
+                if not 0 <= x < vertex_count:
+                    raise GraphFormatError(
+                        f"vertex index {x} out of range [0, {vertex_count})"
+                    )
+            if u == v:
+                raise GraphFormatError(f"self-loop at vertex {u}")
             key = (u, v) if u < v else (v, u)
             if key in edge_set:
                 raise GraphFormatError(f"duplicate edge {key[0]} {key[1]}")
@@ -40,16 +46,6 @@ class Graph:
         self.vertex_count = vertex_count
         self.edges = frozenset(edge_set)
         self.adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
-
-    @staticmethod
-    def _check_edge(vertex_count: int, u: int, v: int) -> None:
-        for x in (u, v):
-            if not 0 <= x < vertex_count:
-                raise GraphFormatError(
-                    f"vertex index {x} out of range [0, {vertex_count})"
-                )
-        if u == v:
-            raise GraphFormatError(f"self-loop at vertex {u}")
 
     @property
     def edge_count(self) -> int:
@@ -125,17 +121,19 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError(
             f"header announces {m} edges but file contains {len(edges)}"
         )
-    seen: set[tuple[int, int]] = set()
-    for (u, v), lineno in zip(edges, edge_lines):
-        try:
-            Graph._check_edge(n, u, v)
-        except GraphFormatError as exc:
-            raise GraphFormatError(exc.args[0], lineno) from None
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge {key[0]} {key[1]}", lineno)
-        seen.add(key)
-    return Graph(n, edges)
+    # The constructor validates the edges in file order and stops at the
+    # first bad one, which is the last one the iterator handed out.
+    edge_line = 0
+
+    def numbered():
+        nonlocal edge_line
+        for edge, edge_line in zip(edges, edge_lines):
+            yield edge
+
+    try:
+        return Graph(n, numbered())
+    except GraphFormatError as exc:
+        raise GraphFormatError(exc.args[0], edge_line) from None
 
 
 def serialize_graph(g: Graph, comments: Sequence[str] = ()) -> str:

@@ -22,8 +22,10 @@ argument behind the label test / homomorphism-count correspondence:
   vanished for n = 1..|S_k| the Vandermonde system would force every
   delta(r) to zero, so the least separating n is found within |S_k| steps.
 
-Every synthesis run re-checks the identities the argument relies on and
-raises SynthesisInvariantError on any violation.
+The lift's m-search, the base counts and the n-search run on the label
+quotient (QuotientTable), from the level definitions alone. One graph DP of
+the emitted tree cross-checks them, per rank and as whole-graph counts, and
+raises SynthesisInvariantError on any mismatch, so no certificate is emitted.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import partial
 
 from .graphs import Graph
 from .homs import HomTable, hom_by_label, hom_count
@@ -251,70 +254,76 @@ def _counts_by_rank(
     return merged
 
 
+class QuotientTable:
+    """Rooted counts per label rank, computed from the label definitions.
+
+    For depth(t) <= level the rooted count at a vertex depends only on its
+    level-`level` rank, and defs_at(level)[rank] is the multiset of its
+    neighbors' previous-level ranks. So the HomTable recurrence runs on
+    ranks instead of vertices: a leaf gives 1 at every rank, otherwise
+
+        entry(t, rank) = prod over children (c, mult) of
+                         (sum over (r, k) in defs[rank] of k * entry(c, r)) ** mult
+
+    with entry(c, .) taken at level - 1. Vectors are indexed by rank and
+    memoized per (node, level).
+    """
+
+    def __init__(self, arena: TreeArena, labels: LabelTable):
+        self.arena = arena
+        self.labels = labels
+        self._vectors: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def counts(self, t: int, level: int) -> tuple[int, ...]:
+        key = (t, level)
+        if key not in self._vectors:
+            kids = [(self.counts(c, level - 1), mult)
+                    for c, mult in self.arena.children(t)]
+            vector = []
+            for label in self.labels.defs_at(level):
+                entry = 1
+                for child_vec, mult in kids:
+                    entry *= sum(k * child_vec[r] for r, k in label) ** mult
+                    if entry == 0:
+                        break
+                vector.append(entry)
+            self._vectors[key] = tuple(vector)
+        return self._vectors[key]
+
+
 def lift(
     arena: TreeArena,
     family,
     labels: LabelTable,
     level: int,
     S: list[int],
-    tables: tuple[HomTable, HomTable] | None = None,
+    quotient: QuotientTable | None = None,
     ceiling: int | None = None,
 ) -> tuple[int, int]:
     """Least m >= 1 whose H_m = attach([(family(m), 1)]) orders the ranks.
 
     `family` maps m to a depth-(level-1) tree node; S lists the non-isolated
-    level-`level` ranks ascending. Returns (m, H_m node id). Each candidate
-    is also checked against the chain identity
-    h(H_m, L) = sum over (rank, mult) in L of mult * h(family(m), rank).
+    level-`level` ranks ascending. Returns (m, H_m node id). The counts
+    h(H_m, rank) come from `quotient`, the label-quotient table of this
+    arena and labeling (a fresh one when None).
     """
     if not S:
         raise ValueError("rank set must be nonempty")
     order = sorted(S)
     ceiling = _resolve_lift_ceiling(ceiling)
-    if tables is None:
-        tables = (HomTable(arena, labels.graphs[0]), HomTable(arena, labels.graphs[1]))
-    defs = labels.defs_at(level)
+    if quotient is None:
+        quotient = QuotientTable(arena, labels)
     for m in range(1, ceiling + 1):
-        t = family(m)
-        child_counts = _counts_by_rank(arena, t, labels, level - 1, tables)
-        h = arena.attach([(t, 1)])
-        counts = _counts_by_rank(arena, h, labels, level, tables)
-        for rank in order:
-            expected = sum(c * child_counts[r] for r, c in defs[rank])
-            if counts[rank] != expected:
-                raise SynthesisInvariantError(
-                    f"chain identity failed at level {level}, rank {rank}: "
-                    f"{counts[rank]} != {expected}"
-                )
-            if counts[rank] < 1:
-                raise SynthesisInvariantError(
-                    f"nonpositive count {counts[rank]} at non-isolated rank {rank}"
-                )
+        h = arena.attach([(family(m), 1)])
+        counts = quotient.counts(h, level)
         values = [counts[rank] for rank in order]
+        if min(values) < 1:
+            raise SynthesisInvariantError(
+                f"nonpositive count at a non-isolated level-{level} rank"
+            )
         if all(a < b for a, b in zip(values, values[1:])):
             return m, h
     raise LiftCeilingError(level, ceiling)
-
-
-def _restricted_histogram(labels: LabelTable, which: int, level: int) -> dict[int, int]:
-    """Level histogram of graph `which` over non-isolated vertices only."""
-    isolated = labels.graphs[which].isolated_vertices()
-    hist: dict[int, int] = {}
-    for v, rank in enumerate(labels.ranks_at(which, level)):
-        if v not in isolated:
-            hist[rank] = hist.get(rank, 0) + 1
-    return hist
-
-
-def _memoized(build):
-    cache: dict[int, int] = {}
-
-    def family(n: int) -> int:
-        if n not in cache:
-            cache[n] = build(n)
-        return cache[n]
-
-    return family
 
 
 def synthesize(
@@ -340,22 +349,21 @@ def synthesize(
             raise InconclusiveError(f"inconclusive: no verdict by level {max_level}")
         return Certificate(mode="equivalent")
     labels = comparison.table
-    d = comparison.distinguishing_level
-    k = None
-    if d > 0:
-        for lvl in range(1, d + 1):
-            if _restricted_histogram(labels, 0, lvl) != _restricted_histogram(
-                labels, 1, lvl
-            ):
-                k = lvl
-                break
+    # Histograms over non-isolated vertices: at levels >= 1 a vertex is
+    # isolated exactly when its label is the empty multiset.
+    hists = {
+        lvl: tuple({r: c for r, c in hist.items() if labels.defs_at(lvl)[r]}
+                   for hist in comparison.histograms[lvl])
+        for lvl in range(1, comparison.distinguishing_level + 1)
+    }
+    k = next((lvl for lvl, (h1, h2) in hists.items() if h1 != h2), None)
     if k is None:
         # Difference is confined to isolated vertices (or is the level-0
         # size mismatch itself), so the totals cannot agree.
         if g1.vertex_count == g2.vertex_count:
             raise SynthesisInvariantError(
                 "equal vertex counts with equal non-isolated histograms at "
-                f"distinguishing level {d}"
+                f"distinguishing level {comparison.distinguishing_level}"
             )
         arena = TreeArena()
         root = arena.leaf()
@@ -368,52 +376,46 @@ def synthesize(
         )
 
     arena = TreeArena()
-    tables = (HomTable(arena, g1), HomTable(arena, g2))
-    family = _memoized(lambda n: base_family(arena, n))
+    quotient = QuotientTable(arena, labels)
+    family = partial(base_family, arena)
     m_per_level = []
     for lvl in range(2, k + 1):
-        hist1 = _restricted_histogram(labels, 0, lvl)
-        hist2 = _restricted_histogram(labels, 1, lvl)
-        s_lvl = sorted(set(hist1) | set(hist2))
-        m, h = lift(arena, family, labels, lvl, s_lvl, tables, ceiling)
+        s_lvl = sorted(set(hists[lvl][0]) | set(hists[lvl][1]))
+        m, h = lift(arena, family, labels, lvl, s_lvl, quotient, ceiling)
         m_per_level.append(m)
-        family = _memoized(lambda n, h=h: power(arena, h, n))
+        family = partial(power, arena, h)
 
-    hist1 = _restricted_histogram(labels, 0, k)
-    hist2 = _restricted_histogram(labels, 1, k)
+    hist1, hist2 = hists[k]
     s_k = sorted(set(hist1) | set(hist2))
-    base = _counts_by_rank(arena, family(1), labels, k, tables)
+    base = quotient.counts(family(1), k)
     if not all(base[r] >= 1 for r in s_k):
         raise SynthesisInvariantError("nonpositive base count at a non-isolated rank")
     if not all(base[a] < base[b] for a, b in zip(s_k, s_k[1:])):
         raise SynthesisInvariantError(
             f"level-{k} base counts are not strictly increasing across ranks"
         )
-    top_diff = max(r for r in s_k if hist1.get(r, 0) != hist2.get(r, 0))
-    if any(hist1.get(r, 0) != hist2.get(r, 0) for r in s_k if r > top_diff):
-        raise SynthesisInvariantError("histograms differ above the top differing rank")
     for n in range(1, len(s_k) + 1):
-        t = family(n)
-        counts = _counts_by_rank(arena, t, labels, k, tables)
-        for r in s_k:
-            if counts[r] != base[r] ** n:
-                raise SynthesisInvariantError(
-                    f"power identity failed at rank {r}, n={n}: "
-                    f"{counts[r]} != {base[r]}^{n}"
-                )
-        c1 = sum(hist1.get(r, 0) * counts[r] for r in s_k)
-        c2 = sum(hist2.get(r, 0) * counts[r] for r in s_k)
-        if c1 != hom_count(arena, t, g1, tables[0]) or c2 != hom_count(
-            arena, t, g2, tables[1]
-        ):
-            raise SynthesisInvariantError(
-                f"histogram-weighted sums disagree with the vertex sums at n={n}"
-            )
+        c1 = sum(c * base[r] ** n for r, c in hist1.items())
+        c2 = sum(c * base[r] ** n for r, c in hist2.items())
         if c1 != c2:
             break
     else:
         raise SynthesisInvariantError(
             f"no separating n within |S_k| = {len(s_k)} steps"
+        )
+    t = family(n)
+    tables = (HomTable(arena, g1), HomTable(arena, g2))
+    if _counts_by_rank(arena, t, labels, k, tables) != dict(
+        enumerate(quotient.counts(t, k))
+    ):
+        raise SynthesisInvariantError(
+            f"graph counts of the emitted tree disagree with the level-{k} quotient"
+        )
+    if c1 != hom_count(arena, t, g1, tables[0]) or c2 != hom_count(
+        arena, t, g2, tables[1]
+    ):
+        raise SynthesisInvariantError(
+            f"histogram-weighted sums disagree with the vertex sums at n={n}"
         )
     if arena.depth(t) != k:
         raise SynthesisInvariantError(

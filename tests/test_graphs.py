@@ -81,6 +81,18 @@ class TestParse:
             parse_graph("# c\n2 2\n0 1\n1 0\n")
         assert exc.value.line == 4
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("# c\n4 3\n0 1\n\n# x\n1 2\n2 9\n", 7, "vertex index 9 out of range [0, 4)"),
+        ("4 3\n0 1\n1 2\n3 3\n", 4, "self-loop at vertex 3"),
+        ("4 3\n0 1\n1 2\n\n2 1\n", 5, "duplicate edge 1 2"),
+        ("4 2\n0 7\n1 1\n", 2, "vertex index 7 out of range [0, 4)"),
+    ])
+    def test_edge_error_message_and_line(self, text, line, message):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
     def test_out_of_range_index(self):
         with pytest.raises(GraphFormatError):
             parse_graph("2 1\n0 5\n")

@@ -12,6 +12,7 @@ from wlhom import (
     Certificate,
     CertificateError,
     Graph,
+    HomTable,
     InconclusiveError,
     LiftCeilingError,
     SynthesisInvariantError,
@@ -30,15 +31,30 @@ from wlhom import (
     permute,
     power,
     rooted_hom,
+    serialize_graph,
     star_graph,
     synthesize,
     verify,
 )
-from wlhom.synth import _resolve_lift_ceiling
-from wlhom.wl import LevelLabels
+from wlhom import synth as synth_module
+from wlhom.cli import main
+from wlhom.synth import QuotientTable, _counts_by_rank, _resolve_lift_ceiling
+from wlhom.wl import LevelLabels, WlComparison
 from wlhom.wl import LabelTable
 
-from .conftest import C6, K13, P4, PROPERTY_SETTINGS, TA, TB, TWO_C3, graphs
+from .conftest import (
+    C6,
+    K13,
+    P4,
+    PROPERTY_SETTINGS,
+    TA,
+    TB,
+    TWO_C3,
+    build_shape,
+    graphs,
+    shape_depth,
+    tree_shapes,
+)
 
 
 class TestBaseFamily:
@@ -451,3 +467,73 @@ class TestInvariantMachinery:
     def test_explicit_ceiling_beats_env(self, monkeypatch):
         monkeypatch.setenv("WLHOM_LIFT_CEILING", "1")
         assert synthesize(TA, TB, lift_ceiling=10).mode == "tree"
+
+
+class TestQuotient:
+    @PROPERTY_SETTINGS
+    @given(graphs(max_vertices=6), graphs(max_vertices=6), tree_shapes(max_depth=3))
+    def test_matches_graph_dp_by_rank(self, g1, g2, shape):
+        table = joint_refine(g1, g2)
+        arena = TreeArena()
+        t = build_shape(arena, shape)
+        quotient = QuotientTable(arena, table)
+        tables = (HomTable(arena, g1), HomTable(arena, g2))
+        for level in range(shape_depth(shape), table.max_recorded_level + 1):
+            by_rank = _counts_by_rank(arena, t, table, level, tables)
+            # every rank is some vertex's rank, unless both graphs are empty
+            expected = dict(enumerate(quotient.counts(t, level)))
+            if g1.vertex_count + g2.vertex_count == 0:
+                expected = {}
+            assert by_rank == expected
+
+    @pytest.mark.parametrize("g1, g2, m_per_level", [(TA, TB, (3,)), (K13, P4, ())])
+    def test_graph_dp_covers_only_the_emitted_tree(self, monkeypatch, g1, g2,
+                                                   m_per_level):
+        built = []
+
+        class CountingTable(HomTable):
+            def __init__(self, arena, graph):
+                super().__init__(arena, graph)
+                built.append(self)
+
+        monkeypatch.setattr(synth_module, "HomTable", CountingTable)
+        cert = synthesize(g1, g2)
+        assert cert.m_per_level == m_per_level
+        arena, root = cert.tree()
+        reachable = len(arena.reachable(root))
+        for g in (g1, g2):
+            vectors = sum(len(table._vectors) for table in built if table.graph is g)
+            assert 0 < vectors <= reachable
+
+    @pytest.mark.parametrize("defs, ranks", [
+        # rank 1 says degree 2 but also holds K1,3's center, of degree 3
+        ((((0, 1),), ((0, 2),)), ((0, 1, 1, 0), (1, 0, 0, 0))),
+        # a truthful partition whose rank-2 definition claims degree 4
+        ((((0, 1),), ((0, 2),), ((0, 4),)), ((0, 1, 1, 0), (2, 0, 0, 0))),
+    ])
+    def test_end_of_run_check_is_live(self, monkeypatch, tmp_path, defs, ranks):
+        def fake_level(g1, g2, *args, **kwargs):
+            fake = LabelTable(
+                graphs=(g1, g2),
+                levels=[
+                    LevelLabels(defs=((),), ranks=((0,) * 4, (0,) * 4)),
+                    LevelLabels(defs=defs, ranks=ranks),
+                ],
+            )
+            return WlComparison(
+                distinguishing_level=1,
+                stabilization_level=None,
+                histograms=[(lvl.histogram(0), lvl.histogram(1))
+                            for lvl in fake.levels],
+                table=fake,
+            )
+
+        monkeypatch.setattr(synth_module, "distinguishing_level", fake_level)
+        with pytest.raises(SynthesisInvariantError):
+            synthesize(P4, K13)
+        a, b, out = tmp_path / "a", tmp_path / "b", tmp_path / "cert.json"
+        a.write_text(serialize_graph(P4), encoding="utf-8")
+        b.write_text(serialize_graph(K13), encoding="utf-8")
+        with pytest.raises(SynthesisInvariantError):
+            main(["synthesize", str(a), str(b), "--out", str(out)])
+        assert not out.exists()
