@@ -11,11 +11,13 @@ argument behind the label test / homomorphism-count correspondence:
   level j -> j+1: with a level-j family fam_j in hand, the tree
   H_m = attach([(fam_j(m), 1)]) has rooted count at v equal to the
   neighbor sum of fam_j(m)'s counts, which depends only on v's level-(j+1)
-  label. Search m = 1, 2, ... until rank -> h(H_m, rank) is strictly
-  increasing over the non-isolated level-(j+1) ranks; the counts at
-  distinct ranks separate at exponentially different rates, so some m
-  works. The level-(j+1) family is then fam(n) = n copies of H_m's child
-  under one root, whose counts are h(H_m, rank)^n.
+  label. With b the level-j counts of fam_j(1), fam_j(m) has counts b^m,
+  so h(H_m, rank) = sum over (r, k) in defs[rank] of k * b[r]^m. Search
+  m = 1, 2, ... on these sums alone until they strictly increase over the
+  non-isolated level-(j+1) ranks; sums at distinct ranks separate at
+  exponentially different rates, so some m works. Only that H_m is built.
+  The level-(j+1) family is then fam(n) = n copies of H_m's child under
+  one root, whose counts are h(H_m, rank)^n.
 
   final: with distinct positive bases b_r = h(fam_k(1), r), the difference
   of the two histogram-weighted sums is sum_r delta(r) * b_r^n. If it
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 
@@ -144,7 +147,7 @@ def _parse_count(value: object, field: str) -> int:
 def certificate_from_json(text: str) -> Certificate:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CertificateError(f"not valid JSON: {exc}") from None
     _require(isinstance(data, dict), "certificate must be a JSON object")
     mode = data.get("mode")
@@ -291,6 +294,20 @@ class QuotientTable:
         return self._vectors[key]
 
 
+def _ascending_prefix(values: Iterable[int]) -> tuple[list[int], int | None]:
+    """Values up to the first adjacent pair not strictly increasing.
+
+    Returns the values read before that pair's second member and the index
+    of its first member, or every value and None when all pairs increase.
+    """
+    seen: list[int] = []
+    for value in values:
+        if seen and seen[-1] >= value:
+            return seen, len(seen) - 1
+        seen.append(value)
+    return seen, None
+
+
 def lift(
     arena: TreeArena,
     family,
@@ -302,10 +319,18 @@ def lift(
 ) -> tuple[int, int]:
     """Least m >= 1 whose H_m = attach([(family(m), 1)]) orders the ranks.
 
-    `family` maps m to a depth-(level-1) tree node; S lists the non-isolated
-    level-`level` ranks ascending. Returns (m, H_m node id). The counts
-    h(H_m, rank) come from `quotient`, the label-quotient table of this
-    arena and labeling (a fresh one when None).
+    `family` maps m to a depth-(level-1) tree node whose level-(level-1)
+    counts are those of family(1) raised to the m-th power, as for
+    `base_family` and `power`; S lists the non-isolated level-`level` ranks
+    ascending. Returns (m, H_m node id). With b the level-(level-1) counts
+    of family(1), read from `quotient` (a fresh label-quotient table when
+    None), h(H_m, r) is the sum over (r', k) in defs_level[r] of
+    k * b[r'] ** m. So the search keeps one power vector b ** m and builds
+    nothing for a rejected m: it first re-checks the pair of adjacent ranks
+    that failed at m - 1, and only a candidate passing it gets the full
+    ascending scan, which stops at the first pair out of order. The
+    accepted H_m is built once, and its quotient counts must equal the
+    values the search compared.
     """
     if not S:
         raise ValueError("rank set must be nonempty")
@@ -313,17 +338,36 @@ def lift(
     ceiling = _resolve_lift_ceiling(ceiling)
     if quotient is None:
         quotient = QuotientTable(arena, labels)
-    for m in range(1, ceiling + 1):
-        h = arena.attach([(family(m), 1)])
-        counts = quotient.counts(h, level)
-        values = [counts[rank] for rank in order]
-        if min(values) < 1:
-            raise SynthesisInvariantError(
-                f"nonpositive count at a non-isolated level-{level} rank"
-            )
-        if all(a < b for a, b in zip(values, values[1:])):
-            return m, h
-    raise LiftCeilingError(level, ceiling)
+    defs = labels.defs_at(level)
+    first = family(1)
+    base = powers = quotient.counts(first, level - 1)
+
+    def value(rank: int) -> int:
+        return sum(k * powers[r] for r, k in defs[rank])
+
+    values = [value(rank) for rank in order]
+    if min(values) < 1:
+        raise SynthesisInvariantError(
+            f"nonpositive count at a non-isolated level-{level} rank"
+        )
+    # b ** m > 0 exactly when b > 0, so later values stay positive.
+    _, stuck = _ascending_prefix(values)
+    m = 1
+    while stuck is not None:
+        if m == ceiling:
+            raise LiftCeilingError(level, ceiling)
+        m += 1
+        powers = [p * b for p, b in zip(powers, base)]
+        if value(order[stuck]) < value(order[stuck + 1]):
+            values, stuck = _ascending_prefix(map(value, order))
+    h = arena.attach([(first if m == 1 else family(m), 1)])
+    counts = quotient.counts(h, level)
+    if [counts[rank] for rank in order] != values:
+        raise SynthesisInvariantError(
+            f"level-{level - 1} counts of family({m}) are not the {m}-th "
+            "powers of those of family(1)"
+        )
+    return m, h
 
 
 def synthesize(

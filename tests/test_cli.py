@@ -228,6 +228,16 @@ class TestVerify:
         assert capsys.readouterr().err.startswith("error:")
 
 
+    def test_deeply_nested_certificate(self, gfile, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000, encoding="utf-8")
+        rc = main(["verify", str(deep), gfile("a", K13), gfile("b", P4)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not valid JSON:")
+
+
 class TestExpand:
     def _cert_path(self, gfile, tmp_path, g1, g2):
         out = tmp_path / "cert.json"
@@ -253,6 +263,15 @@ class TestExpand:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.err == "error: equivalent-mode certificate carries no tree\n"
+
+    def test_deeply_nested_certificate(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000, encoding="utf-8")
+        rc = main(["expand", str(deep)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not valid JSON:")
 
     def test_out_file(self, gfile, tmp_path, capsys):
         cert = self._cert_path(gfile, tmp_path, K13, P4)

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+from functools import partial
+from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from wlhom import (
     Certificate,
@@ -22,6 +25,7 @@ from wlhom import (
     certificate_to_json,
     cycle_graph,
     disjoint_union,
+    distinguishing_level,
     empty_graph,
     hom_count,
     joint_refine,
@@ -171,6 +175,122 @@ class TestLift:
         assert len(ranks) == 2
         with pytest.raises(SynthesisInvariantError):
             lift(arena, lambda n: base_family(arena, n), table, 2, ranks)
+
+
+def _reference_lift(arena, family, labels, level, S, quotient):
+    """The m-search by definition: build every H_m and read all its counts."""
+    for m in range(1, 10_001):
+        h = arena.attach([(family(m), 1)])
+        counts = quotient.counts(h, level)
+        values = [counts[rank] for rank in S]
+        assert min(values) >= 1
+        if all(a < b for a, b in zip(values, values[1:])):
+            return m, h, values
+    raise AssertionError("no m <= 10000 orders the ranks")
+
+
+@st.composite
+def swapped_pairs(draw):
+    """A graph and its image under one degree-preserving double-edge swap."""
+    g = draw(graphs(max_vertices=7, min_vertices=4))
+    edges = sorted(g.edges)
+    swaps = []
+    for (a, b), (c, d) in combinations(edges, 2):
+        if len({a, b, c, d}) == 4:
+            for new in (((a, d), (c, b)), ((a, c), (b, d))):
+                new = tuple(tuple(sorted(e)) for e in new)
+                if not any(g.has_edge(*e) for e in new):
+                    swaps.append(((a, b), (c, d)) + new)
+    assume(swaps)
+    old1, old2, new1, new2 = draw(st.sampled_from(swaps))
+    kept = [e for e in edges if e not in (old1, old2)]
+    return g, Graph(g.vertex_count, kept + [new1, new2])
+
+
+def _first_nonisolated_difference(g1, g2):
+    """Joint labels and the non-isolated ranks S of each level.
+
+    The levels run up to the least one whose non-isolated histograms
+    differ; the ranks are None when no level differs.
+    """
+    comparison = distinguishing_level(g1, g2, stop_at_difference=True)
+    labels = comparison.table
+    ranks = {}
+    for level in range(1, (comparison.distinguishing_level or 0) + 1):
+        hists = [{r: c for r, c in hist.items() if labels.defs_at(level)[r]}
+                 for hist in comparison.histograms[level]]
+        ranks[level] = sorted(set(hists[0]) | set(hists[1]))
+        if hists[0] != hists[1]:
+            return labels, ranks
+    return labels, None
+
+
+class TestLiftSearch:
+    # most small swaps leave the labels equal or differ at level 1
+    @settings(PROPERTY_SETTINGS, suppress_health_check=[
+        HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(swapped_pairs())
+    def test_matches_reference_search(self, pair):
+        labels, ranks = _first_nonisolated_difference(*pair)
+        assume(ranks is not None and len(ranks) >= 2)
+        arena, ref_arena = TreeArena(), TreeArena()
+        quotient = QuotientTable(arena, labels)
+        ref_quotient = QuotientTable(ref_arena, labels)
+        family = partial(base_family, arena)
+        ref_family = partial(base_family, ref_arena)
+        for level in range(2, len(ranks) + 1):
+            m, h = lift(arena, family, labels, level, ranks[level], quotient)
+            ref_m, ref_h, ref_values = _reference_lift(
+                ref_arena, ref_family, labels, level, ranks[level], ref_quotient)
+            assert m == ref_m
+            counts = QuotientTable(arena, labels).counts(h, level)
+            assert [counts[rank] for rank in ranks[level]] == ref_values
+            family = partial(power, arena, h)
+            ref_family = partial(power, ref_arena, ref_h)
+
+    def test_family_off_the_power_contract_trips_invariant(self):
+        # star(2m - 1) has counts deg^(2m - 1), not deg^m: the search accepts
+        # m = 2 on the powers deg^m, and the built H_2 disagrees with them
+        table = joint_refine(K13, P4)
+        arena = TreeArena()
+        with pytest.raises(SynthesisInvariantError):
+            lift(arena, lambda m: base_family(arena, 2 * m - 1), table, 2,
+                 _nonisolated_ranks(table, 2))
+
+    def test_rejected_candidates_build_nothing(self, monkeypatch):
+        # A wheel over the cube has an apex with eight neighbors of degree 4;
+        # a K1,5 leaf has one neighbor of degree 5. Ordering these two
+        # level-2 ranks needs 5^m > 8 * 4^m, so m = 10; T_A / T_B make the
+        # pair first differ at level 2. Frozen after exact computation.
+        cube = [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit]
+        wheel = Graph(9, cube + [(u, 8) for u in range(8)])
+        g1, g2 = (disjoint_union(disjoint_union(wheel, star_graph(5)), t)
+                  for t in (TA, TB))
+        attaches, arenas, quotients = [], [], []
+
+        class CountingArena(TreeArena):
+            def __init__(self):
+                super().__init__()
+                arenas.append(self)
+
+            def attach(self, children):
+                attaches.append(self)
+                return super().attach(children)
+
+        class RecordingQuotient(QuotientTable):
+            def __init__(self, arena, labels):
+                super().__init__(arena, labels)
+                quotients.append(self)
+
+        monkeypatch.setattr(synth_module, "TreeArena", CountingArena)
+        monkeypatch.setattr(synth_module, "QuotientTable", RecordingQuotient)
+        cert = synthesize(g1, g2)
+        assert cert.m_per_level == (10,)
+        assert len(arenas) == len(quotients) == 1
+        arena, root = cert.tree()
+        bound = len(arena.reachable(root)) + 4 * len(cert.m_per_level)
+        assert len(attaches) <= bound
+        assert len(quotients[0]._vectors) <= bound
 
 
 class TestSynthesizeKnownPairs:
@@ -359,6 +479,12 @@ class TestCertificateJson:
             certificate_from_json("{")
         with pytest.raises(CertificateError):
             certificate_from_json("[1]")
+
+    def test_deeply_nested_json_rejected(self):
+        # json.loads raises RecursionError, not JSONDecodeError, past the
+        # interpreter's recursion limit
+        with pytest.raises(CertificateError, match="not valid JSON"):
+            certificate_from_json("[" * 100_000)
 
     def test_single_node_requires_level_zero(self):
         cert = synthesize(empty_graph(1), path_graph(2))
