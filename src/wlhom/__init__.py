@@ -37,7 +37,6 @@ from .synth import (
     certificate_from_json,
     certificate_to_json,
     lift,
-    power,
     synthesize,
     verify,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "parse_tree",
     "path_graph",
     "permute",
-    "power",
     "rooted_hom",
     "serialize_graph",
     "serialize_tree",

@@ -6,37 +6,37 @@ graphs. The construction is a finite-search version of the inductive
 argument behind the label test / homomorphism-count correspondence:
 
   level 1: stars. The rooted count of an n-leaf star at v is deg(v)^n, so
-  for every n the count is strictly increasing across level-1 ranks.
+  for every n the count is strictly increasing across level-1 ranks. The
+  count vector s_1 holds each level-1 rank's degree.
 
-  level j -> j+1: with a level-j family fam_j in hand, the tree
-  H_m = attach([(fam_j(m), 1)]) has rooted count at v equal to the
-  neighbor sum of fam_j(m)'s counts, which depends only on v's level-(j+1)
-  label. With b the level-j counts of fam_j(1), fam_j(m) has counts b^m,
-  so h(H_m, rank) = sum over (r, k) in defs[rank] of k * b[r]^m. Search
-  m = 1, 2, ... on these sums alone until they strictly increase over the
+  level j -> j+1: the level-j tree is a root over copies of the level-(j-1)
+  tree; with one copy its counts are s_j, with m copies s_j^m. One more
+  root H_m above the m-copy tree has rooted count at v equal to the
+  neighbor sum of those counts, which depends only on v's level-(j+1)
+  label: h(H_m, rank) = sum over (r, k) in defs[rank] of k * s_j[r]^m.
+  Search m = 1, 2, ... on these sums until they strictly increase over the
   non-isolated level-(j+1) ranks; sums at distinct ranks separate at
-  exponentially different rates, so some m works. Only that H_m is built.
-  The level-(j+1) family is then fam(n) = n copies of H_m's child under
-  one root, whose counts are h(H_m, rank)^n.
+  exponentially different rates, so some m works. Its sums are s_(j+1).
 
-  final: with distinct positive bases b_r = h(fam_k(1), r), the difference
-  of the two histogram-weighted sums is sum_r delta(r) * b_r^n. If it
-  vanished for n = 1..|S_k| the Vandermonde system would force every
-  delta(r) to zero, so the least separating n is found within |S_k| steps.
+  final: with distinct positive bases s_k[r], the difference of the two
+  histogram-weighted sums is sum_r delta(r) * s_k[r]^n. If it vanished for
+  n = 1..|S_k| the Vandermonde system would force every delta(r) to zero,
+  so the least separating n is found within |S_k| steps.
 
-The lift's m-search, the base counts and the n-search run on the label
-quotient (QuotientTable), from the level definitions alone. One graph DP of
-the emitted tree cross-checks them, per rank and as whole-graph counts, and
-raises SynthesisInvariantError on any mismatch, so no certificate is emitted.
+So the search runs on one count vector per level, indexed by rank and read
+from the level definitions alone, and the emitted tree is a chain: a leaf
+under roots repeating their one child m_2, ..., m_k and n times. One graph
+DP of it cross-checks the last vector, per rank and as whole-graph counts,
+and raises SynthesisInvariantError on any mismatch, so nothing is emitted.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import partial
+from itertools import pairwise
 
 from .graphs import Graph
 from .homs import HomTable, hom_by_label, hom_count
@@ -218,21 +218,11 @@ def certificate_from_json(text: str) -> Certificate:
 
 
 def base_family(arena: TreeArena, n: int) -> int:
-    """Star with n children: the level-1 family, rooted counts deg(v)^n."""
+    """Star with n children, the base of every chain: rooted counts deg(v)^n."""
     if n < 1:
         raise ValueError(f"family index must be >= 1, got {n}")
     leaf = arena.leaf()
     return arena.attach([(leaf, n)])
-
-
-def power(arena: TreeArena, h: int, n: int) -> int:
-    """Root with h's single child repeated n times; counts become n-th powers."""
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got {n}")
-    kids = arena.children(h)
-    if len(kids) != 1 or kids[0][1] != 1:
-        raise ValueError("h must be a root with exactly one child")
-    return arena.attach([(kids[0][0], n)])
 
 
 def _counts_by_rank(
@@ -257,90 +247,35 @@ def _counts_by_rank(
     return merged
 
 
-class QuotientTable:
-    """Rooted counts per label rank, computed from the label definitions.
-
-    For depth(t) <= level the rooted count at a vertex depends only on its
-    level-`level` rank, and defs_at(level)[rank] is the multiset of its
-    neighbors' previous-level ranks. So the HomTable recurrence runs on
-    ranks instead of vertices: a leaf gives 1 at every rank, otherwise
-
-        entry(t, rank) = prod over children (c, mult) of
-                         (sum over (r, k) in defs[rank] of k * entry(c, r)) ** mult
-
-    with entry(c, .) taken at level - 1. Vectors are indexed by rank and
-    memoized per (node, level).
-    """
-
-    def __init__(self, arena: TreeArena, labels: LabelTable):
-        self.arena = arena
-        self.labels = labels
-        self._vectors: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def counts(self, t: int, level: int) -> tuple[int, ...]:
-        key = (t, level)
-        if key not in self._vectors:
-            kids = [(self.counts(c, level - 1), mult)
-                    for c, mult in self.arena.children(t)]
-            vector = []
-            for label in self.labels.defs_at(level):
-                entry = 1
-                for child_vec, mult in kids:
-                    entry *= sum(k * child_vec[r] for r, k in label) ** mult
-                    if entry == 0:
-                        break
-                vector.append(entry)
-            self._vectors[key] = tuple(vector)
-        return self._vectors[key]
-
-
-def _ascending_prefix(values: Iterable[int]) -> tuple[list[int], int | None]:
-    """Values up to the first adjacent pair not strictly increasing.
-
-    Returns the values read before that pair's second member and the index
-    of its first member, or every value and None when all pairs increase.
-    """
-    seen: list[int] = []
-    for value in values:
-        if seen and seen[-1] >= value:
-            return seen, len(seen) - 1
-        seen.append(value)
-    return seen, None
+def _first_descent(values: Iterable[int]) -> int | None:
+    """Index of the first adjacent pair not strictly increasing, or None."""
+    return next((i for i, (a, b) in enumerate(pairwise(values)) if a >= b), None)
 
 
 def lift(
-    arena: TreeArena,
-    family,
     labels: LabelTable,
     level: int,
+    base: Sequence[int],
     S: list[int],
-    quotient: QuotientTable | None = None,
     ceiling: int | None = None,
-) -> tuple[int, int]:
-    """Least m >= 1 whose H_m = attach([(family(m), 1)]) orders the ranks.
+) -> tuple[int, tuple[int, ...]]:
+    """Least m >= 1 ordering S, with the level-`level` counts it gives.
 
-    `family` maps m to a depth-(level-1) tree node whose level-(level-1)
-    counts are those of family(1) raised to the m-th power, as for
-    `base_family` and `power`; S lists the non-isolated level-`level` ranks
-    ascending. Returns (m, H_m node id). With b the level-(level-1) counts
-    of family(1), read from `quotient` (a fresh label-quotient table when
-    None), h(H_m, r) is the sum over (r', k) in defs_level[r] of
-    k * b[r'] ** m. So the search keeps one power vector b ** m and builds
-    nothing for a rejected m: it first re-checks the pair of adjacent ranks
-    that failed at m - 1, and only a candidate passing it gets the full
-    ascending scan, which stops at the first pair out of order. The
-    accepted H_m is built once, and its quotient counts must equal the
-    values the search compared.
+    `base` holds a count per level-(level-1) rank, S lists non-isolated
+    level-`level` ranks, and the count at rank r is the sum over (r', k) in
+    defs_level[r] of k * base[r'] ** m: the rooted count of one root over m
+    copies of a tree whose level-(level-1) counts are `base`. Returns m and
+    that sum at every rank of the level. The search keeps one power vector
+    base ** m: it first re-checks the pair of adjacent ranks that failed at
+    m - 1, and only a candidate passing it gets the full ascending scan,
+    which stops at the first pair out of order.
     """
     if not S:
         raise ValueError("rank set must be nonempty")
     order = sorted(S)
     ceiling = _resolve_lift_ceiling(ceiling)
-    if quotient is None:
-        quotient = QuotientTable(arena, labels)
     defs = labels.defs_at(level)
-    first = family(1)
-    base = powers = quotient.counts(first, level - 1)
+    powers = base
 
     def value(rank: int) -> int:
         return sum(k * powers[r] for r, k in defs[rank])
@@ -351,7 +286,7 @@ def lift(
             f"nonpositive count at a non-isolated level-{level} rank"
         )
     # b ** m > 0 exactly when b > 0, so later values stay positive.
-    _, stuck = _ascending_prefix(values)
+    stuck = _first_descent(values)
     m = 1
     while stuck is not None:
         if m == ceiling:
@@ -359,15 +294,8 @@ def lift(
         m += 1
         powers = [p * b for p, b in zip(powers, base)]
         if value(order[stuck]) < value(order[stuck + 1]):
-            values, stuck = _ascending_prefix(map(value, order))
-    h = arena.attach([(first if m == 1 else family(m), 1)])
-    counts = quotient.counts(h, level)
-    if [counts[rank] for rank in order] != values:
-        raise SynthesisInvariantError(
-            f"level-{level - 1} counts of family({m}) are not the {m}-th "
-            "powers of those of family(1)"
-        )
-    return m, h
+            stuck = _first_descent(map(value, order))
+    return m, tuple(map(value, range(len(defs))))
 
 
 def synthesize(
@@ -419,51 +347,48 @@ def synthesize(
             count_g2=g2.vertex_count,
         )
 
-    arena = TreeArena()
-    quotient = QuotientTable(arena, labels)
-    family = partial(base_family, arena)
+    # s_1: a one-leaf star counts neighbors, the degree each rank defines.
+    counts = [sum(mult for _, mult in label) for label in labels.defs_at(1)]
     m_per_level = []
     for lvl in range(2, k + 1):
         s_lvl = sorted(set(hists[lvl][0]) | set(hists[lvl][1]))
-        m, h = lift(arena, family, labels, lvl, s_lvl, quotient, ceiling)
+        m, counts = lift(labels, lvl, counts, s_lvl, ceiling)
         m_per_level.append(m)
-        family = partial(power, arena, h)
 
     hist1, hist2 = hists[k]
     s_k = sorted(set(hist1) | set(hist2))
-    base = quotient.counts(family(1), k)
-    if not all(base[r] >= 1 for r in s_k):
+    if not all(counts[r] >= 1 for r in s_k):
         raise SynthesisInvariantError("nonpositive base count at a non-isolated rank")
-    if not all(base[a] < base[b] for a, b in zip(s_k, s_k[1:])):
+    if not all(counts[a] < counts[b] for a, b in zip(s_k, s_k[1:])):
         raise SynthesisInvariantError(
             f"level-{k} base counts are not strictly increasing across ranks"
         )
     for n in range(1, len(s_k) + 1):
-        c1 = sum(c * base[r] ** n for r, c in hist1.items())
-        c2 = sum(c * base[r] ** n for r, c in hist2.items())
+        c1 = sum(c * counts[r] ** n for r, c in hist1.items())
+        c2 = sum(c * counts[r] ** n for r, c in hist2.items())
         if c1 != c2:
             break
     else:
         raise SynthesisInvariantError(
             f"no separating n within |S_k| = {len(s_k)} steps"
         )
-    t = family(n)
+    mults = (*m_per_level, n)
+    arena = TreeArena()
+    t = base_family(arena, mults[0])
+    for mult in mults[1:]:
+        t = arena.attach([(t, mult)])
     tables = (HomTable(arena, g1), HomTable(arena, g2))
-    if _counts_by_rank(arena, t, labels, k, tables) != dict(
-        enumerate(quotient.counts(t, k))
-    ):
+    if _counts_by_rank(arena, t, labels, k, tables) != {
+        r: c ** n for r, c in enumerate(counts)
+    }:
         raise SynthesisInvariantError(
-            f"graph counts of the emitted tree disagree with the level-{k} quotient"
+            f"graph counts of the emitted tree disagree with the level-{k} counts"
         )
     if c1 != hom_count(arena, t, g1, tables[0]) or c2 != hom_count(
         arena, t, g2, tables[1]
     ):
         raise SynthesisInvariantError(
             f"histogram-weighted sums disagree with the vertex sums at n={n}"
-        )
-    if arena.depth(t) != k:
-        raise SynthesisInvariantError(
-            f"emitted tree has depth {arena.depth(t)}, expected {k}"
         )
     return Certificate(
         mode="tree",

@@ -213,9 +213,11 @@ def test_criterion_08_level2_pair():
 
 @criterion(9, "structural identities hold on a corpus and trip when forced")
 def test_criterion_09_invariants():
-    # the chain, power, order, cancellation, and n-within-|S_k| checks run
-    # inside synthesize; completing without SynthesisInvariantError means
-    # they all held
+    # the positivity, order and n-within-|S_k| checks and the end-of-run
+    # graph DP (per-rank counts agreeing across both graphs and equal to
+    # the level-k count vector, whole-graph counts equal to the certificate's)
+    # run inside synthesize; completing without SynthesisInvariantError
+    # means they all held
     rnd = random.Random(9)
     runs = 0
     for _ in range(80):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import random
-from functools import partial
 from itertools import combinations
 
 import pytest
@@ -33,16 +32,16 @@ from wlhom import (
     parse_tree,
     path_graph,
     permute,
-    power,
     rooted_hom,
     serialize_graph,
+    serialize_tree,
     star_graph,
     synthesize,
     verify,
 )
 from wlhom import synth as synth_module
 from wlhom.cli import main
-from wlhom.synth import QuotientTable, _counts_by_rank, _resolve_lift_ceiling
+from wlhom.synth import _counts_by_rank, _resolve_lift_ceiling
 from wlhom.wl import LevelLabels, WlComparison
 from wlhom.wl import LabelTable
 
@@ -54,10 +53,7 @@ from .conftest import (
     TA,
     TB,
     TWO_C3,
-    build_shape,
     graphs,
-    shape_depth,
-    tree_shapes,
 )
 
 
@@ -78,38 +74,6 @@ class TestBaseFamily:
             base_family(TreeArena(), 0)
 
 
-class TestPower:
-    def test_n1_keeps_counts(self):
-        arena = TreeArena()
-        h = arena.attach([(base_family(arena, 2), 1)])
-        p = power(arena, h, 1)
-        assert rooted_hom(arena, p, P4) == rooted_hom(arena, h, P4)
-
-    def test_counts_are_powers(self):
-        arena = TreeArena()
-        h = arena.attach([(base_family(arena, 2), 1)])
-        base = rooted_hom(arena, h, P4)
-        for n in (2, 3):
-            assert rooted_hom(arena, power(arena, h, n), P4) == tuple(
-                x ** n for x in base
-            )
-
-    def test_rejects_bad_shape(self):
-        arena = TreeArena()
-        leaf = arena.leaf()
-        two_kids = arena.attach([(leaf, 2)])
-        with pytest.raises(ValueError):
-            power(arena, two_kids, 2)
-        with pytest.raises(ValueError):
-            power(arena, leaf, 2)
-
-    def test_rejects_zero(self):
-        arena = TreeArena()
-        h = arena.attach([(arena.leaf(), 1)])
-        with pytest.raises(ValueError):
-            power(arena, h, 0)
-
-
 def _nonisolated_ranks(table, level):
     out = set()
     for which in (0, 1):
@@ -119,25 +83,44 @@ def _nonisolated_ranks(table, level):
     return sorted(out)
 
 
+def _chain(arena, mults):
+    """Leaf under roots repeating their one child mults[0], mults[1], ... times."""
+    t = arena.leaf()
+    for mult in mults:
+        t = arena.attach([(t, mult)])
+    return t
+
+
+def _chain_counts(labels, level, mults):
+    """Rooted counts by level-`level` rank of the chain, from the graph DP."""
+    arena = TreeArena()
+    t = _chain(arena, mults)
+    tables = tuple(HomTable(arena, g) for g in labels.graphs)
+    return _counts_by_rank(arena, t, labels, level, tables)
+
+
+def _degrees(labels):
+    """Level-1 counts of the one-leaf star, indexed by rank."""
+    by_rank = _chain_counts(labels, 1, (1,))
+    return [by_rank[r] for r in range(len(by_rank))]
+
+
 class TestLift:
     def test_k13_p4_level2(self):
         # least m ordering all non-isolated level-2 ranks of the joint
         # K1,3 / P4 labeling; frozen after exact computation: m = 2
         table = joint_refine(K13, P4)
-        arena = TreeArena()
-        m, h = lift(arena, lambda n: base_family(arena, n), table, 2,
-                    _nonisolated_ranks(table, 2))
+        m, counts = lift(table, 2, _degrees(table), _nonisolated_ranks(table, 2))
         assert m == 2
-        assert arena.depth(h) == 2
+        assert dict(enumerate(counts)) == _chain_counts(table, 2, (2, 1))
 
     def test_single_rank_vacuous(self):
         # one non-isolated rank at level 2: any m orders it, so m = 1
         g = disjoint_union(cycle_graph(3), empty_graph(1))
         table = joint_refine(g, g)
-        arena = TreeArena()
         s = _nonisolated_ranks(table, 2)
         assert len(s) == 1
-        m, _ = lift(arena, lambda n: base_family(arena, n), table, 2, s)
+        m, _ = lift(table, 2, _degrees(table), s)
         assert m == 1
 
     def test_multiplicity_only_pair_separates_at_m1(self):
@@ -151,41 +134,41 @@ class TestLift:
                 if dict(defs[r]).get(1) in (1, 2)
                 and sum(m for _, m in defs[r]) == 3]
         assert len(pair) == 2
-        arena = TreeArena()
-        m, _ = lift(arena, lambda n: base_family(arena, n), table, 2, pair)
+        m, _ = lift(table, 2, _degrees(table), pair)
         assert m == 1
 
     def test_rejects_empty_rank_set(self):
         table = joint_refine(K13, P4)
         with pytest.raises(ValueError):
-            lift(TreeArena(), lambda n: None, table, 2, [])
+            lift(table, 2, _degrees(table), [])
 
     def test_ceiling_exceeded(self):
         table = joint_refine(K13, P4)
-        arena = TreeArena()
         with pytest.raises(LiftCeilingError):
-            lift(arena, lambda n: base_family(arena, n), table, 2,
-                 _nonisolated_ranks(table, 2), ceiling=1)
+            lift(table, 2, _degrees(table), _nonisolated_ranks(table, 2),
+                 ceiling=1)
 
     def test_isolated_rank_trips_invariant(self):
         g = disjoint_union(cycle_graph(3), empty_graph(1))
         table = joint_refine(g, cycle_graph(3))
-        arena = TreeArena()
         ranks = sorted(set(table.ranks_at(0, 2)))  # includes the empty label
         assert len(ranks) == 2
         with pytest.raises(SynthesisInvariantError):
-            lift(arena, lambda n: base_family(arena, n), table, 2, ranks)
+            lift(table, 2, _degrees(table), ranks)
 
 
-def _reference_lift(arena, family, labels, level, S, quotient):
-    """The m-search by definition: build every H_m and read all its counts."""
+def _reference_lift(labels, level, S, lower):
+    """The m-search by definition: build every H_m, count it on the graphs.
+
+    H_m is one root over m copies of the chain `lower` chose at the levels
+    below; returns m and the graph DP's counts of H_m by level-`level` rank.
+    """
     for m in range(1, 10_001):
-        h = arena.attach([(family(m), 1)])
-        counts = quotient.counts(h, level)
-        values = [counts[rank] for rank in S]
+        by_rank = _chain_counts(labels, level, (*lower, m, 1))
+        values = [by_rank[rank] for rank in S]
         assert min(values) >= 1
         if all(a < b for a, b in zip(values, values[1:])):
-            return m, h, values
+            return m, by_rank
     raise AssertionError("no m <= 10000 orders the ranks")
 
 
@@ -233,29 +216,13 @@ class TestLiftSearch:
     def test_matches_reference_search(self, pair):
         labels, ranks = _first_nonisolated_difference(*pair)
         assume(ranks is not None and len(ranks) >= 2)
-        arena, ref_arena = TreeArena(), TreeArena()
-        quotient = QuotientTable(arena, labels)
-        ref_quotient = QuotientTable(ref_arena, labels)
-        family = partial(base_family, arena)
-        ref_family = partial(base_family, ref_arena)
+        counts, lower = _degrees(labels), ()
         for level in range(2, len(ranks) + 1):
-            m, h = lift(arena, family, labels, level, ranks[level], quotient)
-            ref_m, ref_h, ref_values = _reference_lift(
-                ref_arena, ref_family, labels, level, ranks[level], ref_quotient)
+            m, counts = lift(labels, level, counts, ranks[level])
+            ref_m, ref_counts = _reference_lift(labels, level, ranks[level], lower)
             assert m == ref_m
-            counts = QuotientTable(arena, labels).counts(h, level)
-            assert [counts[rank] for rank in ranks[level]] == ref_values
-            family = partial(power, arena, h)
-            ref_family = partial(power, ref_arena, ref_h)
-
-    def test_family_off_the_power_contract_trips_invariant(self):
-        # star(2m - 1) has counts deg^(2m - 1), not deg^m: the search accepts
-        # m = 2 on the powers deg^m, and the built H_2 disagrees with them
-        table = joint_refine(K13, P4)
-        arena = TreeArena()
-        with pytest.raises(SynthesisInvariantError):
-            lift(arena, lambda m: base_family(arena, 2 * m - 1), table, 2,
-                 _nonisolated_ranks(table, 2))
+            assert dict(enumerate(counts)) == ref_counts
+            lower += (m,)
 
     def test_rejected_candidates_build_nothing(self, monkeypatch):
         # A wheel over the cube has an apex with eight neighbors of degree 4;
@@ -266,7 +233,7 @@ class TestLiftSearch:
         wheel = Graph(9, cube + [(u, 8) for u in range(8)])
         g1, g2 = (disjoint_union(disjoint_union(wheel, star_graph(5)), t)
                   for t in (TA, TB))
-        attaches, arenas, quotients = [], [], []
+        attaches, arenas = [], []
 
         class CountingArena(TreeArena):
             def __init__(self):
@@ -277,20 +244,13 @@ class TestLiftSearch:
                 attaches.append(self)
                 return super().attach(children)
 
-        class RecordingQuotient(QuotientTable):
-            def __init__(self, arena, labels):
-                super().__init__(arena, labels)
-                quotients.append(self)
-
         monkeypatch.setattr(synth_module, "TreeArena", CountingArena)
-        monkeypatch.setattr(synth_module, "QuotientTable", RecordingQuotient)
         cert = synthesize(g1, g2)
         assert cert.m_per_level == (10,)
-        assert len(arenas) == len(quotients) == 1
+        assert len(arenas) == 1
         arena, root = cert.tree()
         bound = len(arena.reachable(root)) + 4 * len(cert.m_per_level)
         assert len(attaches) <= bound
-        assert len(quotients[0]._vectors) <= bound
 
 
 class TestSynthesizeKnownPairs:
@@ -413,6 +373,18 @@ class TestSynthesizeProperties:
             arena, root = cert.tree()
             assert hom_count(arena, root, g1) == cert.count_g1
             assert hom_count(arena, root, g2) == cert.count_g2
+
+    @PROPERTY_SETTINGS
+    @given(st.one_of(st.tuples(graphs(max_vertices=6), graphs(max_vertices=6)),
+                     swapped_pairs()))
+    def test_tree_is_the_multiplicity_chain(self, pair):
+        # the emitted tree is a leaf under roots that repeat their one child
+        # m_2, ..., m_k and finally n times
+        cert = synthesize(*pair)
+        if cert.mode == "tree":
+            arena = TreeArena()
+            mults = (*cert.m_per_level, cert.n_final)
+            assert cert.tree_text == serialize_tree(arena, _chain(arena, mults))
 
 
 class TestCertificateJson:
@@ -596,18 +568,26 @@ class TestInvariantMachinery:
 
 
 class TestQuotient:
+    # The count vectors synthesize keeps per level: for a chain with
+    # multiplicities (a_1, ..., a_d) above a leaf, entry(rank) at level L is
+    # (sum over (r, k) in defs_L[rank] of k * entry(r) at level L-1) ** a_d,
+    # down to 1 at every level-(L-d) rank.
     @PROPERTY_SETTINGS
-    @given(graphs(max_vertices=6), graphs(max_vertices=6), tree_shapes(max_depth=3))
-    def test_matches_graph_dp_by_rank(self, g1, g2, shape):
+    @given(graphs(max_vertices=6), graphs(max_vertices=6),
+           st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    def test_matches_graph_dp_by_rank(self, g1, g2, mults):
         table = joint_refine(g1, g2)
         arena = TreeArena()
-        t = build_shape(arena, shape)
-        quotient = QuotientTable(arena, table)
+        t = _chain(arena, mults)
         tables = (HomTable(arena, g1), HomTable(arena, g2))
-        for level in range(shape_depth(shape), table.max_recorded_level + 1):
+        for level in range(len(mults), table.max_recorded_level + 1):
+            counts = [1] * len(table.defs_at(level - len(mults)))
+            for j, mult in enumerate(mults, level - len(mults) + 1):
+                counts = [sum(k * counts[r] for r, k in label) ** mult
+                          for label in table.defs_at(j)]
             by_rank = _counts_by_rank(arena, t, table, level, tables)
             # every rank is some vertex's rank, unless both graphs are empty
-            expected = dict(enumerate(quotient.counts(t, level)))
+            expected = dict(enumerate(counts))
             if g1.vertex_count + g2.vertex_count == 0:
                 expected = {}
             assert by_rank == expected
@@ -632,22 +612,36 @@ class TestQuotient:
             assert 0 < vectors <= reachable
 
     @pytest.mark.parametrize("defs, ranks", [
-        # rank 1 says degree 2 but also holds K1,3's center, of degree 3
-        ((((0, 1),), ((0, 2),)), ((0, 1, 1, 0), (1, 0, 0, 0))),
-        # a truthful partition whose rank-2 definition claims degree 4
-        ((((0, 1),), ((0, 2),), ((0, 4),)), ((0, 1, 1, 0), (2, 0, 0, 0))),
+        # Each case gives the definitions and the ranks of every level from
+        # 1 up; the pair is P4 / K1,3 for 4-vertex ranks, else T_A / T_B.
+        # Level 1: rank 1 says degree 2 but also holds K1,3's center, of
+        # degree 3.
+        (((((0, 1),), ((0, 2),)),), (((0, 1, 1, 0), (1, 0, 0, 0)),)),
+        # Level 1: a truthful partition whose rank-2 definition claims
+        # degree 4.
+        (((((0, 1),), ((0, 2),), ((0, 4),)),),
+         (((0, 1, 1, 0), (2, 0, 0, 0)),)),
+        # Level 2, first differing there: the top rank, T_B's vertex 2,
+        # claims two neighbors of degree 2 where it has one. It stays the
+        # top label, so the lift still orders the ranks.
+        (((((0, 1),), ((0, 2),), ((0, 3),)),
+          (((1, 1),), ((1, 1), (0, 1)), ((1, 1), (0, 2)), ((1, 2), (0, 1)),
+           ((2, 1),), ((2, 1), (0, 1)), ((2, 1), (1, 2)))),
+         (((0, 1, 2, 1, 0, 0), (0, 1, 1, 2, 0, 0)),
+          ((0, 5, 3, 5, 0, 4), (0, 1, 6, 2, 4, 4)))),
     ])
     def test_end_of_run_check_is_live(self, monkeypatch, tmp_path, defs, ranks):
+        g1, g2 = (P4, K13) if len(ranks[0][0]) == 4 else (TA, TB)
+
         def fake_level(g1, g2, *args, **kwargs):
             fake = LabelTable(
                 graphs=(g1, g2),
-                levels=[
-                    LevelLabels(defs=((),), ranks=((0,) * 4, (0,) * 4)),
-                    LevelLabels(defs=defs, ranks=ranks),
-                ],
+                levels=[LevelLabels(defs=((),), ranks=((0,) * g1.vertex_count,
+                                                       (0,) * g2.vertex_count))]
+                + [LevelLabels(defs=d, ranks=r) for d, r in zip(defs, ranks)],
             )
             return WlComparison(
-                distinguishing_level=1,
+                distinguishing_level=len(defs),
                 stabilization_level=None,
                 histograms=[(lvl.histogram(0), lvl.histogram(1))
                             for lvl in fake.levels],
@@ -656,10 +650,10 @@ class TestQuotient:
 
         monkeypatch.setattr(synth_module, "distinguishing_level", fake_level)
         with pytest.raises(SynthesisInvariantError):
-            synthesize(P4, K13)
+            synthesize(g1, g2)
         a, b, out = tmp_path / "a", tmp_path / "b", tmp_path / "cert.json"
-        a.write_text(serialize_graph(P4), encoding="utf-8")
-        b.write_text(serialize_graph(K13), encoding="utf-8")
+        a.write_text(serialize_graph(g1), encoding="utf-8")
+        b.write_text(serialize_graph(g2), encoding="utf-8")
         with pytest.raises(SynthesisInvariantError):
             main(["synthesize", str(a), str(b), "--out", str(out)])
         assert not out.exists()
