@@ -1,12 +1,27 @@
 """Simple undirected graphs and their plain-text edge-list format.
 
-Vertices are 0-based indices. Graphs are immutable once built; self-loops
-and duplicate edges are rejected outright so corpus mistakes surface early.
+Vertices are 0-based indices. A graph is its vertex count and its sorted
+adjacency lists; the edge set is derived from them on first use. Graphs
+are immutable once built; self-loops and duplicate edges are rejected
+outright so corpus mistakes surface early.
+
+A plain file, the header line and then one ``u v`` line per edge, each
+line two numbers in ASCII digits separated by spaces or tabs and nothing
+else, with LF or CRLF line ends and no comments or blank lines, is read in
+bulk: one shape test, one split, and checks over all edges at once. Any
+other file is read line by line. Either way an error has the same text and
+names the same line.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Sequence
+
+# Two runs of at most 18 digits per line, so every token is a nonnegative
+# int that int() converts whatever the interpreter's digit limit.
+_PAIR = r"[0-9]{1,18}[ \t]+[0-9]{1,18}"
+_PLAIN = re.compile(rf"{_PAIR}(?:\r?\n{_PAIR})*(?:\r?\n)?")
 
 
 class GraphFormatError(ValueError):
@@ -22,34 +37,36 @@ class GraphFormatError(ValueError):
 class Graph:
     """Immutable simple undirected graph on vertices 0..vertex_count-1."""
 
-    __slots__ = ("vertex_count", "edges", "adjacency")
+    __slots__ = ("vertex_count", "adjacency", "_edges")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 0:
             raise GraphFormatError(f"negative vertex count {vertex_count}")
-        edge_set: set[tuple[int, int]] = set()
-        neighbors: list[list[int]] = [[] for _ in range(vertex_count)]
-        for u, v in edges:
-            for x in (u, v):
-                if not 0 <= x < vertex_count:
-                    raise GraphFormatError(
-                        f"vertex index {x} out of range [0, {vertex_count})"
-                    )
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in edge_set:
-                raise GraphFormatError(f"duplicate edge {key[0]} {key[1]}")
-            edge_set.add(key)
-            neighbors[u].append(v)
-            neighbors[v].append(u)
+        edges = list(edges)
         self.vertex_count = vertex_count
-        self.edges = frozenset(edge_set)
-        self.adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
+        self.adjacency = _adjacency(
+            vertex_count, [u for u, _ in edges], [v for _, v in edges]
+        )
+        self._edges: frozenset[tuple[int, int]] | None = None
+
+    @classmethod
+    def _from_adjacency(cls, vertex_count: int, adjacency) -> Graph:
+        g = cls.__new__(cls)
+        g.vertex_count, g.adjacency, g._edges = vertex_count, adjacency, None
+        return g
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Edges as (u, v) with u < v."""
+        if self._edges is None:
+            self._edges = frozenset(
+                (u, v) for u, ns in enumerate(self.adjacency) for v in ns if u < v
+            )
+        return self._edges
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adjacency)) // 2
 
     def degree(self, u: int) -> int:
         if not 0 <= u < self.vertex_count:
@@ -66,74 +83,102 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.vertex_count == other.vertex_count and self.edges == other.edges
+        return self.adjacency == other.adjacency
 
     def __hash__(self) -> int:
-        return hash((self.vertex_count, self.edges))
+        return hash(self.adjacency)
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count}, {sorted(self.edges)})"
+
+
+def _adjacency(
+    n: int, us: Sequence[int], vs: Sequence[int], lines: Sequence[int] | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbor tuples of the graph on n vertices with edges (us[i], vs[i]).
+
+    The range, and then repeated neighbors, are checked over all edges at
+    once; only when a check fails are the edges scanned in order, so the
+    error names the first bad edge, at line lines[i] when lines are given.
+    """
+    if not us or (0 <= min(min(us), min(vs)) and max(max(us), max(vs)) < n):
+        neighbors: list[list[int]] = [[] for _ in range(n)]
+        for u, v in zip(us, vs):
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        for ns in neighbors:
+            ns.sort()
+        adjacency = tuple(map(tuple, neighbors))
+        # a duplicate edge or a self-loop repeats a neighbor
+        if sum(map(len, map(set, adjacency))) == 2 * len(us):
+            return adjacency
+    i, message = _first_bad_edge(n, us, vs)
+    raise GraphFormatError(message, None if lines is None else lines[i])
+
+
+def _first_bad_edge(n: int, us: Sequence[int], vs: Sequence[int]) -> tuple[int, str]:
+    """Position and error of the first bad edge; some edge must be bad."""
+    seen: set[tuple[int, int]] = set()
+    for i, (u, v) in enumerate(zip(us, vs)):
+        for x in (u, v):
+            if not 0 <= x < n:
+                return i, f"vertex index {x} out of range [0, {n})"
+        if u == v:
+            return i, f"self-loop at vertex {u}"
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return i, f"duplicate edge {key[0]} {key[1]}"
+        seen.add(key)
+    raise AssertionError("a bulk edge check failed but no edge is bad")
 
 
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: header ``N M`` then M lines ``u v``.
 
     Lines starting with ``#`` and blank lines are skipped. All failures
-    raise GraphFormatError with the offending line number.
+    raise GraphFormatError with the offending line number. A plain file
+    (see the module docstring) is read in bulk, any other line by line,
+    with the same result and the same errors.
     """
+    if _PLAIN.fullmatch(text):
+        n, m, *ends = map(int, text.split())
+        us, vs, lines = ends[0::2], ends[1::2], range(2, len(ends) // 2 + 2)
+    else:
+        n, m, us, vs, lines = _read_lines(text)
+    if len(us) != m:
+        raise GraphFormatError(
+            f"header announces {m} edges but file contains {len(us)}"
+        )
+    return Graph._from_adjacency(n, _adjacency(n, us, vs, lines))
+
+
+def _read_lines(text: str) -> tuple[int, int, list[int], list[int], list[int]]:
+    """Header, edge endpoints and edge line numbers, read line by line."""
     header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    edge_lines: list[int] = []
+    us: list[int] = []
+    vs: list[int] = []
+    lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 2:
-                raise GraphFormatError(
-                    f"header must be two integers 'N M', got {line!r}", lineno
-                )
-            try:
-                n, m = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise GraphFormatError(
-                    f"header must be two integers 'N M', got {line!r}", lineno
-                ) from None
-            if n < 0 or m < 0:
-                raise GraphFormatError(f"negative count in header {line!r}", lineno)
-            header = (n, m)
-            continue
-        if len(fields) != 2:
-            raise GraphFormatError(f"edge line must be 'u v', got {line!r}", lineno)
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = map(int, line.split())
         except ValueError:
-            raise GraphFormatError(
-                f"edge line must be 'u v', got {line!r}", lineno
-            ) from None
-        edges.append((u, v))
-        edge_lines.append(lineno)
+            expected = ("header must be two integers 'N M'" if header is None
+                        else "edge line must be 'u v'")
+            raise GraphFormatError(f"{expected}, got {line!r}", lineno) from None
+        if header is None:
+            if u < 0 or v < 0:
+                raise GraphFormatError(f"negative count in header {line!r}", lineno)
+            header = (u, v)
+        else:
+            us.append(u)
+            vs.append(v)
+            lines.append(lineno)
     if header is None:
         raise GraphFormatError("missing 'N M' header line")
-    n, m = header
-    if len(edges) != m:
-        raise GraphFormatError(
-            f"header announces {m} edges but file contains {len(edges)}"
-        )
-    # The constructor validates the edges in file order and stops at the
-    # first bad one, which is the last one the iterator handed out.
-    edge_line = 0
-
-    def numbered():
-        nonlocal edge_line
-        for edge, edge_line in zip(edges, edge_lines):
-            yield edge
-
-    try:
-        return Graph(n, numbered())
-    except GraphFormatError as exc:
-        raise GraphFormatError(exc.args[0], edge_line) from None
+    return (*header, us, vs, lines)
 
 
 def serialize_graph(g: Graph, comments: Sequence[str] = ()) -> str:

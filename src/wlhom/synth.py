@@ -138,7 +138,8 @@ def _require(condition: bool, message: str) -> None:
 
 def _parse_count(value: object, field: str) -> int:
     _require(isinstance(value, str), f"{field} must be a decimal string")
-    _require(value.isdigit(), f"{field} must be a nonnegative decimal string")
+    _require(value.isascii() and value.isdigit(),
+             f"{field} must be a nonnegative decimal string")
     _require(value == "0" or not value.startswith("0"),
              f"{field} has a leading zero")
     return int(value)

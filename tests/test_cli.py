@@ -228,6 +228,19 @@ class TestVerify:
         assert capsys.readouterr().err.startswith("error:")
 
 
+    def test_non_ascii_count(self, gfile, tmp_path, capsys):
+        cert = self._cert_path(gfile, tmp_path)
+        data = json.loads(cert.read_text(encoding="utf-8"))
+        data["count_g1"] = data["count_g1"].translate(
+            str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+        cert.write_text(json.dumps(data), encoding="utf-8")
+        rc = main(["verify", str(cert), gfile("a", K13), gfile("b", P4)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: count_g1 must be a nonnegative decimal string\n")
+
     def test_deeply_nested_certificate(self, gfile, tmp_path, capsys):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100_000, encoding="utf-8")

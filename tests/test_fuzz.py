@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wlhom import (
+    GraphFormatError,
     certificate_from_json,
     certificate_to_json,
     empty_graph,
@@ -17,7 +18,7 @@ from wlhom import (
     synthesize,
 )
 
-from .conftest import C6, K13, P4, PROPERTY_SETTINGS, TA, TB, TWO_C3
+from .conftest import C6, K13, P4, PROPERTY_SETTINGS, TA, TB, TWO_C3, graphs
 
 # parse_graph builds one adjacency list per announced vertex, however few
 # edges follow, so the 13-byte file "1000000000 0" exhausts memory. There is
@@ -63,6 +64,114 @@ graph_texts = st.one_of(
     st.tuples(st.tuples(small_ints, small_ints).map(" ".join),
               _lines(graph_line)).map("\n".join),
 )
+
+
+def _reference_parse_graph(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The line-by-line parser, checking each edge as it is added.
+
+    Returns (vertex_count, adjacency); parse_graph must agree with it on
+    every text, errors and their line numbers included.
+    """
+    header = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if header is None:
+            message = f"header must be two integers 'N M', got {line!r}"
+            if len(fields) != 2:
+                raise GraphFormatError(message, lineno)
+            try:
+                n, m = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise GraphFormatError(message, lineno) from None
+            if n < 0 or m < 0:
+                raise GraphFormatError(f"negative count in header {line!r}", lineno)
+            header = (n, m)
+            continue
+        message = f"edge line must be 'u v', got {line!r}"
+        if len(fields) != 2:
+            raise GraphFormatError(message, lineno)
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise GraphFormatError(message, lineno) from None
+        edges.append((lineno, u, v))
+    if header is None:
+        raise GraphFormatError("missing 'N M' header line")
+    n, m = header
+    if len(edges) != m:
+        raise GraphFormatError(
+            f"header announces {m} edges but file contains {len(edges)}")
+    seen = set()
+    neighbors = [[] for _ in range(n)]
+    for lineno, u, v in edges:
+        for x in (u, v):
+            if not 0 <= x < n:
+                raise GraphFormatError(f"vertex index {x} out of range [0, {n})", lineno)
+        if u == v:
+            raise GraphFormatError(f"self-loop at vertex {u}", lineno)
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise GraphFormatError(f"duplicate edge {key[0]} {key[1]}", lineno)
+        seen.add(key)
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return n, tuple(tuple(sorted(ns)) for ns in neighbors)
+
+
+def _graph_outcome(parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+# tokens the bulk reader must leave to the line reader; int() accepts some
+TOKEN_VARIANTS = (
+    "+{}".format,
+    "-{}".format,
+    "0{}".format,
+    lambda t: f"{t[0]}_{t[1:] or 0}",
+    lambda t: t.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    lambda t: t.translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+    lambda t: t + "²",
+    lambda t: "9" * 30,
+    lambda t: "9" * 5000,  # past int()'s default digit limit
+)
+
+
+@st.composite
+def near_plain_graph_texts(draw) -> str:
+    """Edge lists in the plain format, then perturbed: an extra bad edge,
+    odd token spellings, tabs, trailing blanks, CRLF, no final newline."""
+    g = draw(graphs(max_vertices=14))
+    n = g.vertex_count
+    rows = [[str(u), str(v)] for u, v in draw(st.permutations(sorted(g.edges)))]
+    bad = draw(st.sampled_from(("none", "duplicate", "self-loop", "range")))
+    if bad != "none" and n > 0:
+        u = draw(st.integers(0, n - 1))
+        if bad == "duplicate" and rows:
+            row = draw(st.sampled_from(rows))[::-1]
+        elif bad == "self-loop":
+            row = [str(u), str(u)]
+        else:
+            row = [str(u), str(n + draw(st.integers(0, 3)))]
+        rows.insert(draw(st.sampled_from((len(rows), 0, len(rows) // 2))), row)
+    count = len(rows) + draw(st.sampled_from((0, 0, 0, 1, -1)))
+    rows.insert(0, [str(n), str(count)])
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        i = draw(st.integers(0, 1))
+        row[i] = draw(st.sampled_from(TOKEN_VARIANTS))(row[i])
+    sep = draw(st.sampled_from((" ", "\t", "  ", " \t ")))
+    eol = draw(st.sampled_from(("\n", "\r\n")))
+    trail = draw(st.sampled_from(("", "", " ", "\t")))
+    text = eol.join(sep.join(row) + trail for row in rows)
+    return text + draw(st.sampled_from((eol, "")))
+
 
 child_token = st.one_of(
     st.tuples(small_ints, small_ints).map("*".join),
@@ -121,6 +230,18 @@ certificate_texts = st.one_of(
 def test_parse_graph(text):
     assume(_header_vertices(text) <= MAX_HEADER_VERTICES)
     _fails_only_with_value_error(parse_graph, text)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(st.one_of(graph_texts, near_plain_graph_texts()))
+def test_parse_graph_matches_line_reader(text):
+    assume(_header_vertices(text) <= MAX_HEADER_VERTICES)
+
+    def parse(text):
+        g = parse_graph(text)
+        return g.vertex_count, g.adjacency
+
+    assert _graph_outcome(parse, text) == _graph_outcome(_reference_parse_graph, text)
 
 
 @PROPERTY_SETTINGS

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from wlhom import (
     Graph,
@@ -17,6 +20,8 @@ from wlhom import (
     serialize_graph,
     star_graph,
 )
+
+from wlhom import graphs as graphs_module
 
 from .conftest import PROPERTY_SETTINGS, graphs
 
@@ -177,6 +182,33 @@ def test_handshake(g):
 @given(graphs())
 def test_serialize_round_trip(g):
     assert parse_graph(serialize_graph(g)) == g
+
+
+@st.composite
+def edge_lists(draw):
+    """A vertex count and distinct edges, each in either orientation."""
+    n = draw(st.integers(0, 9))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return n, [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+
+
+@PROPERTY_SETTINGS
+@given(edge_lists())
+def test_constructor_and_bulk_parse_agree(case):
+    n, edges = case
+    expected = frozenset((min(e), max(e)) for e in edges)
+    built = Graph(n, edges)
+    text = serialize_graph(built)
+    assert graphs_module._PLAIN.fullmatch(text)  # read in bulk
+    parsed = parse_graph(text)
+    assert parsed._edges is None  # the edge set is derived on first use
+    for g in (built, parsed):
+        assert g == built and hash(g) == hash(built)
+        assert g != Graph(n + 1, edges)
+        assert g.edges == expected and g.edges is g.edges
+        assert g.edge_count == len(expected)
+        assert parse_graph(serialize_graph(g)) == g
 
 
 @PROPERTY_SETTINGS

@@ -446,6 +446,17 @@ class TestCertificateJson:
         with pytest.raises(CertificateError):
             certificate_from_json(json.dumps(data))
 
+    @pytest.mark.parametrize("digits", [
+        str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"),  # Arabic-Indic: int() reads them
+        {ord("1"): "¹", ord("2"): "²"},  # superscripts: isdigit() but not int()
+    ])
+    def test_count_needs_ascii_digits(self, digits):
+        data = json.loads(certificate_to_json(synthesize(K13, P4)))
+        data["count_g1"] = data["count_g1"].translate(digits)
+        with pytest.raises(CertificateError,
+                           match="^count_g1 must be a nonnegative decimal string$"):
+            certificate_from_json(json.dumps(data))
+
     def test_not_json(self):
         with pytest.raises(CertificateError):
             certificate_from_json("{")
