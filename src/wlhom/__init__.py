@@ -54,6 +54,7 @@ from .wl import (
     compare_labels,
     distinguishing_level,
     joint_refine,
+    refine_verdict,
 )
 
 __all__ = [
@@ -90,6 +91,7 @@ __all__ = [
     "parse_tree",
     "path_graph",
     "permute",
+    "refine_verdict",
     "rooted_hom",
     "serialize_graph",
     "serialize_tree",

@@ -17,7 +17,7 @@ from .graphs import empty_graph, parse_graph, serialize_graph, Graph
 from .homs import rooted_hom
 from .synth import certificate_from_json, certificate_to_json, synthesize, verify
 from .trees import expand_tree, parse_tree
-from .wl import distinguishing_level, joint_refine
+from .wl import joint_refine, refine_verdict
 
 
 def _natural(text: str) -> int:
@@ -99,22 +99,22 @@ def _json_text(payload) -> str:
 def _cmd_compare(args) -> int:
     g1 = parse_graph(_read(args.g1))
     g2 = parse_graph(_read(args.g2))
-    comparison = distinguishing_level(
+    level, stable = refine_verdict(
         g1, g2, args.max_level, stop_at_difference=not args.json
     )
     if args.json:
         _emit(args, _json_text({
-            "distinguished": comparison.distinguished,
-            "level": comparison.distinguishing_level,
-            "stabilization": comparison.stabilization_level,
+            "distinguished": level is not None,
+            "level": level,
+            "stabilization": stable,
         }))
-    elif comparison.distinguished:
-        _emit(args, f"distinguished at level {comparison.distinguishing_level}\n")
-    elif comparison.stabilization_level is not None:
-        _emit(args, f"WL-equivalent (stable at round {comparison.stabilization_level})\n")
+    elif level is not None:
+        _emit(args, f"distinguished at level {level}\n")
+    elif stable is not None:
+        _emit(args, f"WL-equivalent (stable at round {stable})\n")
     else:
         _emit(args, f"not distinguished up to level {args.max_level}\n")
-    return 0 if comparison.distinguished else 1
+    return 0 if level is not None else 1
 
 
 def _cmd_labels(args) -> int:

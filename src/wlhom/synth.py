@@ -41,7 +41,7 @@ from itertools import pairwise
 from .graphs import Graph
 from .homs import HomTable, hom_by_label, hom_count
 from .trees import TreeArena, parse_tree, serialize_tree
-from .wl import LabelTable, distinguishing_level
+from .wl import LabelTable, distinguishing_level, refine_verdict
 
 DEFAULT_LIFT_CEILING = 10_000
 
@@ -408,7 +408,8 @@ def synthesize(
 def verify(cert: Certificate, g1: Graph, g2: Graph) -> bool:
     """Independently re-check a certificate against the two graphs.
 
-    Recomputes from scratch: equivalent mode re-runs the level comparison;
+    Recomputes from scratch: equivalent mode re-runs the level comparison
+    on the joint partition alone (refine_verdict);
     single-node mode checks the counts are the vertex counts and differ;
     tree mode recounts homomorphisms of the embedded tree with a fresh
     table and requires both matches plus a strict difference.
@@ -416,7 +417,7 @@ def verify(cert: Certificate, g1: Graph, g2: Graph) -> bool:
     if cert.mode not in MODES:
         raise CertificateError(f"unknown mode {cert.mode!r}")
     if cert.mode == "equivalent":
-        return not distinguishing_level(g1, g2, stop_at_difference=True).distinguished
+        return refine_verdict(g1, g2, stop_at_difference=True)[0] is None
     arena, root = cert.tree()
     if cert.mode == "single-node":
         return (

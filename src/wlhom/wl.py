@@ -13,6 +13,22 @@ order extended level by level: level-1 labels order by degree, and two
 multisets compare by the largest element they contain a different number of
 times (the one with more copies of it is larger). Rank 0 is the smallest
 label of its level; the empty multiset (isolated vertices) is always minimal.
+
+Ranks are read only where a certificate or `wlhom labels` reports them.
+The verdict (the first level whose histograms differ) and the
+stabilization round (the last before a round that splits no class) are
+facts about the joint partition at each level, whatever its classes are
+called, so refine_verdict keeps joint but non-canonical class ids. A vertex
+whose neighbors all kept their ids has the same neighbor-id multiset as a
+round before, which its whole class shared, so each round re-signs only
+the neighbors of vertices whose id changed. Each class they touch splits
+into its untouched rest and one piece per sorted neighbor-id tuple. The
+largest piece keeps the class id, as in Hopcroft's partition refinement,
+so the vertices whose id changed, the next round's seeds, are few. No
+per-class counts are kept: a class holding equally many vertices of each
+graph splits into pieces whose imbalances sum to zero, so the histograms
+first differ at the first level where a piece that moved holds unequal
+numbers, and as classes only split they differ at every later level.
 """
 
 from __future__ import annotations
@@ -221,3 +237,60 @@ def distinguishing_level(
         histograms=hists,
         table=table,
     )
+
+
+def refine_verdict(
+    g1: Graph, g2: Graph, max_level: int | None = None, stop_at_difference: bool = False
+) -> tuple[int | None, int | None]:
+    """(distinguishing_level, stabilization_level), as distinguishing_level
+    reports them for the same arguments, from the joint partition alone.
+
+    Vertices of g2 follow those of g1 in one id space; color[v] is the
+    class id of vertex v and members[c] the vertex set of class c.
+    """
+    if max_level is None:
+        max_level = g1.vertex_count + g2.vertex_count
+    if max_level < 0:
+        raise ValueError(f"max_level must be >= 0, got {max_level}")
+    n1 = g1.vertex_count
+    n = n1 + g2.vertex_count
+    if n == 0:
+        return None, 0
+    adjacency = [*g1.adjacency, *([w + n1 for w in nbrs] for nbrs in g2.adjacency)]
+    color = [0] * n
+    members = [set(range(n))]
+    found = 0 if 2 * n1 != n else None
+    level = 0
+    touched = range(n)
+    while level < max_level and not (stop_at_difference and found is not None):
+        # Touched vertices only, keyed by class id and then the sorted ids
+        # of their neighbors; the rest of each class keeps its old label.
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for v in touched:
+            sig = (color[v], *sorted([color[w] for w in adjacency[v]]))
+            groups.setdefault(sig, []).append(v)
+        by_class: dict[int, list[list[int]]] = {}
+        for sig, piece in groups.items():
+            by_class.setdefault(sig[0], []).append(piece)
+        moved = []
+        for c, pieces in by_class.items():
+            rest = len(members[c]) - sum(map(len, pieces))
+            if rest < max(map(len, pieces)):
+                if rest:
+                    pieces.append(list(members[c].difference(*pieces)))
+                pieces.sort(key=len)
+                pieces.pop()
+            for piece in pieces:
+                members[c].difference_update(piece)
+                for v in piece:
+                    color[v] = len(members)
+                members.append(set(piece))
+                moved.append(piece)
+        level += 1
+        if not moved:
+            return found, level - 1
+        if found is None and any(2 * sum(v < n1 for v in piece) != len(piece)
+                                 for piece in moved):
+            found = level
+        touched = {w for piece in moved for v in piece for w in adjacency[v]}
+    return found, None

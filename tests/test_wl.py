@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import random
+import time
 from collections import Counter
 
 import pytest
@@ -10,6 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wlhom import (
+    Certificate,
+    Graph,
     compare_labels,
     disjoint_union,
     distinguishing_level,
@@ -17,7 +21,9 @@ from wlhom import (
     empty_graph,
     path_graph,
     permute,
+    refine_verdict,
     star_graph,
+    verify,
 )
 
 from .conftest import (
@@ -305,3 +311,92 @@ class TestEarlyExit:
         assert early.distinguishing_level == 1
         assert len(early.table.levels) <= 2
         assert early.stabilization_level is None
+
+
+def _oracle(g1, g2, max_level, stop_at_difference):
+    comp = distinguishing_level(g1, g2, max_level, stop_at_difference)
+    return comp.distinguishing_level, comp.stabilization_level
+
+
+def _agrees_with_oracle(g1, g2, max_levels=(None, 0, 1, 2, 3)):
+    for stop in (False, True):
+        for max_level in max_levels:
+            assert refine_verdict(g1, g2, max_level, stop) == _oracle(
+                g1, g2, max_level, stop
+            ), (stop, max_level)
+
+
+def _shuffled(g, seed):
+    perm = list(range(g.vertex_count))
+    random.Random(seed).shuffle(perm)
+    return permute(g, perm)
+
+
+def _caterpillar(spine, pendant):
+    """A path on `spine` vertices with one leaf hung off position `pendant`."""
+    edges = [(i, i + 1) for i in range(spine - 1)] + [(pendant, spine)]
+    return Graph(spine + 1, edges)
+
+
+class TestRefineVerdict:
+    """The partition-only verdict against distinguishing_level as oracle."""
+
+    @PROPERTY_SETTINGS
+    @given(graphs(max_vertices=8), st.data())
+    def test_matches_canonical_engine(self, g1, data):
+        # equal sizes half the time, so differences show past level 0
+        if data.draw(st.booleans()):
+            n = g1.vertex_count
+            g2 = data.draw(graphs(max_vertices=n, min_vertices=n))
+        else:
+            g2 = data.draw(graphs(max_vertices=8))
+        _agrees_with_oracle(g1, g2)
+
+    @pytest.mark.parametrize("g1, g2", [
+        (empty_graph(), empty_graph()),
+        (empty_graph(), Graph(1, [])),
+        (Graph(3, []), Graph(3, [])),
+        (Graph(4, [(0, 1)]), Graph(4, [(2, 3)])),
+        (Graph(4, [(0, 1)]), Graph(3, [(0, 1)])),
+        (K13, P4),
+        (C6, TWO_C3),
+        (TA, TB),
+    ])
+    def test_small_fixed_pairs(self, g1, g2):
+        _agrees_with_oracle(g1, g2)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 121])
+    def test_path_vs_permuted_copy(self, n):
+        g = path_graph(n)
+        _agrees_with_oracle(g, _shuffled(g, n), (None, 0, 1, 3, n // 2))
+        assert refine_verdict(g, _shuffled(g, n)) == (None, (n - 1) // 2)
+
+    @pytest.mark.parametrize("n", [4, 9, 40, 121])
+    def test_path_vs_half_paths(self, n):
+        g1 = path_graph(n)
+        g2 = _shuffled(disjoint_union(path_graph(n // 2), path_graph(n - n // 2)), n)
+        _agrees_with_oracle(g1, g2, (None, 0, 1, 3, n // 2))
+
+    @pytest.mark.parametrize("level", range(5, 12))
+    def test_caterpillar_pendant_moved_by_one(self, level):
+        # a pendant at p vs p + 1 on a long spine first differs at (p + 3) // 2
+        p = 2 * level - 3
+        spine = 2 * p + 4 + level % 4
+        g1 = _shuffled(_caterpillar(spine, p), level)
+        g2 = _shuffled(_caterpillar(spine, p + 1), -level)
+        _agrees_with_oracle(g1, g2, (None, 0, level - 1, level, level + 1))
+        assert refine_verdict(g1, g2, stop_at_difference=True) == (level, None)
+
+    def test_negative_max_level(self):
+        with pytest.raises(ValueError):
+            refine_verdict(K13, P4, max_level=-1)
+
+    def test_long_path_vs_permuted_copy_is_fast(self):
+        # The canonical engine re-signs all 4000 vertices in each of the
+        # 1000 rounds; this pair must not take seconds.
+        g = path_graph(2000)
+        h = _shuffled(g, 2000)
+        start = time.perf_counter()
+        assert refine_verdict(g, h) == (None, 999)
+        assert verify(Certificate(mode="equivalent"), g, h)
+        assert time.perf_counter() - start < 2.0
