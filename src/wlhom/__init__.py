@@ -20,7 +20,6 @@ from .graphs import (
 )
 from .homs import (
     BudgetExceededError,
-    HomTable,
     LabelConsistencyError,
     brute_force_hom,
     hom_by_label,
@@ -64,7 +63,6 @@ __all__ = [
     "ExpansionLimitError",
     "Graph",
     "GraphFormatError",
-    "HomTable",
     "InconclusiveError",
     "LabelConsistencyError",
     "LabelTable",

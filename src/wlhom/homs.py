@@ -8,7 +8,8 @@ at t that send its root to v. A leaf contributes 1 everywhere; otherwise
 
 and the unrooted count is the sum of entry(t, v) over all v. The DP runs on
 the succinct DAG directly: a child repeated with multiplicity m costs one
-exponentiation, never m subtree copies.
+exponentiation, never m subtree copies. `rooted_hom` is the only DP; each
+call keeps one vector per reachable node and shares nothing with the next.
 """
 
 from __future__ import annotations
@@ -44,56 +45,34 @@ class LabelConsistencyError(RuntimeError):
         )
 
 
-class HomTable:
-    """Memoized rooted counts for one (arena, graph) pair.
+def rooted_hom(arena: TreeArena, t: int, graph: Graph) -> tuple[int, ...]:
+    """Vector of entry(t, v) over all vertices v of the graph.
 
-    Vectors are cached per node id, so repeated queries against the same
-    arena (the synthesizer's usage pattern) share all subtree work. The
-    arena is append-only, which keeps cached ids valid as it grows.
+    One vector per node reachable from t, children first, so a subtree
+    shared in the DAG is counted once however often it recurs.
     """
-
-    def __init__(self, arena: TreeArena, graph: Graph):
-        self.arena = arena
-        self.graph = graph
-        self._vectors: dict[int, tuple[int, ...]] = {}
-
-    def rooted(self, t: int) -> tuple[int, ...]:
-        """Vector of entry(t, v) over all vertices v of the graph."""
-        adjacency = self.graph.adjacency
-        for node in self.arena.reachable(t):
-            if node in self._vectors:
-                continue
-            kids = self.arena.children(node)
-            if not kids:
-                self._vectors[node] = (1,) * self.graph.vertex_count
-                continue
-            vector = []
-            for v in range(self.graph.vertex_count):
-                entry = 1
-                for child, mult in kids:
-                    child_vec = self._vectors[child]
-                    entry *= sum(child_vec[w] for w in adjacency[v]) ** mult
-                    if entry == 0:
-                        break
-                vector.append(entry)
-            self._vectors[node] = tuple(vector)
-        return self._vectors[t]
+    adjacency = graph.adjacency
+    vectors: dict[int, tuple[int, ...]] = {}
+    for node in arena.reachable(t):
+        kids = arena.children(node)
+        if not kids:
+            vectors[node] = (1,) * graph.vertex_count
+            continue
+        vector = []
+        for v in range(graph.vertex_count):
+            entry = 1
+            for child, mult in kids:
+                child_vec = vectors[child]
+                entry *= sum(child_vec[w] for w in adjacency[v]) ** mult
+                if entry == 0:
+                    break
+            vector.append(entry)
+        vectors[node] = tuple(vector)
+    return vectors[t]
 
 
-def rooted_hom(
-    arena: TreeArena, t: int, graph: Graph, table: HomTable | None = None
-) -> tuple[int, ...]:
-    if table is None:
-        table = HomTable(arena, graph)
-    elif table.arena is not arena or table.graph is not graph:
-        raise ValueError("table was built for a different arena or graph")
-    return table.rooted(t)
-
-
-def hom_count(
-    arena: TreeArena, t: int, graph: Graph, table: HomTable | None = None
-) -> int:
-    return sum(rooted_hom(arena, t, graph, table))
+def hom_count(arena: TreeArena, t: int, graph: Graph) -> int:
+    return sum(rooted_hom(arena, t, graph))
 
 
 def hom_by_label(
@@ -102,7 +81,6 @@ def hom_by_label(
     labels: LabelTable,
     which: int,
     level: int,
-    table: HomTable | None = None,
 ) -> dict[int, int]:
     """Rooted counts grouped by level-`level` label rank.
 
@@ -114,7 +92,7 @@ def hom_by_label(
     if d > level:
         raise ValueError(f"tree depth {d} exceeds label level {level}")
     graph = labels.graphs[which]
-    vector = rooted_hom(arena, t, graph, table)
+    vector = rooted_hom(arena, t, graph)
     ranks = labels.ranks_at(which, level)
     out: dict[int, int] = {}
     rep: dict[int, int] = {}

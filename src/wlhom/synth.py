@@ -26,20 +26,20 @@ argument behind the label test / homomorphism-count correspondence:
 So the search runs on one count vector per level, indexed by rank and read
 from the level definitions alone, and the emitted tree is a chain: a leaf
 under roots repeating their one child m_2, ..., m_k and n times. One graph
-DP of it cross-checks the last vector, per rank and as whole-graph counts,
-and raises SynthesisInvariantError on any mismatch, so nothing is emitted.
+DP of it per graph cross-checks the last vector: every vertex must carry its
+level-k rank's count, and the vertex sums must be the histogram-weighted
+ones. Any mismatch raises SynthesisInvariantError, so nothing is emitted.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import pairwise
 
 from .graphs import Graph
-from .homs import HomTable, hom_by_label, hom_count
+from .homs import hom_count, rooted_hom
 from .trees import TreeArena, parse_tree, serialize_tree
 from .wl import LabelTable, distinguishing_level, refine_verdict
 
@@ -72,20 +72,9 @@ class InconclusiveError(ValueError):
     """The level cap was reached before a difference or stabilization."""
 
 
-def _resolve_lift_ceiling(ceiling: int | None) -> int:
-    if ceiling is None:
-        env = os.environ.get("WLHOM_LIFT_CEILING")
-        if env is None:
-            return DEFAULT_LIFT_CEILING
-        try:
-            ceiling = int(env)
-        except ValueError:
-            raise ValueError(
-                f"WLHOM_LIFT_CEILING must be an integer, got {env!r}"
-            ) from None
+def _check_ceiling(ceiling: int) -> None:
     if ceiling < 1:
         raise ValueError(f"lift ceiling must be >= 1, got {ceiling}")
-    return ceiling
 
 
 @dataclass(frozen=True)
@@ -226,28 +215,6 @@ def base_family(arena: TreeArena, n: int) -> int:
     return arena.attach([(leaf, n)])
 
 
-def _counts_by_rank(
-    arena: TreeArena,
-    t: int,
-    labels: LabelTable,
-    level: int,
-    tables: tuple[HomTable, HomTable],
-) -> dict[int, int]:
-    """Rank -> rooted count, merged over both graphs.
-
-    The joint labeling makes the count a function of the rank across both
-    graphs at once; a cross-graph mismatch falsifies that and aborts.
-    """
-    merged = hom_by_label(arena, t, labels, 0, level, tables[0])
-    for rank, count in hom_by_label(arena, t, labels, 1, level, tables[1]).items():
-        if merged.setdefault(rank, count) != count:
-            raise SynthesisInvariantError(
-                f"rank {rank} has rooted count {merged[rank]} in graph 1 "
-                f"but {count} in graph 2"
-            )
-    return merged
-
-
 def _first_descent(values: Iterable[int]) -> int | None:
     """Index of the first adjacent pair not strictly increasing, or None."""
     return next((i for i, (a, b) in enumerate(pairwise(values)) if a >= b), None)
@@ -258,7 +225,7 @@ def lift(
     level: int,
     base: Sequence[int],
     S: list[int],
-    ceiling: int | None = None,
+    ceiling: int = DEFAULT_LIFT_CEILING,
 ) -> tuple[int, tuple[int, ...]]:
     """Least m >= 1 ordering S, with the level-`level` counts it gives.
 
@@ -273,8 +240,8 @@ def lift(
     """
     if not S:
         raise ValueError("rank set must be nonempty")
+    _check_ceiling(ceiling)
     order = sorted(S)
-    ceiling = _resolve_lift_ceiling(ceiling)
     defs = labels.defs_at(level)
     powers = base
 
@@ -303,7 +270,7 @@ def synthesize(
     g1: Graph,
     g2: Graph,
     max_level: int | None = None,
-    lift_ceiling: int | None = None,
+    lift_ceiling: int = DEFAULT_LIFT_CEILING,
 ) -> Certificate:
     """Distinguishing tree plus transcript, or an equivalent-mode certificate.
 
@@ -314,8 +281,10 @@ def synthesize(
     vertex counts must differ and a lone leaf distinguishes. Otherwise the
     construction runs at k, the least level where the non-isolated
     restrictions differ; refinement stops at the first differing level.
+    The emitted tree is counted once per graph, with one DP each, and
+    checked per vertex against the level-k counts.
     """
-    ceiling = _resolve_lift_ceiling(lift_ceiling)
+    _check_ceiling(lift_ceiling)
     comparison = distinguishing_level(g1, g2, max_level, stop_at_difference=True)
     if not comparison.distinguished:
         if not comparison.table.complete:
@@ -353,7 +322,7 @@ def synthesize(
     m_per_level = []
     for lvl in range(2, k + 1):
         s_lvl = sorted(set(hists[lvl][0]) | set(hists[lvl][1]))
-        m, counts = lift(labels, lvl, counts, s_lvl, ceiling)
+        m, counts = lift(labels, lvl, counts, s_lvl, lift_ceiling)
         m_per_level.append(m)
 
     hist1, hist2 = hists[k]
@@ -378,16 +347,18 @@ def synthesize(
     t = base_family(arena, mults[0])
     for mult in mults[1:]:
         t = arena.attach([(t, mult)])
-    tables = (HomTable(arena, g1), HomTable(arena, g2))
-    if _counts_by_rank(arena, t, labels, k, tables) != {
-        r: c ** n for r, c in enumerate(counts)
-    }:
-        raise SynthesisInvariantError(
-            f"graph counts of the emitted tree disagree with the level-{k} counts"
-        )
-    if c1 != hom_count(arena, t, g1, tables[0]) or c2 != hom_count(
-        arena, t, g2, tables[1]
-    ):
+    # The tree's count at a vertex is fixed by its level-k label, so each
+    # vertex must carry the count of its rank, in either graph.
+    expected = [c ** n for c in counts]
+    vectors = (rooted_hom(arena, t, g1), rooted_hom(arena, t, g2))
+    for which, vector in enumerate(vectors):
+        ranks = labels.ranks_at(which, k)
+        if any(x != expected[r] for x, r in zip(vector, ranks)):
+            raise SynthesisInvariantError(
+                f"graph {which + 1} counts of the emitted tree disagree with "
+                f"the level-{k} counts"
+            )
+    if (c1, c2) != tuple(map(sum, vectors)):
         raise SynthesisInvariantError(
             f"histogram-weighted sums disagree with the vertex sums at n={n}"
         )
@@ -411,8 +382,8 @@ def verify(cert: Certificate, g1: Graph, g2: Graph) -> bool:
     Recomputes from scratch: equivalent mode re-runs the level comparison
     on the joint partition alone (refine_verdict);
     single-node mode checks the counts are the vertex counts and differ;
-    tree mode recounts homomorphisms of the embedded tree with a fresh
-    table and requires both matches plus a strict difference.
+    tree mode recounts homomorphisms of the embedded tree with the graph
+    DP and requires both matches plus a strict difference.
     """
     if cert.mode not in MODES:
         raise CertificateError(f"unknown mode {cert.mode!r}")

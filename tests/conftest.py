@@ -9,6 +9,8 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from wlhom import Graph, TreeArena, cycle_graph, disjoint_union, path_graph, star_graph
+from wlhom import synth
+from wlhom.wl import LabelTable, LevelLabels, WlComparison
 
 PROPERTY_SETTINGS = settings(
     max_examples=120,
@@ -16,6 +18,8 @@ PROPERTY_SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
+K2 = path_graph(2)
+C3 = cycle_graph(3)
 K13 = star_graph(3)
 P4 = path_graph(4)
 C6 = cycle_graph(6)
@@ -24,6 +28,32 @@ TWO_C3 = disjoint_union(cycle_graph(3), cycle_graph(3))
 # extra leaf on vertex 2 (T_A) respectively vertex 3 (T_B).
 TA = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
 TB = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)])
+
+
+def force_labels(monkeypatch, defs, ranks) -> None:
+    """Make synthesize read the given labels instead of refining.
+
+    Level 0 is one rank; defs[i] and ranks[i] are the definitions and the
+    per-graph ranks of level i + 1, and the last level is reported as the
+    first differing one.
+    """
+
+    def fake_level(g1, g2, *args, **kwargs):
+        fake = LabelTable(
+            graphs=(g1, g2),
+            levels=[LevelLabels(defs=((),), ranks=((0,) * g1.vertex_count,
+                                                   (0,) * g2.vertex_count))]
+            + [LevelLabels(defs=d, ranks=r) for d, r in zip(defs, ranks)],
+        )
+        return WlComparison(
+            distinguishing_level=len(defs),
+            stabilization_level=None,
+            histograms=[(lvl.histogram(0), lvl.histogram(1))
+                        for lvl in fake.levels],
+            table=fake,
+        )
+
+    monkeypatch.setattr(synth, "distinguishing_level", fake_level)
 
 
 @functools.cache

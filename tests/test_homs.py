@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from wlhom import (
     BudgetExceededError,
     Graph,
-    HomTable,
     LabelConsistencyError,
     LabelTable,
     TreeArena,
@@ -60,14 +59,6 @@ class TestRootedHom:
     def test_edge_into_c6(self):
         arena = TreeArena()
         assert rooted_hom(arena, star(arena, 1), C6) == (2,) * 6
-
-    def test_table_reuse_and_mismatch(self):
-        arena = TreeArena()
-        t = star(arena, 2)
-        table = HomTable(arena, P4)
-        assert rooted_hom(arena, t, P4, table) == rooted_hom(arena, t, P4, table)
-        with pytest.raises(ValueError):
-            rooted_hom(arena, t, K13, table)
 
     @PROPERTY_SETTINGS
     @given(graphs(max_vertices=6), st.integers(1, 4))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 from itertools import combinations
@@ -14,7 +15,6 @@ from wlhom import (
     Certificate,
     CertificateError,
     Graph,
-    HomTable,
     InconclusiveError,
     LiftCeilingError,
     SynthesisInvariantError,
@@ -26,6 +26,7 @@ from wlhom import (
     disjoint_union,
     distinguishing_level,
     empty_graph,
+    hom_by_label,
     hom_count,
     joint_refine,
     lift,
@@ -41,18 +42,19 @@ from wlhom import (
 )
 from wlhom import synth as synth_module
 from wlhom.cli import main
-from wlhom.synth import _counts_by_rank, _resolve_lift_ceiling
-from wlhom.wl import LevelLabels, WlComparison
-from wlhom.wl import LabelTable
+from wlhom.synth import DEFAULT_LIFT_CEILING
 
 from .conftest import (
+    C3,
     C6,
+    K2,
     K13,
     P4,
     PROPERTY_SETTINGS,
     TA,
     TB,
     TWO_C3,
+    force_labels,
     graphs,
 )
 
@@ -91,12 +93,22 @@ def _chain(arena, mults):
     return t
 
 
+def _joint_counts(arena, t, labels, level):
+    """Rank -> rooted count of t over both graphs, from the graph DP.
+
+    A rank's count must be the same in both graphs.
+    """
+    merged = {}
+    for which in (0, 1):
+        for rank, count in hom_by_label(arena, t, labels, which, level).items():
+            assert merged.setdefault(rank, count) == count, rank
+    return merged
+
+
 def _chain_counts(labels, level, mults):
     """Rooted counts by level-`level` rank of the chain, from the graph DP."""
     arena = TreeArena()
-    t = _chain(arena, mults)
-    tables = tuple(HomTable(arena, g) for g in labels.graphs)
-    return _counts_by_rank(arena, t, labels, level, tables)
+    return _joint_counts(arena, _chain(arena, mults), labels, level)
 
 
 def _degrees(labels):
@@ -533,44 +545,29 @@ class TestVerify:
 
 
 class TestInvariantMachinery:
-    def test_cross_graph_consistency_guard(self):
-        # same claimed rank across the two graphs with different counts
-        k2, c3 = path_graph(2), cycle_graph(3)
-        fake = LabelTable(
-            graphs=(k2, c3),
-            levels=[
-                LevelLabels(defs=((),), ranks=((0, 0), (0, 0, 0))),
-                LevelLabels(defs=(((0, 1),),), ranks=((0, 0), (0, 0, 0))),
-            ],
-            stabilization_level=0,
-        )
-        from wlhom.homs import HomTable
-        from wlhom.synth import _counts_by_rank
-        arena = TreeArena()
-        t = base_family(arena, 1)
-        with pytest.raises(SynthesisInvariantError):
-            _counts_by_rank(arena, t, fake, 1,
-                            (HomTable(arena, k2), HomTable(arena, c3)))
-
-    def test_lift_ceiling_resolution(self, monkeypatch):
-        monkeypatch.delenv("WLHOM_LIFT_CEILING", raising=False)
-        assert _resolve_lift_ceiling(None) == 10_000
-        assert _resolve_lift_ceiling(7) == 7
-        monkeypatch.setenv("WLHOM_LIFT_CEILING", "3")
-        assert _resolve_lift_ceiling(None) == 3
-        assert _resolve_lift_ceiling(8) == 8
-        monkeypatch.setenv("WLHOM_LIFT_CEILING", "zero")
+    def test_lift_ceiling_resolution(self):
+        for fn, name in ((synthesize, "lift_ceiling"), (lift, "ceiling")):
+            default = inspect.signature(fn).parameters[name].default
+            assert default == DEFAULT_LIFT_CEILING == 10_000
         with pytest.raises(ValueError):
-            _resolve_lift_ceiling(None)
-        monkeypatch.setenv("WLHOM_LIFT_CEILING", "0")
+            synthesize(TA, TB, lift_ceiling=0)
         with pytest.raises(ValueError):
-            _resolve_lift_ceiling(None)
+            # checked before refinement, also on pairs that need no lift
+            synthesize(empty_graph(1), path_graph(2), lift_ceiling=0)
+        table = joint_refine(K13, P4)
+        with pytest.raises(ValueError):
+            lift(table, 2, _degrees(table), _nonisolated_ranks(table, 2),
+                 ceiling=0)
 
+    def test_ceiling_keyword_reaches_lift(self):
+        with pytest.raises(LiftCeilingError):
+            synthesize(TA, TB, lift_ceiling=1)
+        assert synthesize(TA, TB, lift_ceiling=10).mode == "tree"
+
+    # WLHOM_LIFT_CEILING is no longer read; the two tests below check that
+    # a stale setting reaches lift neither alone nor past an explicit ceiling
     def test_env_ceiling_reaches_lift(self, monkeypatch):
         monkeypatch.setenv("WLHOM_LIFT_CEILING", "1")
-        with pytest.raises(LiftCeilingError):
-            synthesize(TA, TB)
-        monkeypatch.setenv("WLHOM_LIFT_CEILING", "10")
         assert synthesize(TA, TB).mode == "tree"
 
     def test_explicit_ceiling_beats_env(self, monkeypatch):
@@ -590,13 +587,12 @@ class TestQuotient:
         table = joint_refine(g1, g2)
         arena = TreeArena()
         t = _chain(arena, mults)
-        tables = (HomTable(arena, g1), HomTable(arena, g2))
         for level in range(len(mults), table.max_recorded_level + 1):
             counts = [1] * len(table.defs_at(level - len(mults)))
             for j, mult in enumerate(mults, level - len(mults) + 1):
                 counts = [sum(k * counts[r] for r, k in label) ** mult
                           for label in table.defs_at(j)]
-            by_rank = _counts_by_rank(arena, t, table, level, tables)
+            by_rank = _joint_counts(arena, t, table, level)
             # every rank is some vertex's rank, unless both graphs are empty
             expected = dict(enumerate(counts))
             if g1.vertex_count + g2.vertex_count == 0:
@@ -606,21 +602,17 @@ class TestQuotient:
     @pytest.mark.parametrize("g1, g2, m_per_level", [(TA, TB, (3,)), (K13, P4, ())])
     def test_graph_dp_covers_only_the_emitted_tree(self, monkeypatch, g1, g2,
                                                    m_per_level):
-        built = []
+        calls = []
 
-        class CountingTable(HomTable):
-            def __init__(self, arena, graph):
-                super().__init__(arena, graph)
-                built.append(self)
+        def counting_rooted_hom(arena, t, graph):
+            calls.append((serialize_tree(arena, t), graph))
+            return rooted_hom(arena, t, graph)
 
-        monkeypatch.setattr(synth_module, "HomTable", CountingTable)
+        monkeypatch.setattr(synth_module, "rooted_hom", counting_rooted_hom)
         cert = synthesize(g1, g2)
         assert cert.m_per_level == m_per_level
-        arena, root = cert.tree()
-        reachable = len(arena.reachable(root))
-        for g in (g1, g2):
-            vectors = sum(len(table._vectors) for table in built if table.graph is g)
-            assert 0 < vectors <= reachable
+        assert [graph for _, graph in calls] == [g1, g2]
+        assert all(text == cert.tree_text for text, _ in calls)
 
     @pytest.mark.parametrize("defs, ranks", [
         # Each case gives the definitions and the ranks of every level from
@@ -640,26 +632,17 @@ class TestQuotient:
            ((2, 1),), ((2, 1), (0, 1)), ((2, 1), (1, 2)))),
          (((0, 1, 2, 1, 0, 0), (0, 1, 1, 2, 0, 0)),
           ((0, 5, 3, 5, 0, 4), (0, 1, 6, 2, 4, 4)))),
+        # Level 1, K2 / C3: one joint rank claims degree 1 for all five
+        # vertices, true in K2 but not in C3.
+        (((((0, 1),),),), (((0, 0), (0, 0, 0)),)),
+        # Level 1, K2 / C3: the joint rank 0 again claims degree 1 for a C3
+        # vertex, and the other two claim degrees 2 and 3, so both graphs'
+        # totals are right and only the per-vertex check sees it.
+        (((((0, 1),), ((0, 2),), ((0, 3),)),), (((0, 0), (0, 1, 2)),)),
     ])
     def test_end_of_run_check_is_live(self, monkeypatch, tmp_path, defs, ranks):
-        g1, g2 = (P4, K13) if len(ranks[0][0]) == 4 else (TA, TB)
-
-        def fake_level(g1, g2, *args, **kwargs):
-            fake = LabelTable(
-                graphs=(g1, g2),
-                levels=[LevelLabels(defs=((),), ranks=((0,) * g1.vertex_count,
-                                                       (0,) * g2.vertex_count))]
-                + [LevelLabels(defs=d, ranks=r) for d, r in zip(defs, ranks)],
-            )
-            return WlComparison(
-                distinguishing_level=len(defs),
-                stabilization_level=None,
-                histograms=[(lvl.histogram(0), lvl.histogram(1))
-                            for lvl in fake.levels],
-                table=fake,
-            )
-
-        monkeypatch.setattr(synth_module, "distinguishing_level", fake_level)
+        g1, g2 = {2: (K2, C3), 4: (P4, K13)}.get(len(ranks[0][0]), (TA, TB))
+        force_labels(monkeypatch, defs, ranks)
         with pytest.raises(SynthesisInvariantError):
             synthesize(g1, g2)
         a, b, out = tmp_path / "a", tmp_path / "b", tmp_path / "cert.json"
