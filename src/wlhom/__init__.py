@@ -49,8 +49,6 @@ from .trees import (
 )
 from .wl import (
     LabelTable,
-    WlComparison,
-    compare_labels,
     distinguishing_level,
     joint_refine,
     refine_verdict,
@@ -70,12 +68,10 @@ __all__ = [
     "SynthesisInvariantError",
     "TreeArena",
     "TreeFormatError",
-    "WlComparison",
     "base_family",
     "brute_force_hom",
     "certificate_from_json",
     "certificate_to_json",
-    "compare_labels",
     "cycle_graph",
     "disjoint_union",
     "distinguishing_level",

@@ -41,7 +41,7 @@ from itertools import pairwise
 from .graphs import Graph
 from .homs import hom_count, rooted_hom
 from .trees import TreeArena, parse_tree, serialize_tree
-from .wl import LabelTable, distinguishing_level, refine_verdict
+from .wl import LabelTable, joint_refine, refine_verdict
 
 DEFAULT_LIFT_CEILING = 10_000
 
@@ -274,38 +274,37 @@ def synthesize(
 ) -> Certificate:
     """Distinguishing tree plus transcript, or an equivalent-mode certificate.
 
-    Mode selection: if no level's histograms differ up to stabilization,
-    the graphs are equivalent; reaching max_level first raises
-    InconclusiveError. If they differ only through isolated vertices (the
-    non-isolated restrictions agree at the distinguishing level), the
-    vertex counts must differ and a lone leaf distinguishes. Otherwise the
-    construction runs at k, the least level where the non-isolated
-    restrictions differ; refinement stops at the first differing level.
+    Refinement stops at k, the distinguishing level; only its non-isolated
+    histograms are read. If no level differs up to stabilization, the graphs
+    are equivalent; reaching max_level first raises InconclusiveError. If
+    the level-k histograms agree over non-isolated vertices, the difference
+    lies in isolated vertices alone, the vertex counts must differ and a
+    lone leaf distinguishes. Otherwise the construction runs at level k.
     The emitted tree is counted once per graph, with one DP each, and
     checked per vertex against the level-k counts.
     """
     _check_ceiling(lift_ceiling)
-    comparison = distinguishing_level(g1, g2, max_level, stop_at_difference=True)
-    if not comparison.distinguished:
-        if not comparison.table.complete:
+    labels = joint_refine(g1, g2, max_level, stop_at_difference=True)
+    if not labels.distinguished:
+        if not labels.complete:
             raise InconclusiveError(f"inconclusive: no verdict by level {max_level}")
         return Certificate(mode="equivalent")
-    labels = comparison.table
+    k = labels.distinguishing_level
     # Histograms over non-isolated vertices: at levels >= 1 a vertex is
-    # isolated exactly when its label is the empty multiset.
-    hists = {
-        lvl: tuple({r: c for r, c in hist.items() if labels.defs_at(lvl)[r]}
-                   for hist in comparison.histograms[lvl])
-        for lvl in range(1, comparison.distinguishing_level + 1)
-    }
-    k = next((lvl for lvl, (h1, h2) in hists.items() if h1 != h2), None)
-    if k is None:
+    # isolated exactly when its label is the empty multiset, and at level 0
+    # every label is empty. Below k the full histograms agree, so these
+    # can first differ only at k.
+    hist1, hist2 = (
+        {r: c for r, c in labels.histogram(which, k).items() if labels.defs_at(k)[r]}
+        for which in (0, 1)
+    )
+    if hist1 == hist2:
         # Difference is confined to isolated vertices (or is the level-0
         # size mismatch itself), so the totals cannot agree.
         if g1.vertex_count == g2.vertex_count:
             raise SynthesisInvariantError(
                 "equal vertex counts with equal non-isolated histograms at "
-                f"distinguishing level {comparison.distinguishing_level}"
+                f"distinguishing level {k}"
             )
         arena = TreeArena()
         root = arena.leaf()
@@ -321,11 +320,12 @@ def synthesize(
     counts = [sum(mult for _, mult in label) for label in labels.defs_at(1)]
     m_per_level = []
     for lvl in range(2, k + 1):
-        s_lvl = sorted(set(hists[lvl][0]) | set(hists[lvl][1]))
+        # Every rank is some vertex's, so the non-isolated ones are those
+        # with a non-empty definition.
+        s_lvl = [r for r, label in enumerate(labels.defs_at(lvl)) if label]
         m, counts = lift(labels, lvl, counts, s_lvl, lift_ceiling)
         m_per_level.append(m)
 
-    hist1, hist2 = hists[k]
     s_k = sorted(set(hist1) | set(hist2))
     if not all(counts[r] >= 1 for r in s_k):
         raise SynthesisInvariantError("nonpositive base count at a non-isolated rank")

@@ -14,6 +14,10 @@ multisets compare by the largest element they contain a different number of
 times (the one with more copies of it is larger). Rank 0 is the smallest
 label of its level; the empty multiset (isolated vertices) is always minimal.
 
+joint_refine records these ranks, and the verdict, on a LabelTable. Past
+stabilization the partition is fixed but its numbering can cycle, so the
+table steps on from its deepest level when asked for a deeper one.
+
 Ranks are read only where a certificate or `wlhom labels` reports them.
 The verdict (the first level whose histograms differ) and the
 stabilization round (the last before a round that splits no class) are
@@ -42,46 +46,8 @@ from .graphs import Graph
 # A label is a multiset of previous-level ranks, canonically encoded as
 # (rank, multiplicity) pairs sorted by rank descending. On this encoding,
 # and on the flat descending rank sequence it is built from, plain tuple
-# order is the label order that compare_labels specifies.
+# order is the label order of the module docstring.
 LabelDef = tuple[tuple[int, int], ...]
-
-
-def _validate_label(label: LabelDef) -> None:
-    prev = None
-    for pair in label:
-        if len(pair) != 2:
-            raise ValueError(f"label entry {pair!r} is not a (rank, mult) pair")
-        rank, mult = pair
-        if rank < 0:
-            raise ValueError(f"negative rank {rank} in label {label!r}")
-        if mult < 1:
-            raise ValueError(f"multiplicity {mult} < 1 in label {label!r}")
-        if prev is not None and rank >= prev:
-            raise ValueError(f"label {label!r} not sorted by rank descending")
-        prev = rank
-
-
-def compare_labels(l1: LabelDef, l2: LabelDef) -> int:
-    """Compare two same-level labels; returns -1, 0 or 1.
-
-    The rule: take the largest previous-level rank that occurs a different
-    number of times in the two multisets; whichever multiset has more copies
-    of it is the greater one. On the canonical descending encoding this is a
-    left-to-right scan: at the first differing position the larger rank wins,
-    then the larger multiplicity; if one list is a proper prefix of the
-    other, the longer one wins (its extra elements are all smaller-ranked,
-    and it has more of the largest such).
-    """
-    _validate_label(l1)
-    _validate_label(l2)
-    for (r1, m1), (r2, m2) in zip(l1, l2):
-        if r1 != r2:
-            return 1 if r1 > r2 else -1
-        if m1 != m2:
-            return 1 if m1 > m2 else -1
-    if len(l1) != len(l2):
-        return 1 if len(l1) > len(l2) else -1
-    return 0
 
 
 @dataclass(frozen=True)
@@ -91,7 +57,7 @@ class LevelLabels:
     defs[r] is the definition of the rank-r label in terms of
     previous-level ranks; ranks[i][v] is the rank of vertex v of graph i.
     defs is sorted ascending in tuple order, which is the label order of
-    compare_labels, so the integer rank IS the label order.
+    the module docstring, so the integer rank IS the label order.
     """
 
     defs: tuple[LabelDef, ...]
@@ -103,11 +69,12 @@ class LevelLabels:
 
 @dataclass
 class LabelTable:
-    """Joint label levels for a pair of graphs."""
+    """Joint label levels for a pair of graphs, with joint_refine's verdict."""
 
     graphs: tuple[Graph, Graph]
     levels: list[LevelLabels] = field(default_factory=list)
     stabilization_level: int | None = None
+    distinguishing_level: int | None = None
 
     @property
     def max_recorded_level(self) -> int:
@@ -118,24 +85,34 @@ class LabelTable:
         """True when stabilization was reached within the recorded levels."""
         return self.stabilization_level is not None
 
+    @property
+    def distinguished(self) -> bool:
+        return self.distinguishing_level is not None
+
     def ranks_at(self, which: int, level: int) -> tuple[int, ...]:
         """Per-vertex ranks of graph `which` at the given level.
 
-        Levels beyond the recorded ones are answered from the deepest
-        recorded level when the table is complete: by persistence the
-        partition no longer changes, though the numbering reported is the
-        deepest recorded level's.
+        Past the recorded levels of a complete table the partition is fixed
+        but its numbering may change: further rounds run until the level is
+        reached or a rank vector repeats, and from a repeat on it cycles.
         """
         if level < 0:
             raise ValueError(f"negative level {level}")
         if level <= self.max_recorded_level:
             return self.levels[level].ranks[which]
-        if self.complete:
-            return self.levels[-1].ranks[which]
-        raise ValueError(
-            f"level {level} not computed (recorded up to {self.max_recorded_level}"
-            " without stabilizing)"
-        )
+        if not self.complete:
+            raise ValueError(
+                f"level {level} not computed (recorded up to "
+                f"{self.max_recorded_level} without stabilizing)"
+            )
+        base, seen = self.max_recorded_level, [self.levels[-1].ranks]
+        while base + len(seen) <= level:  # seen[i] is level base + i
+            nxt = _next_level(self.graphs, seen[-1]).ranks
+            if nxt in seen:
+                start = seen.index(nxt)
+                return seen[start + (level - base - start) % (len(seen) - start)][which]
+            seen.append(nxt)
+        return seen[-1][which]
 
     def defs_at(self, level: int) -> tuple[LabelDef, ...]:
         if not 0 <= level <= self.max_recorded_level:
@@ -146,18 +123,39 @@ class LabelTable:
         return Counter(self.ranks_at(which, level))
 
 
+def _next_level(
+    pair: tuple[Graph, Graph], prev: tuple[tuple[int, ...], tuple[int, ...]]
+) -> LevelLabels:
+    """The level after ranks `prev`: each label is a neighbor-rank multiset."""
+    # Neighbor ranks sorted descending: tuple order on these is the label
+    # order, and each run of equal ranks is one (rank, mult) pair.
+    signatures = [
+        [tuple(sorted([ranks[w] for w in nbrs], reverse=True)) for nbrs in g.adjacency]
+        for g, ranks in zip(pair, prev)
+    ]
+    order = sorted(set(signatures[0]).union(signatures[1]))
+    rank_of = {sig: r for r, sig in enumerate(order)}
+    return LevelLabels(
+        defs=tuple(tuple((r, len(list(run))) for r, run in groupby(sig))
+                   for sig in order),
+        ranks=tuple(tuple(map(rank_of.__getitem__, sigs)) for sigs in signatures),
+    )
+
+
 def joint_refine(
     g1: Graph, g2: Graph, max_level: int | None = None, stop_at_difference: bool = False
 ) -> LabelTable:
-    """Refine labels on the disjoint union of g1 and g2.
+    """Refine labels on the disjoint union of g1 and g2, recording the verdict.
 
     Stops after recording level stabilization+1 (the round that first fails
     to refine the joint partition), or after max_level, whichever is first.
     Default max_level is |V1|+|V2|, which always reaches stabilization.
-    With stop_at_difference it also stops at the first level whose two
-    histograms differ, leaving an incomplete table whose levels are the
-    first levels of the full one. Ranks follow the tuple order of the label
-    definitions, which is the label order of compare_labels.
+    The table's distinguishing_level is the first recorded level whose
+    histograms differ; None on a complete table means no level ever differs,
+    and on an incomplete one merely "none found". With stop_at_difference
+    refinement also stops at that level, leaving an incomplete table whose
+    levels are the first levels of the full one. Ranks follow the tuple
+    order of the label definitions, which is the label order.
     """
     if max_level is None:
         max_level = g1.vertex_count + g2.vertex_count
@@ -166,77 +164,37 @@ def joint_refine(
     pair = (g1, g2)
     level0 = LevelLabels(defs=((),), ranks=tuple((0,) * g.vertex_count for g in pair))
     table = LabelTable(graphs=pair, levels=[level0])
+    if g1.vertex_count != g2.vertex_count:
+        table.distinguishing_level = 0
     if g1.vertex_count + g2.vertex_count == 0:
         table.stabilization_level = 0
         return table
-    while table.max_recorded_level < max_level:
+    while table.max_recorded_level < max_level and not (
+        stop_at_difference and table.distinguished
+    ):
         prev = table.levels[-1]
-        if stop_at_difference and prev.histogram(0) != prev.histogram(1):
-            break
-        # Neighbor ranks sorted descending: tuple order on these is the
-        # label order, and each run of equal ranks is one (rank, mult) pair.
-        signatures = [
-            [tuple(sorted([ranks[w] for w in nbrs], reverse=True))
-             for nbrs in g.adjacency]
-            for g, ranks in zip(pair, prev.ranks)
-        ]
-        order = sorted(set(signatures[0]).union(signatures[1]))
-        rank_of = {sig: r for r, sig in enumerate(order)}
-        table.levels.append(LevelLabels(
-            defs=tuple(tuple((r, len(list(run))) for r, run in groupby(sig))
-                       for sig in order),
-            ranks=tuple(tuple(map(rank_of.__getitem__, sigs)) for sigs in signatures),
-        ))
+        level = _next_level(pair, prev.ranks)
+        table.levels.append(level)
+        if not table.distinguished and level.histogram(0) != level.histogram(1):
+            table.distinguishing_level = table.max_recorded_level
         # Refinement is monotone (a level's label determines the previous
         # one), so an unchanged class count means an unchanged partition.
-        if len(order) == len(prev.defs):
+        if len(level.defs) == len(prev.defs):
             table.stabilization_level = table.max_recorded_level - 1
             break
     return table
 
 
-@dataclass
-class WlComparison:
-    """Outcome of comparing two graphs' label histograms level by level."""
-
-    distinguishing_level: int | None
-    stabilization_level: int | None
-    histograms: list[tuple[Counter, Counter]]
-    table: LabelTable
-
-    @property
-    def distinguished(self) -> bool:
-        return self.distinguishing_level is not None
-
-
 def distinguishing_level(
     g1: Graph, g2: Graph, max_level: int | None = None, stop_at_difference: bool = False
-) -> WlComparison:
-    """Least level whose label histograms differ between the graphs.
+) -> LabelTable:
+    """Least level whose label histograms differ, on joint_refine's table.
 
-    Returns distinguishing_level None when the joint partition stabilizes
-    with equal histograms at every level; by persistence no deeper level can
-    differ, so that verdict is conclusive. With an explicit max_level too
-    small to reach stabilization, None merely means "none found".
-
-    Refinement runs to stabilization unless stop_at_difference is set;
-    then it stops at the least differing level, and a distinguished pair
-    reports stabilization_level None and histograms up to that level only.
-    Either way ranks follow tuple order, which is the label order.
+    The same call as joint_refine; read .distinguishing_level, .distinguished
+    and .stabilization_level off the table it returns. A None level after
+    stabilization is conclusive: by persistence no deeper level can differ.
     """
-    table = joint_refine(g1, g2, max_level, stop_at_difference)
-    hists = [(lvl.histogram(0), lvl.histogram(1)) for lvl in table.levels]
-    found = None
-    for k, (h1, h2) in enumerate(hists):
-        if h1 != h2:
-            found = k
-            break
-    return WlComparison(
-        distinguishing_level=found,
-        stabilization_level=table.stabilization_level,
-        histograms=hists,
-        table=table,
-    )
+    return joint_refine(g1, g2, max_level, stop_at_difference)
 
 
 def refine_verdict(

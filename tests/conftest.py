@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from wlhom import Graph, TreeArena, cycle_graph, disjoint_union, path_graph, star_graph
 from wlhom import synth
-from wlhom.wl import LabelTable, LevelLabels, WlComparison
+from wlhom.wl import LabelTable, LevelLabels
 
 PROPERTY_SETTINGS = settings(
     max_examples=120,
@@ -38,22 +38,16 @@ def force_labels(monkeypatch, defs, ranks) -> None:
     first differing one.
     """
 
-    def fake_level(g1, g2, *args, **kwargs):
-        fake = LabelTable(
+    def fake_refine(g1, g2, *args, **kwargs):
+        return LabelTable(
             graphs=(g1, g2),
             levels=[LevelLabels(defs=((),), ranks=((0,) * g1.vertex_count,
                                                    (0,) * g2.vertex_count))]
             + [LevelLabels(defs=d, ranks=r) for d, r in zip(defs, ranks)],
-        )
-        return WlComparison(
             distinguishing_level=len(defs),
-            stabilization_level=None,
-            histograms=[(lvl.histogram(0), lvl.histogram(1))
-                        for lvl in fake.levels],
-            table=fake,
         )
 
-    monkeypatch.setattr(synth, "distinguishing_level", fake_level)
+    monkeypatch.setattr(synth, "joint_refine", fake_refine)
 
 
 @functools.cache

@@ -107,6 +107,13 @@ class TestLabels:
         assert rc == 0
         assert capsys.readouterr().out == "# level 5\n0 0\n1 1\n2 1\n3 0\n"
 
+    def test_level_where_numbering_alternates(self, gfile, capsys):
+        # P3 stabilizes at round 1, but its ends and center swap ranks each
+        # round after it: level 2 is 1 0 1, level 3 is 0 1 0.
+        rc = main(["labels", gfile("g", path_graph(3)), "--max-level", "3"])
+        assert rc == 0
+        assert capsys.readouterr().out == "# level 3\n0 0\n1 1\n2 0\n"
+
     def test_json(self, gfile, capsys):
         rc = main(["labels", gfile("g", P4), "--json"])
         assert rc == 0

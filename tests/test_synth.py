@@ -208,12 +208,11 @@ def _first_nonisolated_difference(g1, g2):
     The levels run up to the least one whose non-isolated histograms
     differ; the ranks are None when no level differs.
     """
-    comparison = distinguishing_level(g1, g2, stop_at_difference=True)
-    labels = comparison.table
+    labels = distinguishing_level(g1, g2, stop_at_difference=True)
     ranks = {}
-    for level in range(1, (comparison.distinguishing_level or 0) + 1):
-        hists = [{r: c for r, c in hist.items() if labels.defs_at(level)[r]}
-                 for hist in comparison.histograms[level]]
+    for level in range(1, (labels.distinguishing_level or 0) + 1):
+        hists = [{r: c for r, c in labels.histogram(which, level).items()
+                  if labels.defs_at(level)[r]} for which in (0, 1)]
         ranks[level] = sorted(set(hists[0]) | set(hists[1]))
         if hists[0] != hists[1]:
             return labels, ranks
@@ -397,6 +396,24 @@ class TestSynthesizeProperties:
             arena = TreeArena()
             mults = (*cert.m_per_level, cert.n_final)
             assert cert.tree_text == serialize_tree(arena, _chain(arena, mults))
+
+    @PROPERTY_SETTINGS
+    @given(graphs(max_vertices=8), st.data())
+    def test_mode_and_level_match_the_all_levels_search(self, g1, data):
+        # equal sizes half the time, so differences show past level 0
+        if data.draw(st.booleans()):
+            n = g1.vertex_count
+            g2 = data.draw(graphs(max_vertices=n, min_vertices=n))
+        else:
+            g2 = data.draw(graphs(max_vertices=8))
+        labels, ranks = _first_nonisolated_difference(g1, g2)
+        cert = synthesize(g1, g2)
+        if ranks is not None:
+            assert (cert.mode, cert.level) == ("tree", max(ranks))
+        elif labels.distinguished:
+            assert (cert.mode, cert.level) == ("single-node", 0)
+        else:
+            assert cert.mode == "equivalent"
 
 
 class TestCertificateJson:

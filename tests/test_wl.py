@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from wlhom import (
     Certificate,
     Graph,
-    compare_labels,
     disjoint_union,
     distinguishing_level,
     joint_refine,
@@ -25,6 +24,7 @@ from wlhom import (
     star_graph,
     verify,
 )
+from wlhom.wl import LabelDef
 
 from .conftest import (
     C6,
@@ -37,6 +37,46 @@ from .conftest import (
     graphs,
     label_defs,
 )
+
+
+# The label order's specification, kept here as the oracle that plain
+# tuple order on the descending (rank, mult) encoding must realize.
+def _validate_label(label: LabelDef) -> None:
+    prev = None
+    for pair in label:
+        if len(pair) != 2:
+            raise ValueError(f"label entry {pair!r} is not a (rank, mult) pair")
+        rank, mult = pair
+        if rank < 0:
+            raise ValueError(f"negative rank {rank} in label {label!r}")
+        if mult < 1:
+            raise ValueError(f"multiplicity {mult} < 1 in label {label!r}")
+        if prev is not None and rank >= prev:
+            raise ValueError(f"label {label!r} not sorted by rank descending")
+        prev = rank
+
+
+def compare_labels(l1: LabelDef, l2: LabelDef) -> int:
+    """Compare two same-level labels; returns -1, 0 or 1.
+
+    The rule: take the largest previous-level rank that occurs a different
+    number of times in the two multisets; whichever multiset has more copies
+    of it is the greater one. On the canonical descending encoding this is a
+    left-to-right scan: at the first differing position the larger rank wins,
+    then the larger multiplicity; if one list is a proper prefix of the
+    other, the longer one wins (its extra elements are all smaller-ranked,
+    and it has more of the largest such).
+    """
+    _validate_label(l1)
+    _validate_label(l2)
+    for (r1, m1), (r2, m2) in zip(l1, l2):
+        if r1 != r2:
+            return 1 if r1 > r2 else -1
+        if m1 != m2:
+            return 1 if m1 > m2 else -1
+    if len(l1) != len(l2):
+        return 1 if len(l1) > len(l2) else -1
+    return 0
 
 
 class TestCompareLabels:
@@ -87,6 +127,19 @@ class TestCompareLabels:
         # encoding is descending (rank, mult); plain tuple comparison must
         # realize the multiset order
         assert compare_labels(a, b) == (a > b) - (a < b)
+
+
+def _stepped_ranks(g, levels):
+    """Ranks of g alone at levels 0..levels, one plain round after another."""
+    ranks = (0,) * g.vertex_count
+    out = [ranks]
+    for _ in range(levels):
+        defs = [tuple(sorted(Counter(ranks[w] for w in nbrs).items(), reverse=True))
+                for nbrs in g.adjacency]
+        order = sorted(set(defs), key=functools.cmp_to_key(compare_labels))
+        ranks = tuple(order.index(d) for d in defs)
+        out.append(ranks)
+    return out
 
 
 class TestJointRefine:
@@ -144,14 +197,24 @@ class TestJointRefine:
             table.ranks_at(0, 1)
 
     def test_deep_query_answered_after_stabilization(self):
+        # K1,3's numbering alternates past level 1: the center is rank 3 at
+        # odd levels and rank 0 at even ones.
         table = joint_refine(K13, P4)
         assert table.complete
-        deep = table.ranks_at(0, 10 ** 6)
-        assert deep == table.ranks_at(0, table.max_recorded_level)
+        assert table.max_recorded_level == 3
+        assert table.ranks_at(0, 3) == (3, 0, 0, 0)
+        assert table.ranks_at(0, 10 ** 6) == (0, 3, 3, 3)
 
     def test_negative_max_level(self):
         with pytest.raises(ValueError):
             joint_refine(K13, P4, max_level=-1)
+
+    @PROPERTY_SETTINGS
+    @given(graphs(max_vertices=8))
+    def test_ranks_at_any_level_match_stepping(self, g):
+        table = joint_refine(g, empty_graph())
+        for level, ranks in enumerate(_stepped_ranks(g, 12)):
+            assert table.ranks_at(0, level) == ranks, level
 
     @PROPERTY_SETTINGS
     @given(graphs(max_vertices=6), graphs(max_vertices=6))
@@ -259,8 +322,7 @@ class TestDistinguishingLevel:
     def test_histograms_agree_below_distinguishing_level(self):
         comp = distinguishing_level(TA, TB)
         for level in range(comp.distinguishing_level):
-            h1, h2 = comp.histograms[level]
-            assert h1 == h2
+            assert comp.histogram(0, level) == comp.histogram(1, level)
 
     def test_size_mismatch_found_at_level0(self):
         comp = distinguishing_level(path_graph(2), path_graph(3))
@@ -292,13 +354,13 @@ class TestEarlyExit:
         full = distinguishing_level(g1, g2)
         early = distinguishing_level(g1, g2, stop_at_difference=True)
         assert early.distinguishing_level == full.distinguishing_level
-        levels = early.table.levels
-        assert levels == full.table.levels[: len(levels)]
+        levels = early.levels
+        assert levels == full.levels[: len(levels)]
         if early.distinguished:
             assert len(levels) == early.distinguishing_level + 1
         else:
-            assert levels == full.table.levels
-        for lvl in full.table.levels:
+            assert levels == full.levels
+        for lvl in full.levels:
             assert list(lvl.defs) == sorted(
                 set(lvl.defs), key=functools.cmp_to_key(compare_labels)
             )
@@ -309,7 +371,7 @@ class TestEarlyExit:
         g2 = disjoint_union(path_graph(300), path_graph(300))
         early = distinguishing_level(g1, g2, stop_at_difference=True)
         assert early.distinguishing_level == 1
-        assert len(early.table.levels) <= 2
+        assert len(early.levels) <= 2
         assert early.stabilization_level is None
 
 
