@@ -9,14 +9,11 @@ tree with different homomorphism counts plus a checkable certificate.
 from .graphs import (
     Graph,
     GraphFormatError,
-    cycle_graph,
-    disjoint_union,
     empty_graph,
     parse_graph,
     path_graph,
     permute,
     serialize_graph,
-    star_graph,
 )
 from .homs import (
     BudgetExceededError,
@@ -72,8 +69,6 @@ __all__ = [
     "brute_force_hom",
     "certificate_from_json",
     "certificate_to_json",
-    "cycle_graph",
-    "disjoint_union",
     "distinguishing_level",
     "empty_graph",
     "expand_tree",
@@ -89,7 +84,6 @@ __all__ = [
     "rooted_hom",
     "serialize_graph",
     "serialize_tree",
-    "star_graph",
     "synthesize",
     "verify",
 ]

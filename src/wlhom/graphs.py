@@ -68,14 +68,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(map(len, self.adjacency)) // 2
 
-    def degree(self, u: int) -> int:
-        if not 0 <= u < self.vertex_count:
-            raise IndexError(f"vertex index {u} out of range [0, {self.vertex_count})")
-        return len(self.adjacency[u])
-
-    def isolated_vertices(self) -> frozenset[int]:
-        return frozenset(v for v in range(self.vertex_count) if not self.adjacency[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         key = (u, v) if u < v else (v, u)
         return key in self.edges
@@ -205,19 +197,3 @@ def empty_graph(n: int = 0) -> Graph:
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def star_graph(leaves: int) -> Graph:
-    """Center is vertex 0 with the given number of leaves."""
-    return Graph(leaves + 1, [(0, i + 1) for i in range(leaves)])
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    shift = g1.vertex_count
-    edges = list(g1.edges) + [(u + shift, v + shift) for u, v in g2.edges]
-    return Graph(g1.vertex_count + g2.vertex_count, edges)

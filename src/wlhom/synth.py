@@ -41,7 +41,7 @@ from itertools import pairwise
 from .graphs import Graph
 from .homs import hom_count, rooted_hom
 from .trees import TreeArena, parse_tree, serialize_tree
-from .wl import LabelTable, joint_refine, refine_verdict
+from .wl import LabelTable, refine_to_difference, refine_verdict
 
 DEFAULT_LIFT_CEILING = 10_000
 
@@ -274,17 +274,21 @@ def synthesize(
 ) -> Certificate:
     """Distinguishing tree plus transcript, or an equivalent-mode certificate.
 
-    Refinement stops at k, the distinguishing level; only its non-isolated
-    histograms are read. If no level differs up to stabilization, the graphs
-    are equivalent; reaching max_level first raises InconclusiveError. If
-    the level-k histograms agree over non-isolated vertices, the difference
-    lies in isolated vertices alone, the vertex counts must differ and a
-    lone leaf distinguishes. Otherwise the construction runs at level k.
-    The emitted tree is counted once per graph, with one DP each, and
-    checked per vertex against the level-k counts.
+    Refinement (refine_to_difference) stops at k, the distinguishing level,
+    and builds canonical ranks only for levels up to k; once a round moves
+    at most half of the vertices the rest of the search runs on the
+    worklist, so an equivalent pair costs about what refine_verdict does.
+    Only the non-isolated level-k histograms are read. If no level differs
+    up to stabilization, the graphs are equivalent; reaching max_level
+    first raises InconclusiveError. If the level-k histograms agree over
+    non-isolated vertices, the difference lies in isolated vertices alone,
+    the vertex counts must differ and a lone leaf distinguishes. Otherwise
+    the construction runs at level k. The emitted tree is counted once per
+    graph, with one DP each, and checked per vertex against the level-k
+    counts.
     """
     _check_ceiling(lift_ceiling)
-    labels = joint_refine(g1, g2, max_level, stop_at_difference=True)
+    labels = refine_to_difference(g1, g2, max_level)
     if not labels.distinguished:
         if not labels.complete:
             raise InconclusiveError(f"inconclusive: no verdict by level {max_level}")

@@ -33,6 +33,22 @@ per-class counts are kept: a class holding equally many vertices of each
 graph splits into pieces whose imbalances sum to zero, so the histograms
 first differ at the first level where a piece that moved holds unequal
 numbers, and as classes only split they differ at every later level.
+
+synthesize reads canonical ranks only up to the first differing level,
+and refine_to_difference computes them only there. It runs canonical
+rounds while each moves more than half of the vertices, a vertex having
+moved when it lies outside the largest piece of its previous class. After
+the first round that moves fewer, the canonical ranks, already joint class
+ids, go to the worklist, whose first round re-signs the neighbors of the
+vertices that moved: in a class, the vertices whose neighbors all stayed
+in the largest pieces share their next label, and no other vertex has it.
+Each worklist round records only the pieces that moved. If one of them is
+unbalanced, the pieces are replayed onto the hand-over ids, and each level
+up to that one is interned from one representative per class: all of a
+class share one label over the previous canonical ranks, so the
+representatives give exactly the level's labels, and sorting them gives
+the tuple order and ranks a canonical round gives. Otherwise no canonical
+level past the hand-over is computed.
 """
 
 from __future__ import annotations
@@ -123,6 +139,14 @@ class LabelTable:
         return Counter(self.ranks_at(which, level))
 
 
+def _intern(signatures) -> tuple[tuple[LabelDef, ...], dict]:
+    """Definitions of distinct neighbor-rank signatures, sorted in tuple
+    order (the label order), and the rank of each signature."""
+    order = sorted(signatures)
+    defs = tuple(tuple((r, len(list(run))) for r, run in groupby(sig)) for sig in order)
+    return defs, {sig: r for r, sig in enumerate(order)}
+
+
 def _next_level(
     pair: tuple[Graph, Graph], prev: tuple[tuple[int, ...], tuple[int, ...]]
 ) -> LevelLabels:
@@ -133,13 +157,45 @@ def _next_level(
         [tuple(sorted([ranks[w] for w in nbrs], reverse=True)) for nbrs in g.adjacency]
         for g, ranks in zip(pair, prev)
     ]
-    order = sorted(set(signatures[0]).union(signatures[1]))
-    rank_of = {sig: r for r, sig in enumerate(order)}
+    defs, rank_of = _intern(set(signatures[0]).union(signatures[1]))
     return LevelLabels(
-        defs=tuple(tuple((r, len(list(run))) for r, run in groupby(sig))
-                   for sig in order),
+        defs=defs,
         ranks=tuple(tuple(map(rank_of.__getitem__, sigs)) for sigs in signatures),
     )
+
+
+def _level_cap(g1: Graph, g2: Graph, max_level: int | None) -> int:
+    """max_level, checked; by default |V1|+|V2|, which reaches stabilization."""
+    if max_level is None:
+        return g1.vertex_count + g2.vertex_count
+    if max_level < 0:
+        raise ValueError(f"max_level must be >= 0, got {max_level}")
+    return max_level
+
+
+def _level_zero(g1: Graph, g2: Graph) -> LabelTable:
+    """A table holding level 0 and its verdict."""
+    pair = (g1, g2)
+    level0 = LevelLabels(defs=((),), ranks=tuple((0,) * g.vertex_count for g in pair))
+    table = LabelTable(graphs=pair, levels=[level0])
+    if g1.vertex_count != g2.vertex_count:
+        table.distinguishing_level = 0
+    if g1.vertex_count + g2.vertex_count == 0:
+        table.stabilization_level = 0
+    return table
+
+
+def _append_level(table: LabelTable) -> None:
+    """Record the next canonical level and the verdict it gives."""
+    prev = table.levels[-1]
+    level = _next_level(table.graphs, prev.ranks)
+    table.levels.append(level)
+    if not table.distinguished and level.histogram(0) != level.histogram(1):
+        table.distinguishing_level = table.max_recorded_level
+    # Refinement is monotone (a level's label determines the previous
+    # one), so an unchanged class count means an unchanged partition.
+    if len(level.defs) == len(prev.defs):
+        table.stabilization_level = table.max_recorded_level - 1
 
 
 def joint_refine(
@@ -157,31 +213,11 @@ def joint_refine(
     levels are the first levels of the full one. Ranks follow the tuple
     order of the label definitions, which is the label order.
     """
-    if max_level is None:
-        max_level = g1.vertex_count + g2.vertex_count
-    if max_level < 0:
-        raise ValueError(f"max_level must be >= 0, got {max_level}")
-    pair = (g1, g2)
-    level0 = LevelLabels(defs=((),), ranks=tuple((0,) * g.vertex_count for g in pair))
-    table = LabelTable(graphs=pair, levels=[level0])
-    if g1.vertex_count != g2.vertex_count:
-        table.distinguishing_level = 0
-    if g1.vertex_count + g2.vertex_count == 0:
-        table.stabilization_level = 0
-        return table
-    while table.max_recorded_level < max_level and not (
+    table, max_level = _level_zero(g1, g2), _level_cap(g1, g2, max_level)
+    while not table.complete and table.max_recorded_level < max_level and not (
         stop_at_difference and table.distinguished
     ):
-        prev = table.levels[-1]
-        level = _next_level(pair, prev.ranks)
-        table.levels.append(level)
-        if not table.distinguished and level.histogram(0) != level.histogram(1):
-            table.distinguishing_level = table.max_recorded_level
-        # Refinement is monotone (a level's label determines the previous
-        # one), so an unchanged class count means an unchanged partition.
-        if len(level.defs) == len(prev.defs):
-            table.stabilization_level = table.max_recorded_level - 1
-            break
+        _append_level(table)
     return table
 
 
@@ -197,29 +233,25 @@ def distinguishing_level(
     return joint_refine(g1, g2, max_level, stop_at_difference)
 
 
-def refine_verdict(
-    g1: Graph, g2: Graph, max_level: int | None = None, stop_at_difference: bool = False
-) -> tuple[int | None, int | None]:
-    """(distinguishing_level, stabilization_level), as distinguishing_level
-    reports them for the same arguments, from the joint partition alone.
-
-    Vertices of g2 follow those of g1 in one id space; color[v] is the
-    class id of vertex v and members[c] the vertex set of class c.
-    """
-    if max_level is None:
-        max_level = g1.vertex_count + g2.vertex_count
-    if max_level < 0:
-        raise ValueError(f"max_level must be >= 0, got {max_level}")
+def _joint_adjacency(g1: Graph, g2: Graph) -> list:
+    """Adjacency of the disjoint union: g2's vertices follow g1's."""
     n1 = g1.vertex_count
-    n = n1 + g2.vertex_count
-    if n == 0:
-        return None, 0
-    adjacency = [*g1.adjacency, *([w + n1 for w in nbrs] for nbrs in g2.adjacency)]
-    color = [0] * n
-    members = [set(range(n))]
-    found = 0 if 2 * n1 != n else None
-    level = 0
-    touched = range(n)
+    return [*g1.adjacency, *([w + n1 for w in nbrs] for nbrs in g2.adjacency)]
+
+
+def _refine_classes(adjacency, n1, color, members, touched, level, max_level,
+                    stop_at_difference, found):
+    """Worklist rounds on joint class ids, from the partition at `level`.
+
+    color[v] is the class id of vertex v and members[c] the vertex set of
+    class c, both updated in place; vertices below n1 are g1's. The
+    vertices of a class outside `touched` must share one next label, which
+    no touched vertex of the class has. `found` is the distinguishing level
+    so far. Returns (found, stabilization_level, rounds): rounds[i] lists
+    the pieces that took new ids in round level + i + 1, in the order the
+    ids were given.
+    """
+    rounds = []
     while level < max_level and not (stop_at_difference and found is not None):
         # Touched vertices only, keyed by class id and then the sorted ids
         # of their neighbors; the rest of each class keeps its old label.
@@ -246,9 +278,97 @@ def refine_verdict(
                 moved.append(piece)
         level += 1
         if not moved:
-            return found, level - 1
+            return found, level - 1, rounds
+        rounds.append(moved)
         if found is None and any(2 * sum(v < n1 for v in piece) != len(piece)
                                  for piece in moved):
             found = level
         touched = {w for piece in moved for v in piece for w in adjacency[v]}
-    return found, None
+    return found, None, rounds
+
+
+def refine_verdict(
+    g1: Graph, g2: Graph, max_level: int | None = None, stop_at_difference: bool = False
+) -> tuple[int | None, int | None]:
+    """(distinguishing_level, stabilization_level), as distinguishing_level
+    reports them for the same arguments, from the joint partition alone.
+
+    Vertices of g2 follow those of g1 in one id space, all in one class at
+    level 0, and every vertex is signed in round 1.
+    """
+    max_level = _level_cap(g1, g2, max_level)
+    n1 = g1.vertex_count
+    n = n1 + g2.vertex_count
+    if n == 0:
+        return None, 0
+    found, stable, _ = _refine_classes(
+        _joint_adjacency(g1, g2), n1, [0] * n, [set(range(n))], range(n), 0,
+        max_level, stop_at_difference, 0 if 2 * n1 != n else None,
+    )
+    return found, stable
+
+
+def refine_to_difference(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTable:
+    """joint_refine(g1, g2, max_level, stop_at_difference=True)'s verdict,
+    with canonical levels computed only up to the first difference.
+
+    The distinguishing and stabilization levels are joint_refine's, and so
+    are the levels of a distinguished table. Otherwise the levels stop where
+    canonical rounds handed over to the worklist, a prefix of joint_refine's.
+    """
+    table, max_level = _level_zero(g1, g2), _level_cap(g1, g2, max_level)
+    while not (table.complete or table.distinguished
+               or table.max_recorded_level == max_level):
+        if table.max_recorded_level:
+            # The largest piece of each previous class, as (size, new
+            # rank); the vertices outside it moved in the last round. Every
+            # class is balanced here, so g1's vertices alone give the
+            # pieces and half their sizes.
+            prev, level = (lvl.ranks[0] for lvl in table.levels[-2:])
+            parent = dict(zip(level, prev))
+            largest = {}
+            for q, size in Counter(level).items():
+                largest[parent[q]] = max(largest.get(parent[q], (0, 0)), (size, q))
+            if 2 * sum(size for size, _ in largest.values()) >= g1.vertex_count:
+                return _hand_over(table, max_level, {p: q for p, (_, q) in largest.items()})
+        _append_level(table)
+    return table
+
+
+def _hand_over(table: LabelTable, max_level: int, kept: dict[int, int]) -> LabelTable:
+    """Worklist rounds from the deepest level of a canonical table, whose
+    last round kept each previous rank p's vertices of new rank kept[p]."""
+    g1, g2 = table.graphs
+    n1 = g1.vertex_count
+    adjacency = _joint_adjacency(g1, g2)
+    prev, level = (lvl.ranks[0] + lvl.ranks[1] for lvl in table.levels[-2:])
+    color = list(level)
+    members = [set() for _ in table.levels[-1].defs]
+    for v, c in enumerate(color):
+        members[c].add(v)
+    touched = {w for v, (p, q) in enumerate(zip(prev, level)) if kept[p] != q
+               for w in adjacency[v]}
+    found, stable, rounds = _refine_classes(
+        adjacency, n1, color, members, touched, table.max_recorded_level,
+        max_level, True, None,
+    )
+    if found is None:
+        table.stabilization_level = stable
+        return table
+    # Replay the moved pieces onto the hand-over ids. All of a class share
+    # one label over the previous canonical ranks, so one representative
+    # per class gives every label of the level.
+    color, ranks, next_id = list(level), level, len(table.levels[-1].defs)
+    for moved in rounds:
+        for piece in moved:
+            for v in piece:
+                color[v] = next_id
+            next_id += 1
+        sig_of = {c: tuple(sorted([ranks[w] for w in adjacency[v]], reverse=True))
+                  for c, v in dict(zip(color, range(len(color)))).items()}
+        defs, rank_of = _intern(sig_of.values())
+        rank_of_class = {c: rank_of[sig] for c, sig in sig_of.items()}
+        ranks = tuple(map(rank_of_class.__getitem__, color))
+        table.levels.append(LevelLabels(defs=defs, ranks=(ranks[:n1], ranks[n1:])))
+    table.distinguishing_level = found
+    return table

@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from wlhom import Graph, TreeArena, cycle_graph, disjoint_union, path_graph, star_graph
+from wlhom import Graph, TreeArena, path_graph
 from wlhom import synth
 from wlhom.wl import LabelTable, LevelLabels
 
@@ -17,6 +17,33 @@ PROPERTY_SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+def degree(g: Graph, u: int) -> int:
+    if not 0 <= u < g.vertex_count:
+        raise IndexError(f"vertex index {u} out of range [0, {g.vertex_count})")
+    return len(g.adjacency[u])
+
+
+def isolated_vertices(g: Graph) -> frozenset[int]:
+    return frozenset(v for v in range(g.vertex_count) if not g.adjacency[v])
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def star_graph(leaves: int) -> Graph:
+    """Center is vertex 0 with the given number of leaves."""
+    return Graph(leaves + 1, [(0, i + 1) for i in range(leaves)])
+
+
+def disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    shift = g1.vertex_count
+    edges = list(g1.edges) + [(u + shift, v + shift) for u, v in g2.edges]
+    return Graph(g1.vertex_count + g2.vertex_count, edges)
+
 
 K2 = path_graph(2)
 C3 = cycle_graph(3)
@@ -47,7 +74,7 @@ def force_labels(monkeypatch, defs, ranks) -> None:
             distinguishing_level=len(defs),
         )
 
-    monkeypatch.setattr(synth, "joint_refine", fake_refine)
+    monkeypatch.setattr(synth, "refine_to_difference", fake_refine)
 
 
 @functools.cache

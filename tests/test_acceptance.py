@@ -27,7 +27,6 @@ from wlhom import (
     joint_refine,
     permute,
     rooted_hom,
-    star_graph,
     synthesize,
     verify,
 )
@@ -48,6 +47,7 @@ from .conftest import (
     force_labels,
     rooted_tree_shapes,
     shape_depth,
+    star_graph,
 )
 
 

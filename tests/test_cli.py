@@ -8,14 +8,13 @@ import pytest
 
 from wlhom import (
     certificate_to_json,
-    disjoint_union,
     path_graph,
     serialize_graph,
     synthesize,
 )
 from wlhom.cli import main
 
-from .conftest import C6, K13, P4, TA, TB, TWO_C3
+from .conftest import C6, K13, P4, TA, TB, TWO_C3, disjoint_union
 
 
 @pytest.fixture

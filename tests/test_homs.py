@@ -13,7 +13,6 @@ from wlhom import (
     LabelTable,
     TreeArena,
     brute_force_hom,
-    cycle_graph,
     empty_graph,
     expand_tree,
     hom_by_label,
@@ -21,7 +20,6 @@ from wlhom import (
     joint_refine,
     path_graph,
     rooted_hom,
-    star_graph,
 )
 from wlhom.wl import LevelLabels
 
@@ -31,11 +29,14 @@ from .conftest import (
     P4,
     PROPERTY_SETTINGS,
     build_shape,
+    cycle_graph,
+    degree,
     enumerate_graphs,
     graphs,
     rooted_tree_shapes,
     shape_depth,
     shape_size,
+    star_graph,
     tree_shapes,
 )
 
@@ -65,7 +66,7 @@ class TestRootedHom:
     def test_star_closed_form(self, g, n):
         arena = TreeArena()
         vec = rooted_hom(arena, star(arena, n), g)
-        assert vec == tuple(g.degree(v) ** n for v in range(g.vertex_count))
+        assert vec == tuple(degree(g, v) ** n for v in range(g.vertex_count))
 
 
 class TestHomCount:

@@ -22,8 +22,6 @@ from wlhom import (
     base_family,
     certificate_from_json,
     certificate_to_json,
-    cycle_graph,
-    disjoint_union,
     distinguishing_level,
     empty_graph,
     hom_by_label,
@@ -36,7 +34,6 @@ from wlhom import (
     rooted_hom,
     serialize_graph,
     serialize_tree,
-    star_graph,
     synthesize,
     verify,
 )
@@ -54,8 +51,12 @@ from .conftest import (
     TA,
     TB,
     TWO_C3,
+    cycle_graph,
+    disjoint_union,
     force_labels,
     graphs,
+    isolated_vertices,
+    star_graph,
 )
 
 
@@ -79,7 +80,7 @@ class TestBaseFamily:
 def _nonisolated_ranks(table, level):
     out = set()
     for which in (0, 1):
-        isolated = table.graphs[which].isolated_vertices()
+        isolated = isolated_vertices(table.graphs[which])
         ranks = table.ranks_at(which, level)
         out |= {ranks[v] for v in range(len(ranks)) if v not in isolated}
     return sorted(out)

@@ -14,17 +14,18 @@ from hypothesis import strategies as st
 from wlhom import (
     Certificate,
     Graph,
-    disjoint_union,
+    InconclusiveError,
     distinguishing_level,
     joint_refine,
     empty_graph,
     path_graph,
     permute,
     refine_verdict,
-    star_graph,
+    synthesize,
     verify,
 )
-from wlhom.wl import LabelDef
+from wlhom import wl
+from wlhom.wl import LabelDef, refine_to_difference
 
 from .conftest import (
     C6,
@@ -34,8 +35,11 @@ from .conftest import (
     TA,
     TB,
     TWO_C3,
+    degree,
+    disjoint_union,
     graphs,
     label_defs,
+    star_graph,
 )
 
 
@@ -153,7 +157,7 @@ class TestJointRefine:
         table = joint_refine(K13, P4)
         for which, g in ((0, K13), (1, P4)):
             ranks = table.ranks_at(which, 1)
-            degs = [g.degree(v) for v in range(g.vertex_count)]
+            degs = [degree(g, v) for v in range(g.vertex_count)]
             # same rank iff same degree, and rank order = degree order
             for u in range(g.vertex_count):
                 for v in range(g.vertex_count):
@@ -386,6 +390,17 @@ def _agrees_with_oracle(g1, g2, max_levels=(None, 0, 1, 2, 3)):
             assert refine_verdict(g1, g2, max_level, stop) == _oracle(
                 g1, g2, max_level, stop
             ), (stop, max_level)
+    # synthesize's entry: refine_verdict's verdict, and on a distinguished
+    # pair the canonical levels of the early-stopping table.
+    for max_level in max_levels:
+        table = refine_to_difference(g1, g2, max_level)
+        verdict = table.distinguishing_level, table.stabilization_level
+        assert verdict == refine_verdict(g1, g2, max_level, True), max_level
+        levels = joint_refine(g1, g2, max_level, stop_at_difference=True).levels
+        if table.distinguished:
+            assert table.levels == levels, max_level
+        else:
+            assert table.levels == levels[: len(table.levels)], max_level
 
 
 def _shuffled(g, seed):
@@ -401,7 +416,7 @@ def _caterpillar(spine, pendant):
 
 
 class TestRefineVerdict:
-    """The partition-only verdict against distinguishing_level as oracle."""
+    """The partition-only verdicts against distinguishing_level as oracle."""
 
     @PROPERTY_SETTINGS
     @given(graphs(max_vertices=8), st.data())
@@ -462,3 +477,55 @@ class TestRefineVerdict:
         assert refine_verdict(g, h) == (None, 999)
         assert verify(Certificate(mode="equivalent"), g, h)
         assert time.perf_counter() - start < 2.0
+
+
+@pytest.fixture
+def canonical_rounds(monkeypatch):
+    """Calls of wl._next_level, one per canonical round, from here on."""
+    calls = []
+    next_level = wl._next_level
+
+    def counted(*args):
+        calls.append(args)
+        return next_level(*args)
+
+    monkeypatch.setattr(wl, "_next_level", counted)
+    return calls
+
+
+class TestRefineToDifference:
+    """Canonical rounds while they are dense, then the worklist."""
+
+    @pytest.mark.parametrize("level", range(5, 12))
+    def test_caterpillar_relabels_after_hand_over(self, level, canonical_rounds):
+        p = 2 * level - 3
+        spine = 2 * p + 4 + level % 4
+        g1 = _shuffled(_caterpillar(spine, p), level)
+        g2 = _shuffled(_caterpillar(spine, p + 1), -level)
+        table = refine_to_difference(g1, g2)
+        # Round 1 moves only the leaves and the branch vertices, so levels
+        # 2..level come from the worklist and one representative per class.
+        assert len(canonical_rounds) == 1
+        assert table.distinguishing_level == level
+        assert table.levels == joint_refine(g1, g2, stop_at_difference=True).levels
+
+    def test_negative_max_level(self):
+        with pytest.raises(ValueError):
+            refine_to_difference(K13, P4, max_level=-1)
+
+    def test_capped_synthesize_after_hand_over(self, canonical_rounds):
+        g = path_graph(40)
+        with pytest.raises(InconclusiveError):
+            synthesize(g, _shuffled(g, 40), max_level=5)
+        assert len(canonical_rounds) == 1
+
+    def test_long_path_vs_permuted_copy_synthesizes_in_few_rounds(
+        self, canonical_rounds
+    ):
+        # Canonical rounds to stabilization would make about 1000 calls.
+        g = path_graph(2000)
+        h = _shuffled(g, 2000)
+        cert = synthesize(g, h)
+        assert len(canonical_rounds) <= 2
+        assert cert == Certificate(mode="equivalent")
+        assert verify(cert, g, h)
