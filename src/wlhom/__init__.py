@@ -27,7 +27,6 @@ from .synth import (
     Certificate,
     CertificateError,
     InconclusiveError,
-    LiftCeilingError,
     SynthesisInvariantError,
     base_family,
     certificate_from_json,
@@ -61,7 +60,6 @@ __all__ = [
     "InconclusiveError",
     "LabelConsistencyError",
     "LabelTable",
-    "LiftCeilingError",
     "SynthesisInvariantError",
     "TreeArena",
     "TreeFormatError",

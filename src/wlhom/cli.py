@@ -3,7 +3,9 @@
 Exit codes follow one contract everywhere: 0 for a positive verdict
 (distinguished, verified, or plain output produced), 1 for a negative
 verdict (equivalent, verification failed), 2 for usage, parse, or limit
-errors. Output is byte-deterministic for fixed inputs and flags.
+errors, and for a failed internal check of synthesize
+(SynthesisInvariantError), which writes no output. Output is
+byte-deterministic for fixed inputs and flags.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from pathlib import Path
 
 from .graphs import empty_graph, parse_graph, serialize_graph, Graph
 from .homs import rooted_hom
-from .synth import certificate_from_json, certificate_to_json, synthesize, verify
+from .synth import (SynthesisInvariantError, certificate_from_json,
+                    certificate_to_json, synthesize, verify)
 from .trees import expand_tree, parse_tree
 from .wl import joint_refine, refine_verdict
 
@@ -179,7 +182,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SynthesisInvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,14 +14,23 @@ argument behind the label test / homomorphism-count correspondence:
   root H_m above the m-copy tree has rooted count at v equal to the
   neighbor sum of those counts, which depends only on v's level-(j+1)
   label: h(H_m, rank) = sum over (r, k) in defs[rank] of k * s_j[r]^m.
-  Search m = 1, 2, ... on these sums until they strictly increase over the
-  non-isolated level-(j+1) ranks; sums at distinct ranks separate at
-  exponentially different rates, so some m works. Its sums are s_(j+1).
+  Search m = 1, 2, ... on these sums until they are pairwise distinct over
+  the non-isolated level-(j+1) ranks; its sums are s_(j+1). Distinct values
+  are all the final step needs (the linear-algebra view of Dell, Grohe and
+  Rattan, "Lovasz meets Weisfeiler and Leman", ICALP 2018); no order is
+  sought. The defs name only non-isolated level-j ranks, whose s_j are
+  distinct and positive, so two ranks r, r' differ by a nonzero exponential
+  sum in m of at most |defs[r]| + |defs[r']| terms, which by the generalized
+  Descartes rule of signs (Polya-Szego, Problems and Theorems in Analysis
+  II, Part V) has fewer real zeros than terms. Summed over the pairs of a
+  rank set S, some m <= 1 + (|S| - 1) * sum over r in S of |defs[r]| works.
 
   final: with distinct positive bases s_k[r], the difference of the two
   histogram-weighted sums is sum_r delta(r) * s_k[r]^n. If it vanished for
   n = 1..|S_k| the Vandermonde system would force every delta(r) to zero,
-  so the least separating n is found within |S_k| steps.
+  so the least separating n is found within |S_k| steps. Ranks with
+  delta(r) = 0 add nothing to the difference, so the certificate lists
+  only the histogram rows that differ.
 
 So the search runs on one count vector per level, indexed by rank and read
 from the level definitions alone, and the emitted tree is a chain: a leaf
@@ -34,34 +43,19 @@ ones. Any mismatch raises SynthesisInvariantError, so nothing is emitted.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import pairwise
 
 from .graphs import Graph
 from .homs import hom_count, rooted_hom
 from .trees import TreeArena, parse_tree, serialize_tree
 from .wl import LabelTable, refine_to_difference, refine_verdict
 
-DEFAULT_LIFT_CEILING = 10_000
-
 MODES = ("tree", "single-node", "equivalent")
 
 
 class SynthesisInvariantError(RuntimeError):
     """An identity the construction relies on failed; signals a bug."""
-
-
-class LiftCeilingError(RuntimeError):
-    """No m up to the ceiling ordered the ranks; signals a bug."""
-
-    def __init__(self, level: int, ceiling: int):
-        self.level = level
-        self.ceiling = ceiling
-        super().__init__(
-            f"no m <= {ceiling} orders the level-{level} ranks; this should "
-            "be impossible for valid inputs"
-        )
 
 
 class CertificateError(ValueError):
@@ -72,18 +66,14 @@ class InconclusiveError(ValueError):
     """The level cap was reached before a difference or stabilization."""
 
 
-def _check_ceiling(ceiling: int) -> None:
-    if ceiling < 1:
-        raise ValueError(f"lift ceiling must be >= 1, got {ceiling}")
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Transcript of a synthesis run, sufficient for independent checking.
 
     mode "tree": level k, the m chosen at each lift (levels 2..k), the
     final n, the tree itself (tree file format), both counts, and the
-    level-k histograms the inequality was read off from. mode
+    level-k histogram rows the inequality was read off from: the
+    non-isolated ranks whose two counts differ, as (rank, g1, g2). mode
     "single-node": a lone leaf whose counts are the vertex counts. mode
     "equivalent": no further fields.
     """
@@ -215,54 +205,48 @@ def base_family(arena: TreeArena, n: int) -> int:
     return arena.attach([(leaf, n)])
 
 
-def _first_descent(values: Iterable[int]) -> int | None:
-    """Index of the first adjacent pair not strictly increasing, or None."""
-    return next((i for i, (a, b) in enumerate(pairwise(values)) if a >= b), None)
-
-
 def lift(
     labels: LabelTable,
     level: int,
     base: Sequence[int],
     S: list[int],
-    ceiling: int = DEFAULT_LIFT_CEILING,
 ) -> tuple[int, tuple[int, ...]]:
-    """Least m >= 1 ordering S, with the level-`level` counts it gives.
+    """Least m >= 1 making the counts over S distinct, with the counts.
 
     `base` holds a count per level-(level-1) rank, S lists non-isolated
     level-`level` ranks, and the count at rank r is the sum over (r', k) in
     defs_level[r] of k * base[r'] ** m: the rooted count of one root over m
     copies of a tree whose level-(level-1) counts are `base`. Returns m and
     that sum at every rank of the level. The search keeps one power vector
-    base ** m: it first re-checks the pair of adjacent ranks that failed at
-    m - 1, and only a candidate passing it gets the full ascending scan,
-    which stops at the first pair out of order.
+    base ** m. By the Descartes bound in the module docstring some m up to
+    1 + (|S| - 1) * sum over r in S of |defs_level[r]| works when `base`
+    is distinct and positive on the ranks the defs refer to; past it,
+    SynthesisInvariantError.
     """
     if not S:
         raise ValueError("rank set must be nonempty")
-    _check_ceiling(ceiling)
-    order = sorted(S)
     defs = labels.defs_at(level)
+    bound = 1 + (len(S) - 1) * sum(len(defs[r]) for r in S)
     powers = base
 
     def value(rank: int) -> int:
         return sum(k * powers[r] for r, k in defs[rank])
 
-    values = [value(rank) for rank in order]
-    if min(values) < 1:
+    current = [value(rank) for rank in S]
+    if min(current) < 1:
         raise SynthesisInvariantError(
             f"nonpositive count at a non-isolated level-{level} rank"
         )
     # b ** m > 0 exactly when b > 0, so later values stay positive.
-    stuck = _first_descent(values)
     m = 1
-    while stuck is not None:
-        if m == ceiling:
-            raise LiftCeilingError(level, ceiling)
+    while len(set(current)) < len(S):
+        if m == bound:
+            raise SynthesisInvariantError(
+                f"no m <= {bound} makes the level-{level} counts distinct"
+            )
         m += 1
         powers = [p * b for p, b in zip(powers, base)]
-        if value(order[stuck]) < value(order[stuck + 1]):
-            stuck = _first_descent(map(value, order))
+        current = [value(rank) for rank in S]
     return m, tuple(map(value, range(len(defs))))
 
 
@@ -270,7 +254,6 @@ def synthesize(
     g1: Graph,
     g2: Graph,
     max_level: int | None = None,
-    lift_ceiling: int = DEFAULT_LIFT_CEILING,
 ) -> Certificate:
     """Distinguishing tree plus transcript, or an equivalent-mode certificate.
 
@@ -287,7 +270,6 @@ def synthesize(
     graph, with one DP each, and checked per vertex against the level-k
     counts.
     """
-    _check_ceiling(lift_ceiling)
     labels = refine_to_difference(g1, g2, max_level)
     if not labels.distinguished:
         if not labels.complete:
@@ -327,16 +309,14 @@ def synthesize(
         # Every rank is some vertex's, so the non-isolated ones are those
         # with a non-empty definition.
         s_lvl = [r for r, label in enumerate(labels.defs_at(lvl)) if label]
-        m, counts = lift(labels, lvl, counts, s_lvl, lift_ceiling)
+        m, counts = lift(labels, lvl, counts, s_lvl)
         m_per_level.append(m)
 
     s_k = sorted(set(hist1) | set(hist2))
     if not all(counts[r] >= 1 for r in s_k):
         raise SynthesisInvariantError("nonpositive base count at a non-isolated rank")
-    if not all(counts[a] < counts[b] for a, b in zip(s_k, s_k[1:])):
-        raise SynthesisInvariantError(
-            f"level-{k} base counts are not strictly increasing across ranks"
-        )
+    if len({counts[r] for r in s_k}) < len(s_k):
+        raise SynthesisInvariantError(f"level-{k} base counts are not distinct")
     for n in range(1, len(s_k) + 1):
         c1 = sum(c * counts[r] ** n for r, c in hist1.items())
         c2 = sum(c * counts[r] ** n for r, c in hist2.items())
@@ -375,7 +355,8 @@ def synthesize(
         count_g1=c1,
         count_g2=c2,
         histograms=tuple(
-            (r, hist1.get(r, 0), hist2.get(r, 0)) for r in s_k
+            (r, hist1.get(r, 0), hist2.get(r, 0))
+            for r in s_k if hist1.get(r, 0) != hist2.get(r, 0)
         ),
     )
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 import json
 import random
 from itertools import combinations
@@ -16,7 +15,6 @@ from wlhom import (
     CertificateError,
     Graph,
     InconclusiveError,
-    LiftCeilingError,
     SynthesisInvariantError,
     TreeArena,
     base_family,
@@ -39,7 +37,7 @@ from wlhom import (
 )
 from wlhom import synth as synth_module
 from wlhom.cli import main
-from wlhom.synth import DEFAULT_LIFT_CEILING
+from wlhom.wl import LabelTable, LevelLabels
 
 from .conftest import (
     C3,
@@ -120,15 +118,17 @@ def _degrees(labels):
 
 class TestLift:
     def test_k13_p4_level2(self):
-        # least m ordering all non-isolated level-2 ranks of the joint
-        # K1,3 / P4 labeling; frozen after exact computation: m = 2
+        # least m making the counts of all non-isolated level-2 ranks of the
+        # joint K1,3 / P4 labeling distinct; frozen after exact
+        # computation: m = 2
         table = joint_refine(K13, P4)
         m, counts = lift(table, 2, _degrees(table), _nonisolated_ranks(table, 2))
         assert m == 2
         assert dict(enumerate(counts)) == _chain_counts(table, 2, (2, 1))
 
     def test_single_rank_vacuous(self):
-        # one non-isolated rank at level 2: any m orders it, so m = 1
+        # one non-isolated rank at level 2: its count is trivially
+        # distinct, so m = 1
         g = disjoint_union(cycle_graph(3), empty_graph(1))
         table = joint_refine(g, g)
         s = _nonisolated_ranks(table, 2)
@@ -139,8 +139,8 @@ class TestLift:
     def test_multiplicity_only_pair_separates_at_m1(self):
         # within the T_A / T_B joint labels, the two level-2 labels whose
         # defs differ only in the multiplicity of the top level-1 rank
-        # (neighbor-degree multisets {2,1,1} vs {2,2,1}) are already
-        # ordered correctly by H_1
+        # (neighbor-degree multisets {2,1,1} vs {2,2,1}) already have
+        # distinct counts under H_1
         table = joint_refine(TA, TB)
         defs = table.defs_at(2)
         pair = [r for r in _nonisolated_ranks(table, 2)
@@ -155,11 +155,17 @@ class TestLift:
         with pytest.raises(ValueError):
             lift(table, 2, _degrees(table), [])
 
-    def test_ceiling_exceeded(self):
-        table = joint_refine(K13, P4)
-        with pytest.raises(LiftCeilingError):
-            lift(table, 2, _degrees(table), _nonisolated_ranks(table, 2),
-                 ceiling=1)
+    def test_shared_definition_stops_at_the_descartes_bound(self):
+        # ranks 0 and 1 share a definition, so their counts agree at every
+        # m; the search gives up at 1 + (|S| - 1) * sum of |defs[r]| over
+        # S = 1 + 2 * (3 + 3 + 1) = 15 candidates
+        label = ((0, 1), (1, 2), (2, 3))
+        level0 = LevelLabels(defs=((),), ranks=((0, 0), (0, 0)))
+        level2 = LevelLabels(defs=(label, label, ((0, 5),)),
+                             ranks=((0, 1), (0, 2)))
+        table = LabelTable(graphs=(K2, K2), levels=[level0, level0, level2])
+        with pytest.raises(SynthesisInvariantError, match="^no m <= 15 "):
+            lift(table, 2, [1, 2, 3], [0, 1, 2])
 
     def test_isolated_rank_trips_invariant(self):
         g = disjoint_union(cycle_graph(3), empty_graph(1))
@@ -180,9 +186,9 @@ def _reference_lift(labels, level, S, lower):
         by_rank = _chain_counts(labels, level, (*lower, m, 1))
         values = [by_rank[rank] for rank in S]
         assert min(values) >= 1
-        if all(a < b for a, b in zip(values, values[1:])):
+        if len(set(values)) == len(values):
             return m, by_rank
-    raise AssertionError("no m <= 10000 orders the ranks")
+    raise AssertionError("no m <= 10000 makes the counts distinct")
 
 
 @st.composite
@@ -237,10 +243,11 @@ class TestLiftSearch:
             lower += (m,)
 
     def test_rejected_candidates_build_nothing(self, monkeypatch):
-        # A wheel over the cube has an apex with eight neighbors of degree 4;
-        # a K1,5 leaf has one neighbor of degree 5. Ordering these two
-        # level-2 ranks needs 5^m > 8 * 4^m, so m = 10; T_A / T_B make the
-        # pair first differ at level 2. Frozen after exact computation.
+        # A wheel over the cube and a K1,5 beside T_A / T_B, which make the
+        # pair first differ at level 2. Two level-2 counts still collide at
+        # m = 2: the K1,5 center's 5 * 1^2 equals 2^2 + 1^2 at a vertex
+        # with neighbors of degrees 2 and 1, so two candidates are rejected
+        # and m = 3. Frozen after exact computation.
         cube = [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit]
         wheel = Graph(9, cube + [(u, 8) for u in range(8)])
         g1, g2 = (disjoint_union(disjoint_union(wheel, star_graph(5)), t)
@@ -258,7 +265,7 @@ class TestLiftSearch:
 
         monkeypatch.setattr(synth_module, "TreeArena", CountingArena)
         cert = synthesize(g1, g2)
-        assert cert.m_per_level == (10,)
+        assert cert.m_per_level == (3,)
         assert len(arenas) == 1
         arena, root = cert.tree()
         bound = len(arena.reachable(root)) + 4 * len(cert.m_per_level)
@@ -563,34 +570,11 @@ class TestVerify:
 
 
 class TestInvariantMachinery:
-    def test_lift_ceiling_resolution(self):
-        for fn, name in ((synthesize, "lift_ceiling"), (lift, "ceiling")):
-            default = inspect.signature(fn).parameters[name].default
-            assert default == DEFAULT_LIFT_CEILING == 10_000
-        with pytest.raises(ValueError):
-            synthesize(TA, TB, lift_ceiling=0)
-        with pytest.raises(ValueError):
-            # checked before refinement, also on pairs that need no lift
-            synthesize(empty_graph(1), path_graph(2), lift_ceiling=0)
-        table = joint_refine(K13, P4)
-        with pytest.raises(ValueError):
-            lift(table, 2, _degrees(table), _nonisolated_ranks(table, 2),
-                 ceiling=0)
-
-    def test_ceiling_keyword_reaches_lift(self):
-        with pytest.raises(LiftCeilingError):
-            synthesize(TA, TB, lift_ceiling=1)
-        assert synthesize(TA, TB, lift_ceiling=10).mode == "tree"
-
-    # WLHOM_LIFT_CEILING is no longer read; the two tests below check that
-    # a stale setting reaches lift neither alone nor past an explicit ceiling
+    # WLHOM_LIFT_CEILING is no longer read; a stale setting must not
+    # reach lift
     def test_env_ceiling_reaches_lift(self, monkeypatch):
         monkeypatch.setenv("WLHOM_LIFT_CEILING", "1")
         assert synthesize(TA, TB).mode == "tree"
-
-    def test_explicit_ceiling_beats_env(self, monkeypatch):
-        monkeypatch.setenv("WLHOM_LIFT_CEILING", "1")
-        assert synthesize(TA, TB, lift_ceiling=10).mode == "tree"
 
 
 class TestQuotient:
@@ -643,8 +627,8 @@ class TestQuotient:
         (((((0, 1),), ((0, 2),), ((0, 4),)),),
          (((0, 1, 1, 0), (2, 0, 0, 0)),)),
         # Level 2, first differing there: the top rank, T_B's vertex 2,
-        # claims two neighbors of degree 2 where it has one. It stays the
-        # top label, so the lift still orders the ranks.
+        # claims two neighbors of degree 2 where it has one. Its count stays
+        # apart from the other ranks', so the lift still succeeds.
         (((((0, 1),), ((0, 2),), ((0, 3),)),
           (((1, 1),), ((1, 1), (0, 1)), ((1, 1), (0, 2)), ((1, 2), (0, 1)),
            ((2, 1),), ((2, 1), (0, 1)), ((2, 1), (1, 2)))),
@@ -658,7 +642,8 @@ class TestQuotient:
         # totals are right and only the per-vertex check sees it.
         (((((0, 1),), ((0, 2),), ((0, 3),)),), (((0, 0), (0, 1, 2)),)),
     ])
-    def test_end_of_run_check_is_live(self, monkeypatch, tmp_path, defs, ranks):
+    def test_end_of_run_check_is_live(self, monkeypatch, tmp_path, capsys,
+                                      defs, ranks):
         g1, g2 = {2: (K2, C3), 4: (P4, K13)}.get(len(ranks[0][0]), (TA, TB))
         force_labels(monkeypatch, defs, ranks)
         with pytest.raises(SynthesisInvariantError):
@@ -666,6 +651,6 @@ class TestQuotient:
         a, b, out = tmp_path / "a", tmp_path / "b", tmp_path / "cert.json"
         a.write_text(serialize_graph(g1), encoding="utf-8")
         b.write_text(serialize_graph(g2), encoding="utf-8")
-        with pytest.raises(SynthesisInvariantError):
-            main(["synthesize", str(a), str(b), "--out", str(out)])
+        assert main(["synthesize", str(a), str(b), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
