@@ -28,7 +28,6 @@ from .synth import (
     CertificateError,
     InconclusiveError,
     SynthesisInvariantError,
-    base_family,
     certificate_from_json,
     certificate_to_json,
     lift,
@@ -63,7 +62,6 @@ __all__ = [
     "SynthesisInvariantError",
     "TreeArena",
     "TreeFormatError",
-    "base_family",
     "brute_force_hom",
     "certificate_from_json",
     "certificate_to_json",

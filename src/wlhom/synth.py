@@ -43,8 +43,8 @@ ones. Any mismatch raises SynthesisInvariantError, so nothing is emitted.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .graphs import Graph
 from .homs import hom_count, rooted_hom
@@ -66,26 +66,24 @@ class InconclusiveError(ValueError):
     """The level cap was reached before a difference or stabilization."""
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Transcript of a synthesis run, sufficient for independent checking.
+class Certificate(namedtuple(
+    "Certificate",
+    "mode level m_per_level n_final tree_text count_g1 count_g2 histograms",
+    defaults=(None,) * 7,
+)):
+    """Transcript of a synthesis run, sufficient for independent checking;
+    an immutable value record whose fields other than mode default to None.
 
-    mode "tree": level k, the m chosen at each lift (levels 2..k), the
-    final n, the tree itself (tree file format), both counts, and the
+    mode "tree": level k, the m chosen at each lift (levels 2..k, a tuple),
+    the final n, the tree itself (tree file format), both counts, and the
     level-k histogram rows the inequality was read off from: the
-    non-isolated ranks whose two counts differ, as (rank, g1, g2). mode
-    "single-node": a lone leaf whose counts are the vertex counts. mode
-    "equivalent": no further fields.
+    non-isolated ranks whose two counts differ, as (rank, g1, g2) in rank
+    order. verify checks the rows for shape only; re-deriving them needs
+    refinement. mode "single-node": a lone leaf whose counts are the vertex
+    counts. mode "equivalent": no further fields.
     """
 
-    mode: str
-    level: int | None = None
-    m_per_level: tuple[int, ...] | None = None
-    n_final: int | None = None
-    tree_text: str | None = None
-    count_g1: int | None = None
-    count_g2: int | None = None
-    histograms: tuple[tuple[int, int, int], ...] | None = None
+    __slots__ = ()
 
     def tree(self) -> tuple[TreeArena, int]:
         if self.tree_text is None:
@@ -197,12 +195,14 @@ def certificate_from_json(text: str) -> Certificate:
     )
 
 
-def base_family(arena: TreeArena, n: int) -> int:
-    """Star with n children, the base of every chain: rooted counts deg(v)^n."""
-    if n < 1:
-        raise ValueError(f"family index must be >= 1, got {n}")
-    leaf = arena.leaf()
-    return arena.attach([(leaf, n)])
+def _chain(mults: Sequence[int]) -> tuple[TreeArena, int]:
+    """A leaf under roots repeating their one child mults[0], mults[1], ...
+    times: the tree of every tree-mode certificate."""
+    arena = TreeArena()
+    t = arena.leaf()
+    for mult in mults:
+        t = arena.attach([(t, mult)])
+    return arena, t
 
 
 def lift(
@@ -326,11 +326,7 @@ def synthesize(
         raise SynthesisInvariantError(
             f"no separating n within |S_k| = {len(s_k)} steps"
         )
-    mults = (*m_per_level, n)
-    arena = TreeArena()
-    t = base_family(arena, mults[0])
-    for mult in mults[1:]:
-        t = arena.attach([(t, mult)])
+    arena, t = _chain((*m_per_level, n))
     # The tree's count at a vertex is fixed by its level-k label, so each
     # vertex must carry the count of its rank, in either graph.
     expected = [c ** n for c in counts]
@@ -367,8 +363,10 @@ def verify(cert: Certificate, g1: Graph, g2: Graph) -> bool:
     Recomputes from scratch: equivalent mode re-runs the level comparison
     on the joint partition alone (refine_verdict);
     single-node mode checks the counts are the vertex counts and differ;
-    tree mode recounts homomorphisms of the embedded tree with the graph
-    DP and requires both matches plus a strict difference.
+    tree mode requires the embedded tree to be the chain of m_per_level
+    and n_final and the histogram rows to name strictly increasing ranks
+    with differing counts, then recounts homomorphisms of the tree with the
+    graph DP and requires both matches plus a strict difference.
     """
     if cert.mode not in MODES:
         raise CertificateError(f"unknown mode {cert.mode!r}")
@@ -382,6 +380,11 @@ def verify(cert: Certificate, g1: Graph, g2: Graph) -> bool:
             and cert.count_g2 == g2.vertex_count
             and cert.count_g1 != cert.count_g2
         )
+    ranks = [r for r, _, _ in cert.histograms]
+    if (arena.extract(root) != _chain((*cert.m_per_level, cert.n_final))
+            or any(a >= b for a, b in zip(ranks, ranks[1:]))
+            or any(x == y for _, x, y in cert.histograms)):
+        return False
     c1 = hom_count(arena, root, g1)
     c2 = hom_count(arena, root, g2)
     return c1 == cert.count_g1 and c2 == cert.count_g2 and c1 != c2

@@ -53,8 +53,7 @@ level past the hand-over is computed.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import groupby
 
 from .graphs import Graph
@@ -66,31 +65,32 @@ from .graphs import Graph
 LabelDef = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class LevelLabels:
-    """Interned labels of one refinement level.
+class LevelLabels(namedtuple("LevelLabels", "defs ranks")):
+    """Interned labels of one refinement level, an immutable value record.
 
-    defs[r] is the definition of the rank-r label in terms of
+    defs[r] is the definition (a LabelDef) of the rank-r label in terms of
     previous-level ranks; ranks[i][v] is the rank of vertex v of graph i.
     defs is sorted ascending in tuple order, which is the label order of
     the module docstring, so the integer rank IS the label order.
     """
 
-    defs: tuple[LabelDef, ...]
-    ranks: tuple[tuple[int, ...], tuple[int, ...]]
+    __slots__ = ()
 
     def histogram(self, which: int) -> Counter:
         return Counter(self.ranks[which])
 
 
-@dataclass
 class LabelTable:
-    """Joint label levels for a pair of graphs, with joint_refine's verdict."""
+    """Joint label levels for a pair of graphs, with the verdict they give."""
 
-    graphs: tuple[Graph, Graph]
-    levels: list[LevelLabels] = field(default_factory=list)
-    stabilization_level: int | None = None
-    distinguishing_level: int | None = None
+    __slots__ = ("graphs", "levels", "stabilization_level", "distinguishing_level")
+
+    def __init__(self, graphs: tuple[Graph, Graph], levels=(),
+                 stabilization_level: int | None = None,
+                 distinguishing_level: int | None = None):
+        self.graphs, self.levels = graphs, list(levels)
+        self.stabilization_level = stabilization_level
+        self.distinguishing_level = distinguishing_level
 
     @property
     def max_recorded_level(self) -> int:
@@ -198,9 +198,7 @@ def _append_level(table: LabelTable) -> None:
         table.stabilization_level = table.max_recorded_level - 1
 
 
-def joint_refine(
-    g1: Graph, g2: Graph, max_level: int | None = None, stop_at_difference: bool = False
-) -> LabelTable:
+def joint_refine(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTable:
     """Refine labels on the disjoint union of g1 and g2, recording the verdict.
 
     Stops after recording level stabilization+1 (the round that first fails
@@ -208,29 +206,23 @@ def joint_refine(
     Default max_level is |V1|+|V2|, which always reaches stabilization.
     The table's distinguishing_level is the first recorded level whose
     histograms differ; None on a complete table means no level ever differs,
-    and on an incomplete one merely "none found". With stop_at_difference
-    refinement also stops at that level, leaving an incomplete table whose
-    levels are the first levels of the full one. Ranks follow the tuple
+    and on an incomplete one merely "none found". Ranks follow the tuple
     order of the label definitions, which is the label order.
     """
     table, max_level = _level_zero(g1, g2), _level_cap(g1, g2, max_level)
-    while not table.complete and table.max_recorded_level < max_level and not (
-        stop_at_difference and table.distinguished
-    ):
+    while not table.complete and table.max_recorded_level < max_level:
         _append_level(table)
     return table
 
 
-def distinguishing_level(
-    g1: Graph, g2: Graph, max_level: int | None = None, stop_at_difference: bool = False
-) -> LabelTable:
+def distinguishing_level(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTable:
     """Least level whose label histograms differ, on joint_refine's table.
 
     The same call as joint_refine; read .distinguishing_level, .distinguished
     and .stabilization_level off the table it returns. A None level after
     stabilization is conclusive: by persistence no deeper level can differ.
     """
-    return joint_refine(g1, g2, max_level, stop_at_difference)
+    return joint_refine(g1, g2, max_level)
 
 
 def _joint_adjacency(g1: Graph, g2: Graph) -> list:
@@ -309,12 +301,12 @@ def refine_verdict(
 
 
 def refine_to_difference(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTable:
-    """joint_refine(g1, g2, max_level, stop_at_difference=True)'s verdict,
-    with canonical levels computed only up to the first difference.
+    """joint_refine's table cut at its distinguishing level d, with
+    canonical levels computed only up to d.
 
-    The distinguishing and stabilization levels are joint_refine's, and so
-    are the levels of a distinguished table. Otherwise the levels stop where
-    canonical rounds handed over to the worklist, a prefix of joint_refine's.
+    A distinguished table holds joint_refine's levels 0..d and no
+    stabilization level. Otherwise the stabilization level is joint_refine's
+    and the levels stop where canonical rounds handed over to the worklist.
     """
     table, max_level = _level_zero(g1, g2), _level_cap(g1, g2, max_level)
     while not (table.complete or table.distinguished

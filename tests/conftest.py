@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from wlhom import Graph, TreeArena, path_graph
+from wlhom import Graph, TreeArena, joint_refine, path_graph
 from wlhom import synth
 from wlhom.wl import LabelTable, LevelLabels
 
@@ -55,6 +55,17 @@ TWO_C3 = disjoint_union(cycle_graph(3), cycle_graph(3))
 # extra leaf on vertex 2 (T_A) respectively vertex 3 (T_B).
 TA = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
 TB = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)])
+
+
+def early_table(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTable:
+    """joint_refine's table cut at its distinguishing level d: levels 0..d
+    and no stabilization level. The whole table when no level differs."""
+    full = joint_refine(g1, g2, max_level)
+    d = full.distinguishing_level
+    if d is None:
+        return full
+    return LabelTable(graphs=full.graphs, levels=full.levels[: d + 1],
+                      distinguishing_level=d)
 
 
 def force_labels(monkeypatch, defs, ranks) -> None:

@@ -17,7 +17,6 @@ from wlhom import (
     LabelConsistencyError,
     SynthesisInvariantError,
     TreeArena,
-    base_family,
     brute_force_hom,
     distinguishing_level,
     empty_graph,
@@ -100,7 +99,8 @@ def test_criterion_02_star_formula():
     for d in range(1, 5):
         g = star_graph(d)
         for n in range(1, 7):
-            assert rooted_hom(arena, base_family(arena, n), g)[0] == d ** n
+            star = arena.attach([(arena.leaf(), n)])
+            assert rooted_hom(arena, star, g)[0] == d ** n
 
 
 @criterion(3, "DP equals brute force on all trees <=6 nodes x graphs <=5 vertices",
@@ -238,7 +238,7 @@ def test_criterion_09_invariants():
 
     # and the public consistency guard is live too
     arena = TreeArena()
-    t = base_family(arena, 1)
+    t = arena.attach([(arena.leaf(), 1)])
     bad_ranks = LabelTable(
         graphs=(P4, empty_graph()),
         levels=[

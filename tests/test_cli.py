@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -256,6 +259,18 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: not valid JSON:")
 
+    def test_rows_inconsistent_with_the_tree_fail(self, gfile, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        a, b = gfile("a", TA), gfile("b", TB)
+        assert main(["synthesize", a, b, "--out", str(out)]) == 0
+        data = json.loads(out.read_text(encoding="utf-8"))
+        data["histograms"] = [{"rank": 99, "g1": 5, "g2": 5},
+                              {"rank": 99, "g1": 7, "g2": 0}]
+        out.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", str(out), a, b]) == 1
+        assert capsys.readouterr().out == "FAIL\n"
+
 
 class TestExpand:
     def _cert_path(self, gfile, tmp_path, g1, g2):
@@ -299,3 +314,13 @@ class TestExpand:
         assert rc == 0
         assert capsys.readouterr().out == ""
         assert out.read_text(encoding="utf-8") == "# root 0\n3 2\n0 1\n0 2\n"
+
+
+def test_import_is_lean():
+    # every command is a fresh process, so the import is on its path
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import wlhom.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -17,10 +17,8 @@ from wlhom import (
     InconclusiveError,
     SynthesisInvariantError,
     TreeArena,
-    base_family,
     certificate_from_json,
     certificate_to_json,
-    distinguishing_level,
     empty_graph,
     hom_by_label,
     hom_count,
@@ -51,6 +49,7 @@ from .conftest import (
     TWO_C3,
     cycle_graph,
     disjoint_union,
+    early_table,
     force_labels,
     graphs,
     isolated_vertices,
@@ -59,20 +58,17 @@ from .conftest import (
 
 
 class TestBaseFamily:
+    # the base of every chain: a star, one root over n leaves
     def test_n1_is_single_edge(self):
         arena = TreeArena()
-        t = base_family(arena, 1)
+        t = arena.attach([(arena.leaf(), 1)])
         assert arena.depth(t) == 1
         assert arena.explicit_size(t) == 2
 
     def test_rooted_count_is_degree_power(self):
         arena = TreeArena()
-        assert rooted_hom(arena, base_family(arena, 2), K13)[0] == 9
-        assert rooted_hom(arena, base_family(arena, 5), C6)[0] == 32
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            base_family(TreeArena(), 0)
+        assert rooted_hom(arena, arena.attach([(arena.leaf(), 2)]), K13)[0] == 9
+        assert rooted_hom(arena, arena.attach([(arena.leaf(), 5)]), C6)[0] == 32
 
 
 def _nonisolated_ranks(table, level):
@@ -215,7 +211,7 @@ def _first_nonisolated_difference(g1, g2):
     The levels run up to the least one whose non-isolated histograms
     differ; the ranks are None when no level differs.
     """
-    labels = distinguishing_level(g1, g2, stop_at_difference=True)
+    labels = early_table(g1, g2)
     ranks = {}
     for level in range(1, (labels.distinguishing_level or 0) + 1):
         hists = [{r: c for r, c in labels.histogram(which, level).items()
@@ -556,17 +552,53 @@ class TestVerify:
         assert not verify(cert, empty_graph(1), path_graph(2))
 
     def test_true_but_equal_counts_fail(self):
-        # correct counts that do not differ prove nothing
+        # correct counts that do not differ prove nothing, even beside a
+        # well-formed row
         arena = TreeArena()
-        t = base_family(arena, 1)
+        t = _chain(arena, (1,))
         g1, g2 = path_graph(3), star_graph(2)  # isomorphic
         c = hom_count(arena, t, g1)
         cert = Certificate(
             mode="tree", level=1, m_per_level=(), n_final=1,
             tree_text="T 2\nnode 0 :\nnode 1 : 0*1\nroot 1\n",
-            count_g1=c, count_g2=c, histograms=((0, 2, 2),),
+            count_g1=c, count_g2=c, histograms=((0, 1, 2),),
         )
         assert not verify(cert, g1, g2)
+
+    @pytest.mark.parametrize("mangle", [
+        # a repeated rank and an equal row
+        lambda d: d.update(histograms=[{"rank": 99, "g1": 5, "g2": 5},
+                                       {"rank": 99, "g1": 7, "g2": 0}]),
+        lambda d: d.update(histograms=[{"rank": 4, "g1": 1, "g2": 1}]),
+        lambda d: d.update(histograms=[{"rank": 4, "g1": 1, "g2": 2},
+                                       {"rank": 3, "g1": 0, "g2": 1}]),
+        lambda d: d.update(n_final=d["n_final"] + 1),
+        lambda d: d.update(m_per_level=[d["m_per_level"][0] + 1]),
+    ])
+    def test_fields_inconsistent_with_the_tree_fail(self, mangle):
+        # the tree and both counts are still the true ones
+        data = json.loads(certificate_to_json(synthesize(TA, TB)))
+        mangle(data)
+        assert not verify(certificate_from_json(json.dumps(data)), TA, TB)
+
+
+class TestRecords:
+    def test_fields_are_read_only(self):
+        level = joint_refine(K13, P4).levels[1]
+        with pytest.raises(AttributeError):
+            level.defs = ()
+        cert = synthesize(TA, TB)
+        with pytest.raises(AttributeError):
+            cert.n_final = 3
+        with pytest.raises(AttributeError):
+            cert.extra = 1
+
+    def test_certificate_is_a_hashable_value(self):
+        cert = synthesize(TA, TB)
+        again = certificate_from_json(certificate_to_json(cert))
+        assert again == cert
+        assert {cert, again} == {cert}
+        assert Certificate(mode="equivalent") != cert
 
 
 class TestInvariantMachinery:

@@ -37,6 +37,7 @@ from .conftest import (
     TWO_C3,
     degree,
     disjoint_union,
+    early_table,
     graphs,
     label_defs,
     star_graph,
@@ -356,14 +357,12 @@ class TestEarlyExit:
         else:
             g2 = data.draw(graphs(max_vertices=8))
         full = distinguishing_level(g1, g2)
-        early = distinguishing_level(g1, g2, stop_at_difference=True)
+        early = refine_to_difference(g1, g2)
         assert early.distinguishing_level == full.distinguishing_level
         levels = early.levels
         assert levels == full.levels[: len(levels)]
         if early.distinguished:
-            assert len(levels) == early.distinguishing_level + 1
-        else:
-            assert levels == full.levels
+            assert levels == full.levels[: early.distinguishing_level + 1]
         for lvl in full.levels:
             assert list(lvl.defs) == sorted(
                 set(lvl.defs), key=functools.cmp_to_key(compare_labels)
@@ -373,14 +372,17 @@ class TestEarlyExit:
         # the full run takes 300 rounds to stabilize (see test_cli)
         g1 = path_graph(600)
         g2 = disjoint_union(path_graph(300), path_graph(300))
-        early = distinguishing_level(g1, g2, stop_at_difference=True)
+        early = refine_to_difference(g1, g2)
         assert early.distinguishing_level == 1
         assert len(early.levels) <= 2
         assert early.stabilization_level is None
 
 
 def _oracle(g1, g2, max_level, stop_at_difference):
-    comp = distinguishing_level(g1, g2, max_level, stop_at_difference)
+    comp = distinguishing_level(g1, g2, max_level)
+    # stopping at the first difference leaves the stabilization unknown
+    if stop_at_difference and comp.distinguished:
+        return comp.distinguishing_level, None
     return comp.distinguishing_level, comp.stabilization_level
 
 
@@ -396,7 +398,7 @@ def _agrees_with_oracle(g1, g2, max_levels=(None, 0, 1, 2, 3)):
         table = refine_to_difference(g1, g2, max_level)
         verdict = table.distinguishing_level, table.stabilization_level
         assert verdict == refine_verdict(g1, g2, max_level, True), max_level
-        levels = joint_refine(g1, g2, max_level, stop_at_difference=True).levels
+        levels = early_table(g1, g2, max_level).levels
         if table.distinguished:
             assert table.levels == levels, max_level
         else:
@@ -507,7 +509,7 @@ class TestRefineToDifference:
         # 2..level come from the worklist and one representative per class.
         assert len(canonical_rounds) == 1
         assert table.distinguishing_level == level
-        assert table.levels == joint_refine(g1, g2, stop_at_difference=True).levels
+        assert table.levels == early_table(g1, g2).levels
 
     def test_negative_max_level(self):
         with pytest.raises(ValueError):
