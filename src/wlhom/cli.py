@@ -11,14 +11,13 @@ byte-deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .graphs import empty_graph, parse_graph, serialize_graph, Graph
 from .homs import rooted_hom
 from .synth import (SynthesisInvariantError, certificate_from_json,
-                    certificate_to_json, synthesize, verify)
+                    certificate_to_json, json_text, synthesize, verify)
 from .trees import expand_tree, parse_tree
 from .wl import joint_refine, refine_verdict
 
@@ -95,10 +94,6 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _cmd_compare(args) -> int:
     g1 = parse_graph(_read(args.g1))
     g2 = parse_graph(_read(args.g2))
@@ -106,7 +101,7 @@ def _cmd_compare(args) -> int:
         g1, g2, args.max_level, stop_at_difference=not args.json
     )
     if args.json:
-        _emit(args, _json_text({
+        _emit(args, json_text({
             "distinguished": level is not None,
             "level": level,
             "stabilization": stable,
@@ -126,7 +121,7 @@ def _cmd_labels(args) -> int:
     level = args.max_level if args.max_level is not None else table.max_recorded_level
     ranks = table.ranks_at(0, level)
     if args.json:
-        _emit(args, _json_text({"level": level, "ranks": list(ranks)}))
+        _emit(args, json_text({"level": level, "ranks": list(ranks)}))
     else:
         lines = [f"# level {level}"]
         lines.extend(f"{v} {rank}" for v, rank in enumerate(ranks))
@@ -140,7 +135,7 @@ def _cmd_hom_count(args) -> int:
     vector = rooted_hom(arena, root, g)
     count = sum(vector)
     if args.json:
-        _emit(args, _json_text({
+        _emit(args, json_text({
             "count": str(count),
             "rooted": [str(x) for x in vector],
         }))
@@ -167,11 +162,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    cert = certificate_from_json(_read(args.cert))
-    if cert.tree_text is None:
-        print("error: equivalent-mode certificate carries no tree", file=sys.stderr)
-        return 2
-    arena, root = cert.tree()
+    arena, root = certificate_from_json(_read(args.cert)).tree()
     count, edges = expand_tree(arena, root, args.max_nodes)
     _emit(args, serialize_graph(Graph(count, edges), comments=("root 0",)))
     return 0

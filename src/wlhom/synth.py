@@ -5,6 +5,9 @@ explicit tree with provably different homomorphism counts into the two
 graphs. The construction is a finite-search version of the inductive
 argument behind the label test / homomorphism-count correspondence:
 
+  level 0: a lone leaf, the empty chain. Its count in a graph is the
+  vertex count, and level 0 differs exactly when the vertex counts do.
+
   level 1: stars. The rooted count of an n-leaf star at v is deg(v)^n, so
   for every n the count is strictly increasing across level-1 ranks. The
   count vector s_1 holds each level-1 rank's degree.
@@ -78,17 +81,24 @@ class Certificate(namedtuple(
     the final n, the tree itself (tree file format), both counts, and the
     level-k histogram rows the inequality was read off from: the
     non-isolated ranks whose two counts differ, as (rank, g1, g2) in rank
-    order. verify checks the rows for shape only; re-deriving them needs
-    refinement. mode "single-node": a lone leaf whose counts are the vertex
-    counts. mode "equivalent": no further fields.
+    order. mode "single-node": level 0, the empty chain (a lone leaf) and
+    the two vertex counts, with no rows. verify checks both the same way:
+    the tree must be the claimed chain, the rows well formed (checked for
+    shape only; re-deriving them needs refinement), and the counts the
+    tree's and different. mode "equivalent": no further fields.
     """
 
     __slots__ = ()
 
     def tree(self) -> tuple[TreeArena, int]:
         if self.tree_text is None:
-            raise ValueError(f"mode {self.mode} certificate carries no tree")
+            raise ValueError(f"{self.mode}-mode certificate carries no tree")
         return parse_tree(self.tree_text)
+
+
+def json_text(payload) -> str:
+    """The canonical JSON text of every JSON output."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def certificate_to_json(cert: Certificate) -> str:
@@ -105,7 +115,7 @@ def certificate_to_json(cert: Certificate) -> str:
         payload["histograms"] = [
             {"rank": r, "g1": c1, "g2": c2} for r, c1, c2 in cert.histograms
         ]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -197,7 +207,7 @@ def certificate_from_json(text: str) -> Certificate:
 
 def _chain(mults: Sequence[int]) -> tuple[TreeArena, int]:
     """A leaf under roots repeating their one child mults[0], mults[1], ...
-    times: the tree of every tree-mode certificate."""
+    times: the tree of every certificate, the empty chain at level 0."""
     arena = TreeArena()
     t = arena.leaf()
     for mult in mults:
@@ -263,12 +273,10 @@ def synthesize(
     worklist, so an equivalent pair costs about what refine_verdict does.
     Only the non-isolated level-k histograms are read. If no level differs
     up to stabilization, the graphs are equivalent; reaching max_level
-    first raises InconclusiveError. If the level-k histograms agree over
-    non-isolated vertices, the difference lies in isolated vertices alone,
-    the vertex counts must differ and a lone leaf distinguishes. Otherwise
-    the construction runs at level k. The emitted tree is counted once per
-    graph, with one DP each, and checked per vertex against the level-k
-    counts.
+    first raises InconclusiveError. At k = 0 the vertex counts differ and
+    the empty chain, a lone leaf, distinguishes. Otherwise the construction
+    runs at level k. The emitted tree is counted once per graph, with one
+    DP each, and checked per vertex against the level-k counts.
     """
     labels = refine_to_difference(g1, g2, max_level)
     if not labels.distinguished:
@@ -276,31 +284,22 @@ def synthesize(
             raise InconclusiveError(f"inconclusive: no verdict by level {max_level}")
         return Certificate(mode="equivalent")
     k = labels.distinguishing_level
+    if k == 0:
+        return Certificate(
+            mode="single-node",
+            level=0,
+            tree_text=serialize_tree(*_chain(())),
+            count_g1=g1.vertex_count,
+            count_g2=g2.vertex_count,
+        )
     # Histograms over non-isolated vertices: at levels >= 1 a vertex is
-    # isolated exactly when its label is the empty multiset, and at level 0
-    # every label is empty. Below k the full histograms agree, so these
-    # can first differ only at k.
+    # isolated exactly when its label is the empty multiset. The vertex
+    # counts agree, and so do the isolated ones at every level >= 1, so
+    # these differ at k; refinement that breaks this fails the n-search.
     hist1, hist2 = (
         {r: c for r, c in labels.histogram(which, k).items() if labels.defs_at(k)[r]}
         for which in (0, 1)
     )
-    if hist1 == hist2:
-        # Difference is confined to isolated vertices (or is the level-0
-        # size mismatch itself), so the totals cannot agree.
-        if g1.vertex_count == g2.vertex_count:
-            raise SynthesisInvariantError(
-                "equal vertex counts with equal non-isolated histograms at "
-                f"distinguishing level {k}"
-            )
-        arena = TreeArena()
-        root = arena.leaf()
-        return Certificate(
-            mode="single-node",
-            level=0,
-            tree_text=serialize_tree(arena, root),
-            count_g1=g1.vertex_count,
-            count_g2=g2.vertex_count,
-        )
 
     # s_1: a one-leaf star counts neighbors, the degree each rank defines.
     counts = [sum(mult for _, mult in label) for label in labels.defs_at(1)]
@@ -361,29 +360,25 @@ def verify(cert: Certificate, g1: Graph, g2: Graph) -> bool:
     """Independently re-check a certificate against the two graphs.
 
     Recomputes from scratch: equivalent mode re-runs the level comparison
-    on the joint partition alone (refine_verdict);
-    single-node mode checks the counts are the vertex counts and differ;
-    tree mode requires the embedded tree to be the chain of m_per_level
-    and n_final and the histogram rows to name strictly increasing ranks
-    with differing counts, then recounts homomorphisms of the tree with the
-    graph DP and requires both matches plus a strict difference.
+    on the joint partition alone (refine_verdict). Every tree claim, the
+    single-node one being the empty chain with no rows, has one check: the
+    embedded tree must be the claimed chain (m_per_level then n_final) and
+    the histogram rows must name strictly increasing ranks with differing
+    counts; then the graph DP recounts homomorphisms of the tree, which
+    for a lone leaf are the vertex counts, and both must match plus differ.
     """
     if cert.mode not in MODES:
         raise CertificateError(f"unknown mode {cert.mode!r}")
     if cert.mode == "equivalent":
         return refine_verdict(g1, g2, stop_at_difference=True)[0] is None
     arena, root = cert.tree()
-    if cert.mode == "single-node":
-        return (
-            arena.children(root) == ()
-            and cert.count_g1 == g1.vertex_count
-            and cert.count_g2 == g2.vertex_count
-            and cert.count_g1 != cert.count_g2
-        )
-    ranks = [r for r, _, _ in cert.histograms]
-    if (arena.extract(root) != _chain((*cert.m_per_level, cert.n_final))
+    mults, rows = (), ()
+    if cert.mode == "tree":
+        mults, rows = (*cert.m_per_level, cert.n_final), cert.histograms
+    ranks = [r for r, _, _ in rows]
+    if (arena.extract(root) != _chain(mults)
             or any(a >= b for a, b in zip(ranks, ranks[1:]))
-            or any(x == y for _, x, y in cert.histograms)):
+            or any(x == y for _, x, y in rows)):
         return False
     c1 = hom_count(arena, root, g1)
     c2 = hom_count(arena, root, g2)

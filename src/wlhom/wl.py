@@ -76,9 +76,6 @@ class LevelLabels(namedtuple("LevelLabels", "defs ranks")):
 
     __slots__ = ()
 
-    def histogram(self, which: int) -> Counter:
-        return Counter(self.ranks[which])
-
 
 class LabelTable:
     """Joint label levels for a pair of graphs, with the verdict they give."""
@@ -190,7 +187,7 @@ def _append_level(table: LabelTable) -> None:
     prev = table.levels[-1]
     level = _next_level(table.graphs, prev.ranks)
     table.levels.append(level)
-    if not table.distinguished and level.histogram(0) != level.histogram(1):
+    if not table.distinguished and Counter(level.ranks[0]) != Counter(level.ranks[1]):
         table.distinguishing_level = table.max_recorded_level
     # Refinement is monotone (a level's label determines the previous
     # one), so an unchanged class count means an unchanged partition.

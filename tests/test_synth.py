@@ -581,6 +581,27 @@ class TestVerify:
         mangle(data)
         assert not verify(certificate_from_json(json.dumps(data)), TA, TB)
 
+    @PROPERTY_SETTINGS
+    @given(graphs(max_vertices=6), graphs(max_vertices=6), st.booleans(),
+           st.integers(-1, 1), st.integers(-1, 1))
+    def test_single_node_matches_the_lone_leaf_predicate(self, g1, g2, edge,
+                                                         d1, d2):
+        # A single-node claim is checked as the empty chain; that must
+        # accept exactly what a lone leaf whose counts are the vertex counts,
+        # and differ, would.
+        count_g1, count_g2 = g1.vertex_count + d1, g2.vertex_count + d2
+        assume(count_g1 >= 0 and count_g2 >= 0)
+        tree_text = ("T 2\nnode 0 :\nnode 1 : 0*1\nroot 1\n" if edge
+                     else "T 1\nnode 0 :\nroot 0\n")
+        cert = Certificate(mode="single-node", level=0, tree_text=tree_text,
+                           count_g1=count_g1, count_g2=count_g2)
+        assert verify(cert, g1, g2) == (
+            not edge
+            and count_g1 == g1.vertex_count
+            and count_g2 == g2.vertex_count
+            and count_g1 != count_g2
+        )
+
 
 class TestRecords:
     def test_fields_are_read_only(self):
@@ -604,7 +625,7 @@ class TestRecords:
 class TestInvariantMachinery:
     # WLHOM_LIFT_CEILING is no longer read; a stale setting must not
     # reach lift
-    def test_env_ceiling_reaches_lift(self, monkeypatch):
+    def test_stale_env_ceiling_is_ignored(self, monkeypatch):
         monkeypatch.setenv("WLHOM_LIFT_CEILING", "1")
         assert synthesize(TA, TB).mode == "tree"
 
@@ -673,6 +694,9 @@ class TestQuotient:
         # vertex, and the other two claim degrees 2 and 3, so both graphs'
         # totals are right and only the per-vertex check sees it.
         (((((0, 1),), ((0, 2),), ((0, 3),)),), (((0, 0), (0, 1, 2)),)),
+        # Level 1, P4 / K1,3, reported first differing with equal
+        # non-isolated histograms: no n separates the pair.
+        (((((0, 1),), ((0, 2),)),), (((0, 1, 1, 0), (0, 1, 1, 0)),)),
     ])
     def test_end_of_run_check_is_live(self, monkeypatch, tmp_path, capsys,
                                       defs, ranks):
