@@ -8,8 +8,10 @@ at t that send its root to v. A leaf contributes 1 everywhere; otherwise
 
 and the unrooted count is the sum of entry(t, v) over all v. The DP runs on
 the succinct DAG directly: a child repeated with multiplicity m costs one
-exponentiation, never m subtree copies. `rooted_hom` is the only DP; each
-call keeps one vector per reachable node and shares nothing with the next.
+exponentiation, never m subtree copies. `rooted_hom` is the only DP. It
+computes one vector per reachable node, a whole vector at a time: a
+child's neighbor sums over all vertices at once, then one elementwise
+power and product per child. A call shares nothing with the next.
 """
 
 from __future__ import annotations
@@ -48,27 +50,22 @@ class LabelConsistencyError(RuntimeError):
 def rooted_hom(arena: TreeArena, t: int, graph: Graph) -> tuple[int, ...]:
     """Vector of entry(t, v) over all vertices v of the graph.
 
-    One vector per node reachable from t, children first, so a subtree
-    shared in the DAG is counted once however often it recurs.
+    One vector per node reachable from t, children first, each computed a
+    whole vector at a time. A parent reads a child only through its
+    neighbor sums, so those are kept, once per node however often it
+    recurs in the DAG; a leaf's are the degrees.
     """
     adjacency = graph.adjacency
-    vectors: dict[int, tuple[int, ...]] = {}
+    sums: dict[int, list[int]] = {}
     for node in arena.reachable(t):
         kids = arena.children(node)
-        if not kids:
-            vectors[node] = (1,) * graph.vertex_count
-            continue
-        vector = []
-        for v in range(graph.vertex_count):
-            entry = 1
-            for child, mult in kids:
-                child_vec = vectors[child]
-                entry *= sum(child_vec[w] for w in adjacency[v]) ** mult
-                if entry == 0:
-                    break
-            vector.append(entry)
-        vectors[node] = tuple(vector)
-    return vectors[t]
+        vector = [1] * graph.vertex_count
+        for child, mult in kids:
+            vector = [x * s ** mult for x, s in zip(vector, sums[child])]
+        if node == t:
+            return tuple(vector)
+        sums[node] = ([sum(map(vector.__getitem__, nbrs)) for nbrs in adjacency]
+                      if kids else [len(nbrs) for nbrs in adjacency])
 
 
 def hom_count(arena: TreeArena, t: int, graph: Graph) -> int:

@@ -13,6 +13,8 @@ order extended level by level: level-1 labels order by degree, and two
 multisets compare by the largest element they contain a different number of
 times (the one with more copies of it is larger). Rank 0 is the smallest
 label of its level; the empty multiset (isolated vertices) is always minimal.
+A level-1 label is d copies of the one level-0 rank, so level 1 is read off
+the degrees and no round signs vertices at level 0.
 
 joint_refine records these ranks, and the verdict, on a LabelTable. Past
 stabilization the partition is fixed but its numbering can cycle, so the
@@ -28,7 +30,9 @@ round before, which its whole class shared, so each round re-signs only
 the neighbors of vertices whose id changed. Each class they touch splits
 into its untouched rest and one piece per sorted neighbor-id tuple. The
 largest piece keeps the class id, as in Hopcroft's partition refinement,
-so the vertices whose id changed, the next round's seeds, are few. No
+so the vertices whose id changed, the next round's seeds, are few. The
+worklist starts from the degree partition, where the largest degree class
+keeps its id and the first round re-signs the neighbors of the rest. No
 per-class counts are kept: a class holding equally many vertices of each
 graph splits into pieces whose imbalances sum to zero, so the histograms
 first differ at the first level where a piece that moved holds unequal
@@ -161,6 +165,22 @@ def _next_level(
     )
 
 
+def _degree_level(pair: tuple[Graph, Graph]) -> LevelLabels:
+    """Level 1, read off the degrees: the level after level 0.
+
+    Each level-1 label is d copies of the one level-0 rank, ((0, d),), or
+    () for d = 0, and tuple order on these is degree order, so ranks index
+    the sorted distinct degrees.
+    """
+    degrees = [[len(nbrs) for nbrs in g.adjacency] for g in pair]
+    distinct = sorted(set(degrees[0]).union(degrees[1]))
+    rank_of = {d: r for r, d in enumerate(distinct)}
+    return LevelLabels(
+        defs=tuple(((0, d),) if d else () for d in distinct),
+        ranks=tuple(tuple(map(rank_of.__getitem__, degs)) for degs in degrees),
+    )
+
+
 def _level_cap(g1: Graph, g2: Graph, max_level: int | None) -> int:
     """max_level, checked; by default |V1|+|V2|, which reaches stabilization."""
     if max_level is None:
@@ -185,7 +205,8 @@ def _level_zero(g1: Graph, g2: Graph) -> LabelTable:
 def _append_level(table: LabelTable) -> None:
     """Record the next canonical level and the verdict it gives."""
     prev = table.levels[-1]
-    level = _next_level(table.graphs, prev.ranks)
+    level = (_next_level(table.graphs, prev.ranks) if table.max_recorded_level
+             else _degree_level(table.graphs))
     table.levels.append(level)
     if not table.distinguished and Counter(level.ranks[0]) != Counter(level.ranks[1]):
         table.distinguishing_level = table.max_recorded_level
@@ -228,7 +249,23 @@ def _joint_adjacency(g1: Graph, g2: Graph) -> list:
     return [*g1.adjacency, *([w + n1 for w in nbrs] for nbrs in g2.adjacency)]
 
 
-def _refine_classes(adjacency, n1, color, members, touched, level, max_level,
+def _worklist_start(table: LabelTable, kept: dict[int, int]):
+    """(adjacency, color, members, touched) for worklist rounds from the
+    deepest level of a canonical table, whose last round kept each previous
+    rank p's vertices of new rank kept[p]: the joint adjacency, the joint
+    ranks as class ids, each class's vertex set, and the neighbors of the
+    vertices that moved."""
+    adjacency = _joint_adjacency(*table.graphs)
+    prev, level = (lvl.ranks[0] + lvl.ranks[1] for lvl in table.levels[-2:])
+    members = [set() for _ in table.levels[-1].defs]
+    for v, c in enumerate(level):
+        members[c].add(v)
+    touched = {w for v, (p, q) in enumerate(zip(prev, level)) if kept[p] != q
+               for w in adjacency[v]}
+    return adjacency, list(level), members, touched
+
+
+def _refine_classes(adjacency, color, members, touched, n1, level, max_level,
                     stop_at_difference, found):
     """Worklist rounds on joint class ids, from the partition at `level`.
 
@@ -282,19 +319,24 @@ def refine_verdict(
     """(distinguishing_level, stabilization_level), as distinguishing_level
     reports them for the same arguments, from the joint partition alone.
 
-    Vertices of g2 follow those of g1 in one id space, all in one class at
-    level 0, and every vertex is signed in round 1.
+    Level 1 is the degree partition, with its verdict, as joint_refine
+    records it. From there vertices of g2 follow those of g1 in one id
+    space, the largest degree class keeps its id, and round 2 re-signs the
+    neighbors of every other vertex.
     """
-    max_level = _level_cap(g1, g2, max_level)
-    n1 = g1.vertex_count
-    n = n1 + g2.vertex_count
-    if n == 0:
-        return None, 0
-    found, stable, _ = _refine_classes(
-        _joint_adjacency(g1, g2), n1, [0] * n, [set(range(n))], range(n), 0,
-        max_level, stop_at_difference, 0 if 2 * n1 != n else None,
-    )
-    return found, stable
+    table, max_level = _level_zero(g1, g2), _level_cap(g1, g2, max_level)
+    while not (table.complete or table.max_recorded_level == max_level
+               or stop_at_difference and table.distinguished):
+        if table.max_recorded_level:
+            level = table.levels[1].ranks
+            largest = Counter(level[0] + level[1]).most_common(1)[0][0]
+            found, stable, _ = _refine_classes(
+                *_worklist_start(table, {0: largest}), g1.vertex_count, 1,
+                max_level, stop_at_difference, table.distinguishing_level,
+            )
+            return found, stable
+        _append_level(table)
+    return table.distinguishing_level, table.stabilization_level
 
 
 def refine_to_difference(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTable:
@@ -327,18 +369,10 @@ def refine_to_difference(g1: Graph, g2: Graph, max_level: int | None = None) -> 
 def _hand_over(table: LabelTable, max_level: int, kept: dict[int, int]) -> LabelTable:
     """Worklist rounds from the deepest level of a canonical table, whose
     last round kept each previous rank p's vertices of new rank kept[p]."""
-    g1, g2 = table.graphs
-    n1 = g1.vertex_count
-    adjacency = _joint_adjacency(g1, g2)
-    prev, level = (lvl.ranks[0] + lvl.ranks[1] for lvl in table.levels[-2:])
-    color = list(level)
-    members = [set() for _ in table.levels[-1].defs]
-    for v, c in enumerate(color):
-        members[c].add(v)
-    touched = {w for v, (p, q) in enumerate(zip(prev, level)) if kept[p] != q
-               for w in adjacency[v]}
+    n1 = table.graphs[0].vertex_count
+    adjacency, color, members, touched = _worklist_start(table, kept)
     found, stable, rounds = _refine_classes(
-        adjacency, n1, color, members, touched, table.max_recorded_level,
+        adjacency, color, members, touched, n1, table.max_recorded_level,
         max_level, True, None,
     )
     if found is None:
@@ -347,6 +381,7 @@ def _hand_over(table: LabelTable, max_level: int, kept: dict[int, int]) -> Label
     # Replay the moved pieces onto the hand-over ids. All of a class share
     # one label over the previous canonical ranks, so one representative
     # per class gives every label of the level.
+    level = table.levels[-1].ranks[0] + table.levels[-1].ranks[1]
     color, ranks, next_id = list(level), level, len(table.levels[-1].defs)
     for moved in rounds:
         for piece in moved:

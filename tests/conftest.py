@@ -68,6 +68,29 @@ def early_table(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTabl
                       distinguishing_level=d)
 
 
+def rooted_hom_reference(arena: TreeArena, t: int, graph: Graph) -> tuple[int, ...]:
+    """entry(t, v) computed one vertex at a time, the DP before it worked on
+    whole vectors. Kept as the oracle that rooted_hom must equal exactly."""
+    adjacency = graph.adjacency
+    vectors: dict[int, tuple[int, ...]] = {}
+    for node in arena.reachable(t):
+        kids = arena.children(node)
+        if not kids:
+            vectors[node] = (1,) * graph.vertex_count
+            continue
+        vector = []
+        for v in range(graph.vertex_count):
+            entry = 1
+            for child, mult in kids:
+                child_vec = vectors[child]
+                entry *= sum(child_vec[w] for w in adjacency[v]) ** mult
+                if entry == 0:
+                    break
+            vector.append(entry)
+        vectors[node] = tuple(vector)
+    return vectors[t]
+
+
 def force_labels(monkeypatch, defs, ranks) -> None:
     """Make synthesize read the given labels instead of refining.
 

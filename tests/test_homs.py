@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -33,6 +35,7 @@ from .conftest import (
     degree,
     enumerate_graphs,
     graphs,
+    rooted_hom_reference,
     rooted_tree_shapes,
     shape_depth,
     shape_size,
@@ -67,6 +70,58 @@ class TestRootedHom:
         arena = TreeArena()
         vec = rooted_hom(arena, star(arena, n), g)
         assert vec == tuple(degree(g, v) ** n for v in range(g.vertex_count))
+
+
+@st.composite
+def shared_dags(draw, max_nodes: int = 7, max_children: int = 3,
+                max_mult: int = 5, max_size: int = 3000):
+    """(arena, root): each node is a leaf or attaches up to max_children
+    earlier nodes, so children are shared across parents. A node whose
+    explicit size would pass max_size is made a leaf instead."""
+    arena, sizes = TreeArena(), []
+    for _ in range(draw(st.integers(1, max_nodes))):
+        kids = [] if not sizes else draw(st.lists(
+            st.tuples(st.integers(0, len(sizes) - 1), st.integers(1, max_mult)),
+            max_size=max_children))
+        size = 1 + sum(mult * sizes[c] for c, mult in kids)
+        sizes.append(size if size <= max_size else 1)
+        arena.attach(kids if size <= max_size else [])
+    return arena, len(sizes) - 1
+
+
+@st.composite
+def hosts(draw, max_vertices: int = 40, max_isolated: int = 5):
+    """G(n, p) on up to max_vertices vertices, then up to max_isolated
+    isolated ones: the vertices whose entries are 0 under any edge."""
+    n = draw(st.integers(0, max_vertices))
+    rnd = draw(st.randoms(use_true_random=False))
+    p = draw(st.sampled_from([0.05, 0.15, 0.4]))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < p]
+    return Graph(n + draw(st.integers(0, max_isolated)), edges)
+
+
+class TestWholeVectorDP:
+    """rooted_hom against the per-vertex DP it replaced, exactly."""
+
+    @PROPERTY_SETTINGS
+    @given(shared_dags(), hosts())
+    def test_matches_per_vertex_reference(self, dag, g):
+        arena, t = dag
+        assert rooted_hom(arena, t, g) == rooted_hom_reference(arena, t, g)
+
+    def test_matches_reference_on_multi_thousand_bit_counts(self):
+        rnd = random.Random(200)
+        edges = [(u, v) for u in range(190) for v in range(u + 1, 190)
+                 if rnd.random() < 0.015]
+        g = Graph(200, edges)
+        arena = TreeArena()
+        t = arena.leaf()
+        # the top mult stays small: a third 60 would mean 600 000-bit counts
+        for mult in (60, 59, 3):
+            t = arena.attach([(t, mult)])
+        vector = rooted_hom(arena, t, g)
+        assert vector == rooted_hom_reference(arena, t, g)
+        assert max(vector).bit_length() > 4000
 
 
 class TestHomCount:

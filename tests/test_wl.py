@@ -8,7 +8,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wlhom import (
@@ -164,6 +164,19 @@ class TestJointRefine:
                 for v in range(g.vertex_count):
                     assert (ranks[u] == ranks[v]) == (degs[u] == degs[v])
                     assert (ranks[u] < ranks[v]) == (degs[u] < degs[v])
+
+    @PROPERTY_SETTINGS
+    @given(graphs(max_vertices=8), graphs(max_vertices=8))
+    @example(empty_graph(), empty_graph())
+    @example(empty_graph(3), empty_graph(2))
+    @example(C6, TWO_C3)
+    @example(C6, empty_graph(6))
+    def test_degree_level_is_the_round_after_level_zero(self, g1, g2):
+        # Every table's level 1 comes from _degree_level, so it is checked
+        # here against the generic round, which no longer builds level 1.
+        pair = (g1, g2)
+        level0 = tuple((0,) * g.vertex_count for g in pair)
+        assert wl._degree_level(pair) == wl._next_level(pair, level0)
 
     def test_k13_p4_level1_histograms(self):
         table = joint_refine(K13, P4)
@@ -483,15 +496,16 @@ class TestRefineVerdict:
 
 @pytest.fixture
 def canonical_rounds(monkeypatch):
-    """Calls of wl._next_level, one per canonical round, from here on."""
+    """Calls of wl._append_level, one per canonical level appended, from
+    here on."""
     calls = []
-    next_level = wl._next_level
+    append_level = wl._append_level
 
     def counted(*args):
         calls.append(args)
-        return next_level(*args)
+        return append_level(*args)
 
-    monkeypatch.setattr(wl, "_next_level", counted)
+    monkeypatch.setattr(wl, "_append_level", counted)
     return calls
 
 
