@@ -16,17 +16,19 @@ argument behind the label test / homomorphism-count correspondence:
   tree; with one copy its counts are s_j, with m copies s_j^m. One more
   root H_m above the m-copy tree has rooted count at v equal to the
   neighbor sum of those counts, which depends only on v's level-(j+1)
-  label: h(H_m, rank) = sum over (r, k) in defs[rank] of k * s_j[r]^m.
+  label, the multiset defs[rank] of its neighbors' level-j ranks:
+  h(H_m, rank) = sum over r in defs[rank], with repeats, of s_j[r]^m.
   Search m = 1, 2, ... on these sums until they are pairwise distinct over
   the non-isolated level-(j+1) ranks; its sums are s_(j+1). Distinct values
   are all the final step needs (the linear-algebra view of Dell, Grohe and
   Rattan, "Lovasz meets Weisfeiler and Leman", ICALP 2018); no order is
   sought. The defs name only non-isolated level-j ranks, whose s_j are
-  distinct and positive, so two ranks r, r' differ by a nonzero exponential
-  sum in m of at most |defs[r]| + |defs[r']| terms, which by the generalized
-  Descartes rule of signs (Polya-Szego, Problems and Theorems in Analysis
-  II, Part V) has fewer real zeros than terms. Summed over the pairs of a
-  rank set S, some m <= 1 + (|S| - 1) * sum over r in S of |defs[r]| works.
+  distinct and positive. Write t(r) for the number of distinct ranks in
+  defs[r]; two ranks r, r' then differ by a nonzero exponential sum in m of
+  at most t(r) + t(r') terms, which by the generalized Descartes rule of
+  signs (Polya-Szego, Problems and Theorems in Analysis II, Part V) has
+  fewer real zeros than terms. Summed over the pairs of a rank set S, some
+  m <= 1 + (|S| - 1) * sum over r in S of t(r) works.
 
   final: with distinct positive bases s_k[r], the difference of the two
   histogram-weighted sums is sum_r delta(r) * s_k[r]^n. If it vanished for
@@ -224,40 +226,36 @@ def lift(
     """Least m >= 1 making the counts over S distinct, with the counts.
 
     `base` holds a count per level-(level-1) rank, S lists non-isolated
-    level-`level` ranks, and the count at rank r is the sum over (r', k) in
-    defs_level[r] of k * base[r'] ** m: the rooted count of one root over m
-    copies of a tree whose level-(level-1) counts are `base`. Returns m and
-    that sum at every rank of the level. The search keeps one power vector
-    base ** m. By the Descartes bound in the module docstring some m up to
-    1 + (|S| - 1) * sum over r in S of |defs_level[r]| works when `base`
-    is distinct and positive on the ranks the defs refer to; past it,
-    SynthesisInvariantError.
+    level-`level` ranks, and the count at rank r is the sum of base[r'] **
+    m over r' in the multiset defs_level[r]: the rooted count of one root
+    over m copies of a tree whose level-(level-1) counts are `base`. Each
+    candidate m sums one power vector base ** m over every label of the
+    level, and the accepted sums are returned. By the Descartes bound in
+    the module docstring some m up to 1 + (|S| - 1) * sum over r in S of
+    the number of distinct ranks in defs_level[r] works when `base` is
+    distinct and positive on the ranks the defs refer to; past it,
+    SynthesisInvariantError. The bound is computed only once m = 1 fails.
     """
     if not S:
         raise ValueError("rank set must be nonempty")
     defs = labels.defs_at(level)
-    bound = 1 + (len(S) - 1) * sum(len(defs[r]) for r in S)
-    powers = base
-
-    def value(rank: int) -> int:
-        return sum(k * powers[r] for r, k in defs[rank])
-
-    current = [value(rank) for rank in S]
-    if min(current) < 1:
+    values = [sum(map(base.__getitem__, label)) for label in defs]
+    if min(values[r] for r in S) < 1:
         raise SynthesisInvariantError(
             f"nonpositive count at a non-isolated level-{level} rank"
         )
     # b ** m > 0 exactly when b > 0, so later values stay positive.
-    m = 1
-    while len(set(current)) < len(S):
+    m, powers, bound = 1, base, None
+    while len({values[r] for r in S}) < len(S):
+        bound = bound or 1 + (len(S) - 1) * sum(len(set(defs[r])) for r in S)
         if m == bound:
             raise SynthesisInvariantError(
                 f"no m <= {bound} makes the level-{level} counts distinct"
             )
         m += 1
         powers = [p * b for p, b in zip(powers, base)]
-        current = [value(rank) for rank in S]
-    return m, tuple(map(value, range(len(defs))))
+        values = [sum(map(powers.__getitem__, label)) for label in defs]
+    return m, tuple(values)
 
 
 def synthesize(
@@ -302,7 +300,7 @@ def synthesize(
     )
 
     # s_1: a one-leaf star counts neighbors, the degree each rank defines.
-    counts = [sum(mult for _, mult in label) for label in labels.defs_at(1)]
+    counts = [len(label) for label in labels.defs_at(1)]
     m_per_level = []
     for lvl in range(2, k + 1):
         # Every rank is some vertex's, so the non-isolated ones are those

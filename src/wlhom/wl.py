@@ -13,8 +13,10 @@ order extended level by level: level-1 labels order by degree, and two
 multisets compare by the largest element they contain a different number of
 times (the one with more copies of it is larger). Rank 0 is the smallest
 label of its level; the empty multiset (isolated vertices) is always minimal.
-A level-1 label is d copies of the one level-0 rank, so level 1 is read off
-the degrees and no round signs vertices at level 0.
+A label is stored as its neighbors' previous ranks, repeats included, sorted
+descending, on which plain tuple order is the label order. A level-1 label
+is d copies of the one level-0 rank, so level 1 is read off the degrees and
+no round signs vertices at level 0.
 
 joint_refine records these ranks, and the verdict, on a LabelTable. Past
 stabilization the partition is fixed but its numbering can cycle, so the
@@ -30,50 +32,49 @@ round before, which its whole class shared, so each round re-signs only
 the neighbors of vertices whose id changed. Each class they touch splits
 into its untouched rest and one piece per sorted neighbor-id tuple. The
 largest piece keeps the class id, as in Hopcroft's partition refinement,
-so the vertices whose id changed, the next round's seeds, are few. The
-worklist starts from the degree partition, where the largest degree class
-keeps its id and the first round re-signs the neighbors of the rest. No
+so the vertices whose id changed, the next round's seeds, are few. No
 per-class counts are kept: a class holding equally many vertices of each
 graph splits into pieces whose imbalances sum to zero, so the histograms
 first differ at the first level where a piece that moved holds unequal
 numbers, and as classes only split they differ at every later level.
 
-synthesize reads canonical ranks only up to the first differing level,
-and refine_to_difference computes them only there. It runs canonical
-rounds while each moves more than half of the vertices, a vertex having
-moved when it lies outside the largest piece of its previous class. After
-the first round that moves fewer, the canonical ranks, already joint class
-ids, go to the worklist, whose first round re-signs the neighbors of the
-vertices that moved: in a class, the vertices whose neighbors all stayed
-in the largest pieces share their next label, and no other vertex has it.
-Each worklist round records only the pieces that moved. If one of them is
-unbalanced, the pieces are replayed onto the hand-over ids, and each level
-up to that one is interned from one representative per class: all of a
-class share one label over the previous canonical ranks, so the
-representatives give exactly the level's labels, and sorting them gives
-the tuple order and ranks a canonical round gives. Otherwise no canonical
-level past the hand-over is computed.
+Both verdict paths lead with canonical rounds while they are dense: while
+each round moves more than half of the vertices, a vertex having moved when
+it lies outside the largest piece of its previous class, re-signing every
+vertex costs no more than the worklist would. After the first round that
+moves fewer, the canonical ranks, already joint class ids, go to the
+worklist, whose first round re-signs the neighbors of the vertices that
+moved: in a class, the vertices whose neighbors all stayed in the largest
+pieces share their next label, and no other vertex has it. The pieces are
+read off the joint ranks, since past the first difference a class can hold
+unequal numbers of the two graphs' vertices.
+
+synthesize reads canonical ranks only up to the first differing level, and
+refine_to_difference computes them only there. Each of its worklist rounds
+records only the pieces that moved. If one of them is unbalanced, the
+pieces are replayed onto the hand-over ids, and each level up to that one
+is interned from one representative per class: all of a class share one
+label over the previous canonical ranks, so the representatives give
+exactly the level's labels, and sorting them gives the tuple order and
+ranks a canonical round gives. Otherwise no canonical level past the
+hand-over is computed.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import groupby
 
 from .graphs import Graph
 
-# A label is a multiset of previous-level ranks, canonically encoded as
-# (rank, multiplicity) pairs sorted by rank descending. On this encoding,
-# and on the flat descending rank sequence it is built from, plain tuple
-# order is the label order of the module docstring.
-LabelDef = tuple[tuple[int, int], ...]
+# A label: its multiset of previous-level ranks, sorted descending.
+LabelDef = tuple[int, ...]
 
 
 class LevelLabels(namedtuple("LevelLabels", "defs ranks")):
     """Interned labels of one refinement level, an immutable value record.
 
-    defs[r] is the definition (a LabelDef) of the rank-r label in terms of
-    previous-level ranks; ranks[i][v] is the rank of vertex v of graph i.
+    defs[r] is the rank-r label (a LabelDef), whose length is the degree of
+    its vertices; ranks[i][v] is the rank of vertex v of graph i.
     defs is sorted ascending in tuple order, which is the label order of
     the module docstring, so the integer rank IS the label order.
     """
@@ -141,19 +142,18 @@ class LabelTable:
 
 
 def _intern(signatures) -> tuple[tuple[LabelDef, ...], dict]:
-    """Definitions of distinct neighbor-rank signatures, sorted in tuple
-    order (the label order), and the rank of each signature."""
-    order = sorted(signatures)
-    defs = tuple(tuple((r, len(list(run))) for r, run in groupby(sig)) for sig in order)
-    return defs, {sig: r for r, sig in enumerate(order)}
+    """Distinct neighbor-rank signatures sorted in tuple order (the label
+    order), and the rank of each signature."""
+    defs = tuple(sorted(signatures))
+    return defs, {sig: r for r, sig in enumerate(defs)}
 
 
 def _next_level(
     pair: tuple[Graph, Graph], prev: tuple[tuple[int, ...], tuple[int, ...]]
 ) -> LevelLabels:
     """The level after ranks `prev`: each label is a neighbor-rank multiset."""
-    # Neighbor ranks sorted descending: tuple order on these is the label
-    # order, and each run of equal ranks is one (rank, mult) pair.
+    # Neighbor ranks sorted descending: each is its label, and tuple order
+    # on these is the label order.
     signatures = [
         [tuple(sorted([ranks[w] for w in nbrs], reverse=True)) for nbrs in g.adjacency]
         for g, ranks in zip(pair, prev)
@@ -168,15 +168,15 @@ def _next_level(
 def _degree_level(pair: tuple[Graph, Graph]) -> LevelLabels:
     """Level 1, read off the degrees: the level after level 0.
 
-    Each level-1 label is d copies of the one level-0 rank, ((0, d),), or
-    () for d = 0, and tuple order on these is degree order, so ranks index
-    the sorted distinct degrees.
+    Each level-1 label is d copies of the one level-0 rank, (0,) * d, and
+    tuple order on these is degree order, so ranks index the sorted
+    distinct degrees.
     """
     degrees = [[len(nbrs) for nbrs in g.adjacency] for g in pair]
     distinct = sorted(set(degrees[0]).union(degrees[1]))
     rank_of = {d: r for r, d in enumerate(distinct)}
     return LevelLabels(
-        defs=tuple(((0, d),) if d else () for d in distinct),
+        defs=tuple((0,) * d for d in distinct),
         ranks=tuple(tuple(map(rank_of.__getitem__, degs)) for degs in degrees),
     )
 
@@ -313,30 +313,51 @@ def _refine_classes(adjacency, color, members, touched, n1, level, max_level,
     return found, None, rounds
 
 
+def _kept(table: LabelTable) -> dict[int, int] | None:
+    """The new rank of the largest piece of each previous rank's class in
+    the last canonical round, or None while that round moved more than
+    half of the vertices (the rounds are dense)."""
+    prev, level = (lvl.ranks[0] + lvl.ranks[1] for lvl in table.levels[-2:])
+    parent = dict(zip(level, prev))
+    largest = {}
+    for q, size in Counter(level).items():
+        largest[parent[q]] = max(largest.get(parent[q], (0, 0)), (size, q))
+    if 2 * sum(size for size, _ in largest.values()) < len(level):
+        return None
+    return {p: q for p, (_, q) in largest.items()}
+
+
+def _dense_rounds(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: bool):
+    """(table, max_level, kept): canonical levels up to the first sparse
+    round and its _kept map, or kept None if the table stopped first."""
+    table, max_level = _level_zero(g1, g2), _level_cap(g1, g2, max_level)
+    while not (table.complete or table.max_recorded_level == max_level
+               or stop_at_difference and table.distinguished):
+        if table.max_recorded_level:
+            kept = _kept(table)
+            if kept is not None:
+                return table, max_level, kept
+        _append_level(table)
+    return table, max_level, None
+
+
 def refine_verdict(
     g1: Graph, g2: Graph, max_level: int | None = None, stop_at_difference: bool = False
 ) -> tuple[int | None, int | None]:
     """(distinguishing_level, stabilization_level), as distinguishing_level
     reports them for the same arguments, from the joint partition alone.
 
-    Level 1 is the degree partition, with its verdict, as joint_refine
-    records it. From there vertices of g2 follow those of g1 in one id
-    space, the largest degree class keeps its id, and round 2 re-signs the
-    neighbors of every other vertex.
+    After the dense canonical rounds, g2's vertices follow g1's in one id
+    space on the worklist.
     """
-    table, max_level = _level_zero(g1, g2), _level_cap(g1, g2, max_level)
-    while not (table.complete or table.max_recorded_level == max_level
-               or stop_at_difference and table.distinguished):
-        if table.max_recorded_level:
-            level = table.levels[1].ranks
-            largest = Counter(level[0] + level[1]).most_common(1)[0][0]
-            found, stable, _ = _refine_classes(
-                *_worklist_start(table, {0: largest}), g1.vertex_count, 1,
-                max_level, stop_at_difference, table.distinguishing_level,
-            )
-            return found, stable
-        _append_level(table)
-    return table.distinguishing_level, table.stabilization_level
+    table, max_level, kept = _dense_rounds(g1, g2, max_level, stop_at_difference)
+    if kept is None:
+        return table.distinguishing_level, table.stabilization_level
+    found, stable, _ = _refine_classes(
+        *_worklist_start(table, kept), g1.vertex_count, table.max_recorded_level,
+        max_level, stop_at_difference, table.distinguishing_level,
+    )
+    return found, stable
 
 
 def refine_to_difference(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTable:
@@ -347,36 +368,16 @@ def refine_to_difference(g1: Graph, g2: Graph, max_level: int | None = None) -> 
     stabilization level. Otherwise the stabilization level is joint_refine's
     and the levels stop where canonical rounds handed over to the worklist.
     """
-    table, max_level = _level_zero(g1, g2), _level_cap(g1, g2, max_level)
-    while not (table.complete or table.distinguished
-               or table.max_recorded_level == max_level):
-        if table.max_recorded_level:
-            # The largest piece of each previous class, as (size, new
-            # rank); the vertices outside it moved in the last round. Every
-            # class is balanced here, so g1's vertices alone give the
-            # pieces and half their sizes.
-            prev, level = (lvl.ranks[0] for lvl in table.levels[-2:])
-            parent = dict(zip(level, prev))
-            largest = {}
-            for q, size in Counter(level).items():
-                largest[parent[q]] = max(largest.get(parent[q], (0, 0)), (size, q))
-            if 2 * sum(size for size, _ in largest.values()) >= g1.vertex_count:
-                return _hand_over(table, max_level, {p: q for p, (_, q) in largest.items()})
-        _append_level(table)
-    return table
-
-
-def _hand_over(table: LabelTable, max_level: int, kept: dict[int, int]) -> LabelTable:
-    """Worklist rounds from the deepest level of a canonical table, whose
-    last round kept each previous rank p's vertices of new rank kept[p]."""
-    n1 = table.graphs[0].vertex_count
+    table, max_level, kept = _dense_rounds(g1, g2, max_level, True)
+    if kept is None:
+        return table
+    n1 = g1.vertex_count
     adjacency, color, members, touched = _worklist_start(table, kept)
-    found, stable, rounds = _refine_classes(
+    found, table.stabilization_level, rounds = _refine_classes(
         adjacency, color, members, touched, n1, table.max_recorded_level,
         max_level, True, None,
     )
     if found is None:
-        table.stabilization_level = stable
         return table
     # Replay the moved pieces onto the hand-over ids. All of a class share
     # one label over the previous canonical ranks, so one representative

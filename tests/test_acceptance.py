@@ -232,7 +232,7 @@ def test_criterion_09_invariants():
     # forcing a violation: labels that claim one joint rank across graphs
     # with different counts must abort synthesize
     with pytest.MonkeyPatch.context() as mp:
-        force_labels(mp, [(((0, 1),),)], [((0, 0), (0, 0, 0))])
+        force_labels(mp, [((0,),)], [((0, 0), (0, 0, 0))])
         with pytest.raises(SynthesisInvariantError):
             synthesize(K2, C3)
 
@@ -243,7 +243,7 @@ def test_criterion_09_invariants():
         graphs=(P4, empty_graph()),
         levels=[
             LevelLabels(defs=((),), ranks=((0, 0, 0, 0), ())),
-            LevelLabels(defs=(((0, 1),),), ranks=((0, 0, 0, 0), ())),
+            LevelLabels(defs=((0,),), ranks=((0, 0, 0, 0), ())),
         ],
         stabilization_level=0,
     )

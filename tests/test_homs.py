@@ -206,7 +206,7 @@ class TestHomByLabel:
             graphs=(g, empty_graph()),
             levels=[
                 LevelLabels(defs=((),), ranks=((0, 0, 0), ())),
-                LevelLabels(defs=(((0, 1),),), ranks=((0, 0, 0), ())),
+                LevelLabels(defs=((0,),), ranks=((0, 0, 0), ())),
             ],
             stabilization_level=0,
         )

@@ -140,8 +140,7 @@ class TestLift:
         table = joint_refine(TA, TB)
         defs = table.defs_at(2)
         pair = [r for r in _nonisolated_ranks(table, 2)
-                if dict(defs[r]).get(1) in (1, 2)
-                and sum(m for _, m in defs[r]) == 3]
+                if defs[r].count(1) in (1, 2) and len(defs[r]) == 3]
         assert len(pair) == 2
         m, _ = lift(table, 2, _degrees(table), pair)
         assert m == 1
@@ -153,11 +152,11 @@ class TestLift:
 
     def test_shared_definition_stops_at_the_descartes_bound(self):
         # ranks 0 and 1 share a definition, so their counts agree at every
-        # m; the search gives up at 1 + (|S| - 1) * sum of |defs[r]| over
-        # S = 1 + 2 * (3 + 3 + 1) = 15 candidates
-        label = ((0, 1), (1, 2), (2, 3))
+        # m; the search gives up at 1 + (|S| - 1) * the sum over S of the
+        # distinct ranks in defs[r] = 1 + 2 * (3 + 3 + 1) = 15 candidates
+        label = (2, 2, 2, 1, 1, 0)
         level0 = LevelLabels(defs=((),), ranks=((0, 0), (0, 0)))
-        level2 = LevelLabels(defs=(label, label, ((0, 5),)),
+        level2 = LevelLabels(defs=(label, label, (0,) * 5),
                              ranks=((0, 1), (0, 2)))
         table = LabelTable(graphs=(K2, K2), levels=[level0, level0, level2])
         with pytest.raises(SynthesisInvariantError, match="^no m <= 15 "):
@@ -633,7 +632,8 @@ class TestInvariantMachinery:
 class TestQuotient:
     # The count vectors synthesize keeps per level: for a chain with
     # multiplicities (a_1, ..., a_d) above a leaf, entry(rank) at level L is
-    # (sum over (r, k) in defs_L[rank] of k * entry(r) at level L-1) ** a_d,
+    # (sum over r in defs_L[rank], with repeats, of entry(r) at level L-1)
+    # ** a_d,
     # down to 1 at every level-(L-d) rank.
     @PROPERTY_SETTINGS
     @given(graphs(max_vertices=6), graphs(max_vertices=6),
@@ -645,7 +645,7 @@ class TestQuotient:
         for level in range(len(mults), table.max_recorded_level + 1):
             counts = [1] * len(table.defs_at(level - len(mults)))
             for j, mult in enumerate(mults, level - len(mults) + 1):
-                counts = [sum(k * counts[r] for r, k in label) ** mult
+                counts = [sum(counts[r] for r in label) ** mult
                           for label in table.defs_at(j)]
             by_rank = _joint_counts(arena, t, table, level)
             # every rank is some vertex's rank, unless both graphs are empty
@@ -674,29 +674,28 @@ class TestQuotient:
         # 1 up; the pair is P4 / K1,3 for 4-vertex ranks, else T_A / T_B.
         # Level 1: rank 1 says degree 2 but also holds K1,3's center, of
         # degree 3.
-        (((((0, 1),), ((0, 2),)),), (((0, 1, 1, 0), (1, 0, 0, 0)),)),
+        ((((0,), (0, 0)),), (((0, 1, 1, 0), (1, 0, 0, 0)),)),
         # Level 1: a truthful partition whose rank-2 definition claims
         # degree 4.
-        (((((0, 1),), ((0, 2),), ((0, 4),)),),
+        ((((0,), (0, 0), (0, 0, 0, 0)),),
          (((0, 1, 1, 0), (2, 0, 0, 0)),)),
         # Level 2, first differing there: the top rank, T_B's vertex 2,
         # claims two neighbors of degree 2 where it has one. Its count stays
         # apart from the other ranks', so the lift still succeeds.
-        (((((0, 1),), ((0, 2),), ((0, 3),)),
-          (((1, 1),), ((1, 1), (0, 1)), ((1, 1), (0, 2)), ((1, 2), (0, 1)),
-           ((2, 1),), ((2, 1), (0, 1)), ((2, 1), (1, 2)))),
+        ((((0,), (0, 0), (0, 0, 0)),
+          ((1,), (1, 0), (1, 0, 0), (1, 1, 0), (2,), (2, 0), (2, 1, 1))),
          (((0, 1, 2, 1, 0, 0), (0, 1, 1, 2, 0, 0)),
           ((0, 5, 3, 5, 0, 4), (0, 1, 6, 2, 4, 4)))),
         # Level 1, K2 / C3: one joint rank claims degree 1 for all five
         # vertices, true in K2 but not in C3.
-        (((((0, 1),),),), (((0, 0), (0, 0, 0)),)),
+        ((((0,),),), (((0, 0), (0, 0, 0)),)),
         # Level 1, K2 / C3: the joint rank 0 again claims degree 1 for a C3
         # vertex, and the other two claim degrees 2 and 3, so both graphs'
         # totals are right and only the per-vertex check sees it.
-        (((((0, 1),), ((0, 2),), ((0, 3),)),), (((0, 0), (0, 1, 2)),)),
+        ((((0,), (0, 0), (0, 0, 0)),), (((0, 0), (0, 1, 2)),)),
         # Level 1, P4 / K1,3, reported first differing with equal
         # non-isolated histograms: no n separates the pair.
-        (((((0, 1),), ((0, 2),)),), (((0, 1, 1, 0), (0, 1, 1, 0)),)),
+        ((((0,), (0, 0)),), (((0, 1, 1, 0), (0, 1, 1, 0)),)),
     ])
     def test_end_of_run_check_is_live(self, monkeypatch, tmp_path, capsys,
                                       defs, ranks):

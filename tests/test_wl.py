@@ -6,6 +6,7 @@ import functools
 import random
 import time
 from collections import Counter
+from itertools import combinations, groupby
 
 import pytest
 from hypothesis import example, given
@@ -25,7 +26,7 @@ from wlhom import (
     verify,
 )
 from wlhom import wl
-from wlhom.wl import LabelDef, refine_to_difference
+from wlhom.wl import refine_to_difference
 
 from .conftest import (
     C6,
@@ -44,9 +45,13 @@ from .conftest import (
 )
 
 
-# The label order's specification, kept here as the oracle that plain
-# tuple order on the descending (rank, mult) encoding must realize.
-def _validate_label(label: LabelDef) -> None:
+# The label order's specification, kept here as the oracle that plain tuple
+# order must realize. The oracle reads a label as its (rank, mult) pairs
+# sorted by rank descending; wl stores the ranks with repeats, descending.
+PairLabel = tuple[tuple[int, int], ...]
+
+
+def _validate_label(label: PairLabel) -> None:
     prev = None
     for pair in label:
         if len(pair) != 2:
@@ -61,7 +66,7 @@ def _validate_label(label: LabelDef) -> None:
         prev = rank
 
 
-def compare_labels(l1: LabelDef, l2: LabelDef) -> int:
+def compare_labels(l1: PairLabel, l2: PairLabel) -> int:
     """Compare two same-level labels; returns -1, 0 or 1.
 
     The rule: take the largest previous-level rank that occurs a different
@@ -129,9 +134,12 @@ class TestCompareLabels:
     @PROPERTY_SETTINGS
     @given(label_defs(), label_defs())
     def test_agrees_with_tuple_order(self, a, b):
-        # encoding is descending (rank, mult); plain tuple comparison must
-        # realize the multiset order
+        # plain tuple comparison must realize the multiset order on the
+        # descending (rank, mult) pairs and on the flat descending ranks
+        # wl stores
         assert compare_labels(a, b) == (a > b) - (a < b)
+        fa, fb = (tuple(r for r, k in label for _ in range(k)) for label in (a, b))
+        assert compare_labels(a, b) == (fa > fb) - (fa < fb)
 
 
 def _stepped_ranks(g, levels):
@@ -263,8 +271,8 @@ class TestJointRefine:
                 prev = table.ranks_at(which, level - 1)
                 cur = table.ranks_at(which, level)
                 for v in range(g.vertex_count):
-                    decoded = Counter(dict(defs[cur[v]]))
-                    assert decoded == Counter(prev[w] for w in g.adjacency[v])
+                    assert defs[cur[v]] == tuple(
+                        sorted((prev[w] for w in g.adjacency[v]), reverse=True))
 
 
 def _continue_refinement(table, rounds):
@@ -377,8 +385,11 @@ class TestEarlyExit:
         if early.distinguished:
             assert levels == full.levels[: early.distinguishing_level + 1]
         for lvl in full.levels:
-            assert list(lvl.defs) == sorted(
-                set(lvl.defs), key=functools.cmp_to_key(compare_labels)
+            # the oracle reads the (rank, mult) pairs of each label
+            pairs = [tuple((r, len(list(run))) for r, run in groupby(label))
+                     for label in lvl.defs]
+            assert pairs == sorted(
+                set(pairs), key=functools.cmp_to_key(compare_labels)
             )
 
     def test_long_path_vs_half_paths_stops_at_level_1(self):
@@ -545,3 +556,50 @@ class TestRefineToDifference:
         assert len(canonical_rounds) <= 2
         assert cert == Certificate(mode="equivalent")
         assert verify(cert, g, h)
+
+
+def _gnp_and_swap(n, p, rng):
+    """G(n, p) drawn with rng, and its image under one degree-preserving
+    double-edge swap with its vertices shuffled; the graph itself, shuffled,
+    when no swap applies."""
+    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+    rng.shuffle(edges)
+    present, swapped = set(edges), edges
+    for (a, b), (c, d) in combinations(edges, 2):
+        new = [tuple(sorted(e)) for e in ((a, d), (c, b))]
+        if len({a, b, c, d}) == 4 and not present.intersection(new):
+            swapped = [e for e in edges if e not in ((a, b), (c, d))] + new
+            break
+    return Graph(n, edges), _shuffled(Graph(n, swapped), rng.random())
+
+
+@st.composite
+def dense_pairs(draw):
+    """Dense G(n, p) pairs, n <= 40: a graph and its swap, or two graphs
+    drawn alike, which mostly differ at level 1 and so leave unbalanced
+    classes for compare --json to refine past the first difference."""
+    n = draw(st.integers(2, 40))
+    p = draw(st.sampled_from((0.2, 0.35, 0.5, 0.65)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    g1, g2 = _gnp_and_swap(n, p, rng)
+    if draw(st.booleans()):
+        g2 = _gnp_and_swap(n, p, rng)[0]
+    return g1, g2
+
+
+class TestDenseRounds:
+    """Both verdict paths lead with canonical rounds while they are dense."""
+
+    @PROPERTY_SETTINGS
+    @given(dense_pairs())
+    def test_dense_pairs_match_oracle(self, pair):
+        _agrees_with_oracle(*pair)
+
+    @pytest.mark.parametrize("stop", [True, False])
+    def test_swap_pair_takes_two_canonical_levels(self, stop, canonical_rounds):
+        # Degrees of G(40, 0.3) spread over many classes, so rounds 1 and 2
+        # each move more than half of the vertices.
+        g1, g2 = _gnp_and_swap(40, 0.3, random.Random(3))
+        verdict = refine_verdict(g1, g2, stop_at_difference=stop)
+        assert len(canonical_rounds) >= 2
+        assert verdict == _oracle(g1, g2, None, stop)
