@@ -41,8 +41,9 @@ So the search runs on one count vector per level, indexed by rank and read
 from the level definitions alone, and the emitted tree is a chain: a leaf
 under roots repeating their one child m_2, ..., m_k and n times. One graph
 DP of it per graph cross-checks the last vector: every vertex must carry its
-level-k rank's count, and the vertex sums must be the histogram-weighted
-ones. Any mismatch raises SynthesisInvariantError, so nothing is emitted.
+level-k rank's count, or SynthesisInvariantError is raised and nothing is
+emitted. The vertex sums are then the histogram-weighted ones, as an
+isolated rank's count is an empty degree or sum, and 0 ** n is 0.
 """
 
 from __future__ import annotations
@@ -294,8 +295,9 @@ def synthesize(
     # isolated exactly when its label is the empty multiset. The vertex
     # counts agree, and so do the isolated ones at every level >= 1, so
     # these differ at k; refinement that breaks this fails the n-search.
+    defs = labels.defs_at(k)
     hist1, hist2 = (
-        {r: c for r, c in labels.histogram(which, k).items() if labels.defs_at(k)[r]}
+        {r: c for r, c in labels.histogram(which, k).items() if defs[r]}
         for which in (0, 1)
     )
 
@@ -327,18 +329,13 @@ def synthesize(
     # The tree's count at a vertex is fixed by its level-k label, so each
     # vertex must carry the count of its rank, in either graph.
     expected = [c ** n for c in counts]
-    vectors = (rooted_hom(arena, t, g1), rooted_hom(arena, t, g2))
-    for which, vector in enumerate(vectors):
-        ranks = labels.ranks_at(which, k)
-        if any(x != expected[r] for x, r in zip(vector, ranks)):
+    for which, graph in enumerate((g1, g2)):
+        vector = rooted_hom(arena, t, graph)
+        if any(x != expected[r] for x, r in zip(vector, labels.ranks_at(which, k))):
             raise SynthesisInvariantError(
                 f"graph {which + 1} counts of the emitted tree disagree with "
                 f"the level-{k} counts"
             )
-    if (c1, c2) != tuple(map(sum, vectors)):
-        raise SynthesisInvariantError(
-            f"histogram-weighted sums disagree with the vertex sums at n={n}"
-        )
     return Certificate(
         mode="tree",
         level=k,

@@ -38,20 +38,21 @@ graph splits into pieces whose imbalances sum to zero, so the histograms
 first differ at the first level where a piece that moved holds unequal
 numbers, and as classes only split they differ at every later level.
 
-Both verdict paths lead with canonical rounds while they are dense: while
-each round moves more than half of the vertices, a vertex having moved when
-it lies outside the largest piece of its previous class, re-signing every
-vertex costs no more than the worklist would. After the first round that
-moves fewer, the canonical ranks, already joint class ids, go to the
-worklist, whose first round re-signs the neighbors of the vertices that
+One driver serves both verdict paths, and refine_verdict reads only its
+verdict. It runs canonical rounds while they are dense: while each round
+moves more than half of the vertices, a vertex having moved when it lies
+outside the largest piece of its previous class, re-signing every vertex
+costs no more than the worklist would. After the first round that moves
+fewer, one hand-over hands the canonical ranks, already joint class ids, to
+the worklist, whose first round re-signs the neighbors of the vertices that
 moved: in a class, the vertices whose neighbors all stayed in the largest
 pieces share their next label, and no other vertex has it. The pieces are
 read off the joint ranks, since past the first difference a class can hold
 unequal numbers of the two graphs' vertices.
 
 synthesize reads canonical ranks only up to the first differing level, and
-refine_to_difference computes them only there. Each of its worklist rounds
-records only the pieces that moved. If one of them is unbalanced, the
+refine_to_difference computes them only there. The driver's worklist rounds
+record only the pieces that moved. If one of them is unbalanced, the
 pieces are replayed onto the hand-over ids, and each level up to that one
 is interned from one representative per class: all of a class share one
 label over the previous canonical ranks, so the representatives give
@@ -243,40 +244,61 @@ def distinguishing_level(g1: Graph, g2: Graph, max_level: int | None = None) -> 
     return joint_refine(g1, g2, max_level)
 
 
-def _joint_adjacency(g1: Graph, g2: Graph) -> list:
-    """Adjacency of the disjoint union: g2's vertices follow g1's."""
-    n1 = g1.vertex_count
-    return [*g1.adjacency, *([w + n1 for w in nbrs] for nbrs in g2.adjacency)]
+def _hand_over(table: LabelTable):
+    """The worklist's start from the last two canonical levels, or None
+    while the last round moved more than half of the vertices (the rounds
+    are dense).
 
-
-def _worklist_start(table: LabelTable, kept: dict[int, int]):
-    """(adjacency, color, members, touched) for worklist rounds from the
-    deepest level of a canonical table, whose last round kept each previous
-    rank p's vertices of new rank kept[p]: the joint adjacency, the joint
-    ranks as class ids, each class's vertex set, and the neighbors of the
-    vertices that moved."""
-    adjacency = _joint_adjacency(*table.graphs)
-    prev, level = (lvl.ranks[0] + lvl.ranks[1] for lvl in table.levels[-2:])
-    members = [set() for _ in table.levels[-1].defs]
-    for v, c in enumerate(level):
-        members[c].add(v)
-    touched = {w for v, (p, q) in enumerate(zip(prev, level)) if kept[p] != q
-               for w in adjacency[v]}
-    return adjacency, list(level), members, touched
-
-
-def _refine_classes(adjacency, color, members, touched, n1, level, max_level,
-                    stop_at_difference, found):
-    """Worklist rounds on joint class ids, from the partition at `level`.
-
-    color[v] is the class id of vertex v and members[c] the vertex set of
-    class c, both updated in place; vertices below n1 are g1's. The
-    vertices of a class outside `touched` must share one next label, which
-    no touched vertex of the class has. `found` is the distinguishing level
-    so far. Returns (found, stabilization_level, rounds): rounds[i] lists
-    the pieces that took new ids in round level + i + 1, in the order the
-    ids were given.
+    A vertex moved when it lies outside the largest piece of its previous
+    class. The start is (adjacency, color, members, touched): the adjacency
+    of the disjoint union, g2's vertices following g1's, the joint ranks as
+    class ids, each class's vertex set, and the neighbors of the vertices
+    that moved.
     """
+    prev, color = ([*lvl.ranks[0], *lvl.ranks[1]] for lvl in table.levels[-2:])
+    parent = dict(zip(color, prev))
+    largest = {}
+    for q, size in Counter(color).items():
+        largest[parent[q]] = max(largest.get(parent[q], (0, 0)), (size, q))
+    if 2 * sum(size for size, _ in largest.values()) < len(color):
+        return None
+    g1, g2 = table.graphs
+    n1 = g1.vertex_count
+    adjacency = [*g1.adjacency, *([w + n1 for w in nbrs] for nbrs in g2.adjacency)]
+    members = [set() for _ in table.levels[-1].defs]
+    for v, q in enumerate(color):
+        members[q].add(v)
+    kept = {q for _, q in largest.values()}
+    touched = {w for q, piece in enumerate(members) if q not in kept
+               for v in piece for w in adjacency[v]}
+    return adjacency, color, members, touched
+
+
+def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: bool):
+    """Canonical rounds while they are dense, then worklist rounds on joint
+    class ids, up to max_level, stabilization or, if stop_at_difference,
+    the first difference.
+
+    Returns (table, found, stable, adjacency, rounds): the canonical levels
+    up to the hand-over, the distinguishing and stabilization levels, and,
+    if the worklist ran, the joint adjacency and the pieces that took new
+    ids in each of its rounds, in the order the ids were given. A round
+    re-signs only the touched vertices: the rest of a class share one next
+    label, which no touched vertex of the class has.
+    """
+    table, max_level = _level_zero(g1, g2), _level_cap(g1, g2, max_level)
+    start = None
+    while not (table.complete or table.max_recorded_level == max_level
+               or stop_at_difference and table.distinguished):
+        if table.max_recorded_level:
+            start = _hand_over(table)
+            if start is not None:
+                break
+        _append_level(table)
+    if start is None:
+        return table, table.distinguishing_level, table.stabilization_level, None, []
+    adjacency, color, members, touched = start
+    n1, level, found = g1.vertex_count, table.max_recorded_level, table.distinguishing_level
     rounds = []
     while level < max_level and not (stop_at_difference and found is not None):
         # Touched vertices only, keyed by class id and then the sorted ids
@@ -304,59 +326,21 @@ def _refine_classes(adjacency, color, members, touched, n1, level, max_level,
                 moved.append(piece)
         level += 1
         if not moved:
-            return found, level - 1, rounds
+            return table, found, level - 1, adjacency, rounds
         rounds.append(moved)
         if found is None and any(2 * sum(v < n1 for v in piece) != len(piece)
                                  for piece in moved):
             found = level
         touched = {w for piece in moved for v in piece for w in adjacency[v]}
-    return found, None, rounds
-
-
-def _kept(table: LabelTable) -> dict[int, int] | None:
-    """The new rank of the largest piece of each previous rank's class in
-    the last canonical round, or None while that round moved more than
-    half of the vertices (the rounds are dense)."""
-    prev, level = (lvl.ranks[0] + lvl.ranks[1] for lvl in table.levels[-2:])
-    parent = dict(zip(level, prev))
-    largest = {}
-    for q, size in Counter(level).items():
-        largest[parent[q]] = max(largest.get(parent[q], (0, 0)), (size, q))
-    if 2 * sum(size for size, _ in largest.values()) < len(level):
-        return None
-    return {p: q for p, (_, q) in largest.items()}
-
-
-def _dense_rounds(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: bool):
-    """(table, max_level, kept): canonical levels up to the first sparse
-    round and its _kept map, or kept None if the table stopped first."""
-    table, max_level = _level_zero(g1, g2), _level_cap(g1, g2, max_level)
-    while not (table.complete or table.max_recorded_level == max_level
-               or stop_at_difference and table.distinguished):
-        if table.max_recorded_level:
-            kept = _kept(table)
-            if kept is not None:
-                return table, max_level, kept
-        _append_level(table)
-    return table, max_level, None
+    return table, found, None, adjacency, rounds
 
 
 def refine_verdict(
     g1: Graph, g2: Graph, max_level: int | None = None, stop_at_difference: bool = False
 ) -> tuple[int | None, int | None]:
     """(distinguishing_level, stabilization_level), as distinguishing_level
-    reports them for the same arguments, from the joint partition alone.
-
-    After the dense canonical rounds, g2's vertices follow g1's in one id
-    space on the worklist.
-    """
-    table, max_level, kept = _dense_rounds(g1, g2, max_level, stop_at_difference)
-    if kept is None:
-        return table.distinguishing_level, table.stabilization_level
-    found, stable, _ = _refine_classes(
-        *_worklist_start(table, kept), g1.vertex_count, table.max_recorded_level,
-        max_level, stop_at_difference, table.distinguishing_level,
-    )
+    reports them for the same arguments, from the joint partition alone."""
+    _, found, stable, _, _ = _refine(g1, g2, max_level, stop_at_difference)
     return found, stable
 
 
@@ -368,20 +352,14 @@ def refine_to_difference(g1: Graph, g2: Graph, max_level: int | None = None) -> 
     stabilization level. Otherwise the stabilization level is joint_refine's
     and the levels stop where canonical rounds handed over to the worklist.
     """
-    table, max_level, kept = _dense_rounds(g1, g2, max_level, True)
-    if kept is None:
-        return table
-    n1 = g1.vertex_count
-    adjacency, color, members, touched = _worklist_start(table, kept)
-    found, table.stabilization_level, rounds = _refine_classes(
-        adjacency, color, members, touched, n1, table.max_recorded_level,
-        max_level, True, None,
-    )
+    table, found, table.stabilization_level, adjacency, rounds = _refine(
+        g1, g2, max_level, True)
     if found is None:
         return table
     # Replay the moved pieces onto the hand-over ids. All of a class share
     # one label over the previous canonical ranks, so one representative
     # per class gives every label of the level.
+    n1 = g1.vertex_count
     level = table.levels[-1].ranks[0] + table.levels[-1].ranks[1]
     color, ranks, next_id = list(level), level, len(table.levels[-1].defs)
     for moved in rounds:

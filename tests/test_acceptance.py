@@ -213,11 +213,11 @@ def test_criterion_08_level2_pair():
 
 @criterion(9, "structural identities hold on a corpus and trip when forced")
 def test_criterion_09_invariants():
-    # the positivity, order and n-within-|S_k| checks and the end-of-run
-    # graph DP (every vertex's count in either graph equal to its level-k
-    # rank's count, whole-graph counts equal to the certificate's)
-    # run inside synthesize; completing without SynthesisInvariantError
-    # means they all held
+    # the positivity, distinctness and n-within-|S_k| checks and the
+    # end-of-run graph DP (every vertex's count in either graph equal to
+    # its level-k rank's count, which makes the whole-graph counts the
+    # certificate's, as an isolated rank counts 0) run inside synthesize;
+    # completing without SynthesisInvariantError means they all held
     rnd = random.Random(9)
     runs = 0
     for _ in range(80):

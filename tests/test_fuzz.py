@@ -22,7 +22,7 @@ from .conftest import C6, K13, P4, PROPERTY_SETTINGS, TA, TB, TWO_C3, graphs
 
 # parse_graph builds one adjacency list per announced vertex, however few
 # edges follow, so the 13-byte file "1000000000 0" exhausts memory. There is
-# no size bound yet (ROADMAP item 4), so the graph texts keep headers small.
+# no size bound yet (ROADMAP item 3), so the graph texts keep headers small.
 MAX_HEADER_VERTICES = 1000
 
 

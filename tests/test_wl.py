@@ -410,18 +410,38 @@ def _oracle(g1, g2, max_level, stop_at_difference):
     return comp.distinguishing_level, comp.stabilization_level
 
 
+def _count_canonical_rounds(mp):
+    """Calls of wl._append_level, one per canonical level appended, while
+    `mp` (a pytest MonkeyPatch) holds its patch."""
+    calls = []
+    append_level = wl._append_level
+
+    def counted(*args):
+        calls.append(args)
+        return append_level(*args)
+
+    mp.setattr(wl, "_append_level", counted)
+    return calls
+
+
 def _agrees_with_oracle(g1, g2, max_levels=(None, 0, 1, 2, 3)):
     for stop in (False, True):
         for max_level in max_levels:
             assert refine_verdict(g1, g2, max_level, stop) == _oracle(
                 g1, g2, max_level, stop
             ), (stop, max_level)
-    # synthesize's entry: refine_verdict's verdict, and on a distinguished
-    # pair the canonical levels of the early-stopping table.
+    # synthesize's entry: refine_verdict's verdict after as many canonical
+    # levels, one hand-over rule serving both, and on a distinguished pair
+    # the canonical levels of the early-stopping table.
     for max_level in max_levels:
-        table = refine_to_difference(g1, g2, max_level)
-        verdict = table.distinguishing_level, table.stabilization_level
-        assert verdict == refine_verdict(g1, g2, max_level, True), max_level
+        with pytest.MonkeyPatch.context() as mp:
+            appended = _count_canonical_rounds(mp)
+            table = refine_to_difference(g1, g2, max_level)
+            to_difference = len(appended)
+            verdict = refine_verdict(g1, g2, max_level, True)
+        assert len(appended) == 2 * to_difference, max_level
+        assert verdict == (table.distinguishing_level,
+                           table.stabilization_level), max_level
         levels = early_table(g1, g2, max_level).levels
         if table.distinguished:
             assert table.levels == levels, max_level
@@ -509,15 +529,7 @@ class TestRefineVerdict:
 def canonical_rounds(monkeypatch):
     """Calls of wl._append_level, one per canonical level appended, from
     here on."""
-    calls = []
-    append_level = wl._append_level
-
-    def counted(*args):
-        calls.append(args)
-        return append_level(*args)
-
-    monkeypatch.setattr(wl, "_append_level", counted)
-    return calls
+    return _count_canonical_rounds(monkeypatch)
 
 
 class TestRefineToDifference:
