@@ -38,17 +38,17 @@ graph splits into pieces whose imbalances sum to zero, so the histograms
 first differ at the first level where a piece that moved holds unequal
 numbers, and as classes only split they differ at every later level.
 
-One driver serves both verdict paths, and refine_verdict reads only its
-verdict. It runs canonical rounds while they are dense: while each round
-moves more than half of the vertices, a vertex having moved when it lies
-outside the largest piece of its previous class, re-signing every vertex
-costs no more than the worklist would. After the first round that moves
-fewer, one hand-over hands the canonical ranks, already joint class ids, to
-the worklist, whose first round re-signs the neighbors of the vertices that
-moved: in a class, the vertices whose neighbors all stayed in the largest
-pieces share their next label, and no other vertex has it. The pieces are
-read off the joint ranks, since past the first difference a class can hold
-unequal numbers of the two graphs' vertices.
+One driver serves both verdict paths and writes the verdict on its table, all
+that refine_verdict reads. It runs canonical rounds while they are dense:
+while each round moves more than half of the vertices, a vertex having moved
+when it lies outside the largest piece of its previous class, re-signing
+every vertex costs no more than the worklist would. After the first round
+that moves fewer, one hand-over hands the canonical ranks, already joint
+class ids, to the worklist, whose first round re-signs the neighbors of the
+vertices that moved: in a class, the vertices whose neighbors all stayed in
+the largest pieces share their next label, and no other vertex has it. The
+pieces are read off the joint ranks, since past the first difference a class
+can hold unequal numbers of the two graphs' vertices.
 
 synthesize reads canonical ranks only up to the first differing level, and
 refine_to_difference computes them only there. The driver's worklist rounds
@@ -182,17 +182,13 @@ def _degree_level(pair: tuple[Graph, Graph]) -> LevelLabels:
     )
 
 
-def _level_cap(g1: Graph, g2: Graph, max_level: int | None) -> int:
-    """max_level, checked; by default |V1|+|V2|, which reaches stabilization."""
+def _level_zero(g1: Graph, g2: Graph, max_level: int | None) -> tuple[LabelTable, int]:
+    """A table holding level 0 and its verdict, and max_level, checked; by
+    default |V1|+|V2|, which reaches stabilization."""
     if max_level is None:
-        return g1.vertex_count + g2.vertex_count
-    if max_level < 0:
+        max_level = g1.vertex_count + g2.vertex_count
+    elif max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
-    return max_level
-
-
-def _level_zero(g1: Graph, g2: Graph) -> LabelTable:
-    """A table holding level 0 and its verdict."""
     pair = (g1, g2)
     level0 = LevelLabels(defs=((),), ranks=tuple((0,) * g.vertex_count for g in pair))
     table = LabelTable(graphs=pair, levels=[level0])
@@ -200,7 +196,7 @@ def _level_zero(g1: Graph, g2: Graph) -> LabelTable:
         table.distinguishing_level = 0
     if g1.vertex_count + g2.vertex_count == 0:
         table.stabilization_level = 0
-    return table
+    return table, max_level
 
 
 def _append_level(table: LabelTable) -> None:
@@ -228,20 +224,17 @@ def joint_refine(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTab
     and on an incomplete one merely "none found". Ranks follow the tuple
     order of the label definitions, which is the label order.
     """
-    table, max_level = _level_zero(g1, g2), _level_cap(g1, g2, max_level)
+    table, max_level = _level_zero(g1, g2, max_level)
     while not table.complete and table.max_recorded_level < max_level:
         _append_level(table)
     return table
 
 
-def distinguishing_level(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTable:
-    """Least level whose label histograms differ, on joint_refine's table.
-
-    The same call as joint_refine; read .distinguishing_level, .distinguished
-    and .stabilization_level off the table it returns. A None level after
-    stabilization is conclusive: by persistence no deeper level can differ.
-    """
-    return joint_refine(g1, g2, max_level)
+# Least level whose label histograms differ, on joint_refine's table: the
+# same call; read .distinguishing_level, .distinguished and
+# .stabilization_level off the table it returns. A None level after
+# stabilization is conclusive: by persistence no deeper level can differ.
+distinguishing_level = joint_refine
 
 
 def _hand_over(table: LabelTable):
@@ -279,14 +272,14 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
     class ids, up to max_level, stabilization or, if stop_at_difference,
     the first difference.
 
-    Returns (table, found, stable, adjacency, rounds): the canonical levels
-    up to the hand-over, the distinguishing and stabilization levels, and,
-    if the worklist ran, the joint adjacency and the pieces that took new
-    ids in each of its rounds, in the order the ids were given. A round
-    re-signs only the touched vertices: the rest of a class share one next
-    label, which no touched vertex of the class has.
+    Returns (table, adjacency, rounds): the canonical levels up to the
+    hand-over with the distinguishing and stabilization levels, the
+    worklist's included, and, if the worklist ran, the joint adjacency and
+    the pieces that took new ids in each of its rounds, in the order the ids
+    were given. A round re-signs only the touched vertices: the rest of a
+    class share one next label, which no touched vertex of the class has.
     """
-    table, max_level = _level_zero(g1, g2), _level_cap(g1, g2, max_level)
+    table, max_level = _level_zero(g1, g2, max_level)
     start = None
     while not (table.complete or table.max_recorded_level == max_level
                or stop_at_difference and table.distinguished):
@@ -296,11 +289,11 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
                 break
         _append_level(table)
     if start is None:
-        return table, table.distinguishing_level, table.stabilization_level, None, []
+        return table, None, []
     adjacency, color, members, touched = start
-    n1, level, found = g1.vertex_count, table.max_recorded_level, table.distinguishing_level
+    n1, level = g1.vertex_count, table.max_recorded_level
     rounds = []
-    while level < max_level and not (stop_at_difference and found is not None):
+    while level < max_level and not (stop_at_difference and table.distinguished):
         # Touched vertices only, keyed by class id and then the sorted ids
         # of their neighbors; the rest of each class keeps its old label.
         groups: dict[tuple[int, ...], list[int]] = {}
@@ -326,13 +319,14 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
                 moved.append(piece)
         level += 1
         if not moved:
-            return table, found, level - 1, adjacency, rounds
+            table.stabilization_level = level - 1
+            break
         rounds.append(moved)
-        if found is None and any(2 * sum(v < n1 for v in piece) != len(piece)
-                                 for piece in moved):
-            found = level
+        if not table.distinguished and any(2 * sum(v < n1 for v in piece) != len(piece)
+                                           for piece in moved):
+            table.distinguishing_level = level
         touched = {w for piece in moved for v in piece for w in adjacency[v]}
-    return table, found, None, adjacency, rounds
+    return table, adjacency, rounds
 
 
 def refine_verdict(
@@ -340,21 +334,20 @@ def refine_verdict(
 ) -> tuple[int | None, int | None]:
     """(distinguishing_level, stabilization_level), as distinguishing_level
     reports them for the same arguments, from the joint partition alone."""
-    _, found, stable, _, _ = _refine(g1, g2, max_level, stop_at_difference)
-    return found, stable
+    table, _, _ = _refine(g1, g2, max_level, stop_at_difference)
+    return table.distinguishing_level, table.stabilization_level
 
 
 def refine_to_difference(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTable:
     """joint_refine's table cut at its distinguishing level d, with
     canonical levels computed only up to d.
 
-    A distinguished table holds joint_refine's levels 0..d and no
-    stabilization level. Otherwise the stabilization level is joint_refine's
-    and the levels stop where canonical rounds handed over to the worklist.
+    The driver's table carries the verdict, joint_refine's. Only a
+    distinguished one gains levels past the hand-over, replayed up to d,
+    and it has no stabilization level.
     """
-    table, found, table.stabilization_level, adjacency, rounds = _refine(
-        g1, g2, max_level, True)
-    if found is None:
+    table, adjacency, rounds = _refine(g1, g2, max_level, True)
+    if not table.distinguished:
         return table
     # Replay the moved pieces onto the hand-over ids. All of a class share
     # one label over the previous canonical ranks, so one representative
@@ -373,5 +366,4 @@ def refine_to_difference(g1: Graph, g2: Graph, max_level: int | None = None) -> 
         rank_of_class = {c: rank_of[sig] for c, sig in sig_of.items()}
         ranks = tuple(map(rank_of_class.__getitem__, color))
         table.levels.append(LevelLabels(defs=defs, ranks=(ranks[:n1], ranks[n1:])))
-    table.distinguishing_level = found
     return table

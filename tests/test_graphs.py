@@ -124,6 +124,8 @@ class TestParse:
     def test_negative_counts(self):
         with pytest.raises(GraphFormatError):
             parse_graph("-1 0\n")
+        with pytest.raises(GraphFormatError, match="^negative vertex count -1$"):
+            Graph(-1, [])
 
 
 class TestIsolatedVertices:

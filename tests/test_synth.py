@@ -525,6 +525,10 @@ class TestVerify:
     def test_equivalent_claim_on_distinguished_pair_fails(self):
         assert not verify(Certificate(mode="equivalent"), K13, P4)
 
+    def test_unknown_mode_raises(self):
+        with pytest.raises(CertificateError, match="unknown mode 'bogus'"):
+            verify(Certificate(mode="bogus"), K13, P4)
+
     def test_equivalent_claim_on_equivalent_pair_passes(self):
         assert verify(Certificate(mode="equivalent"), C6, TWO_C3)
 
@@ -696,6 +700,10 @@ class TestQuotient:
         # Level 1, P4 / K1,3, reported first differing with equal
         # non-isolated histograms: no n separates the pair.
         ((((0,), (0, 0)),), (((0, 1, 1, 0), (0, 1, 1, 0)),)),
+        # Level 1, P4 / K1,3: ranks 0 and 1 both claim degree 1, and rank 1
+        # holds P4's middle vertices, of degree 2. The bases repeat, which
+        # no true table gives; the per-vertex check refuses the claim.
+        ((((0,), (0,), (0, 0, 0)),), (((0, 1, 1, 0), (2, 0, 0, 0)),)),
     ])
     def test_end_of_run_check_is_live(self, monkeypatch, tmp_path, capsys,
                                       defs, ranks):

@@ -139,6 +139,8 @@ class TestFormat:
             ("T 1\nnode 0 : 0*1\nroot 0\n", 2),
             ("T 2\nnode 0 :\nnode 1 : 0*0\nroot 1\n", 3),
             ("T 2\nnode 0 :\nnode 1 : 0+1\nroot 1\n", 3),
+            ("T 2\nnode 0 :\nnode 1 : 0*x\nroot 1\n", 3),
+            ("T 1\nnode 0 :\nroot\n", 3),
             ("T 1\nnode 0 :\nroot 5\n", 3),
             ("T 1\nnode 0 :\nroot x\n", 3),
             ("T 2\nnode 0 :\nroot 0\n", None),

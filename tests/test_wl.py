@@ -221,6 +221,10 @@ class TestJointRefine:
         assert not table.complete
         with pytest.raises(ValueError):
             table.ranks_at(0, 1)
+        with pytest.raises(ValueError):
+            table.ranks_at(0, -1)
+        with pytest.raises(ValueError):
+            table.defs_at(1)
 
     def test_deep_query_answered_after_stabilization(self):
         # K1,3's numbering alternates past level 1: the center is rank 3 at
