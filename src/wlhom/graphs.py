@@ -1,7 +1,10 @@
 """Simple undirected graphs and their plain-text edge-list format.
 
 Vertices are 0-based indices. A graph is its vertex count and its sorted
-adjacency lists; the edge set is derived from them on first use. Graphs
+adjacency lists; the edge set, and one neighbor gather per vertex, are
+derived from them on first use. A gather (see `gather`) reads a vertex's
+neighbor values out of any per-vertex sequence in one C-level call, and
+is how refinement, the lift and the counting DP read neighbors. Graphs
 are immutable once built; self-loops and duplicate edges are rejected
 outright so corpus mistakes surface early.
 
@@ -16,7 +19,8 @@ names the same line.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from operator import itemgetter
 
 # Two runs of at most 18 digits per line, so every token is a nonnegative
 # int that int() converts whatever the interpreter's digit limit.
@@ -34,10 +38,27 @@ class GraphFormatError(ValueError):
         super().__init__(message)
 
 
-class Graph:
-    """Immutable simple undirected graph on vertices 0..vertex_count-1."""
+def gather(idx: Sequence[int]) -> Callable[[Sequence], Sequence]:
+    """A callable taking seq to the sequence of seq[i] for i in idx, in
+    order, repeats included; idx holds nonnegative indices.
 
-    __slots__ = ("vertex_count", "adjacency", "_edges")
+    An itemgetter returns a bare item for one index, so one index and none
+    become slices, which keep the result a sequence.
+    """
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    if idx:
+        return itemgetter(slice(idx[0], idx[0] + 1))
+    return itemgetter(slice(0))
+
+
+class Graph:
+    """Immutable simple undirected graph on vertices 0..vertex_count-1.
+
+    `edges` and `gathers` are built on first use and kept.
+    """
+
+    __slots__ = ("vertex_count", "adjacency", "_edges", "_gathers")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 0:
@@ -48,11 +69,13 @@ class Graph:
             vertex_count, [u for u, _ in edges], [v for _, v in edges]
         )
         self._edges: frozenset[tuple[int, int]] | None = None
+        self._gathers: tuple[Callable[[Sequence], Sequence], ...] | None = None
 
     @classmethod
     def _from_adjacency(cls, vertex_count: int, adjacency) -> Graph:
         g = cls.__new__(cls)
-        g.vertex_count, g.adjacency, g._edges = vertex_count, adjacency, None
+        g.vertex_count, g.adjacency = vertex_count, adjacency
+        g._edges = g._gathers = None
         return g
 
     @property
@@ -63,6 +86,13 @@ class Graph:
                 (u, v) for u, ns in enumerate(self.adjacency) for v in ns if u < v
             )
         return self._edges
+
+    @property
+    def gathers(self) -> tuple[Callable[[Sequence], Sequence], ...]:
+        """gathers[v](values) is v's neighbors' values, in adjacency order."""
+        if self._gathers is None:
+            self._gathers = tuple(map(gather, self.adjacency))
+        return self._gathers
 
     @property
     def edge_count(self) -> int:
@@ -154,9 +184,14 @@ def _read_lines(text: str) -> tuple[int, int, list[int], list[int], list[int]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        fields = line.split()
         try:
-            u, v = map(int, line.split())
+            u, v = map(int, fields)
         except ValueError:
+            digits = next((len(t) for t in fields if _too_long(t)), None)
+            if digits is not None:
+                raise GraphFormatError(
+                    f"number of {digits} digits is too long", lineno) from None
             expected = ("header must be two integers 'N M'" if header is None
                         else "edge line must be 'u v'")
             raise GraphFormatError(f"{expected}, got {line!r}", lineno) from None
@@ -171,6 +206,15 @@ def _read_lines(text: str) -> tuple[int, int, list[int], list[int], list[int]]:
     if header is None:
         raise GraphFormatError("missing 'N M' header line")
     return (*header, us, vs, lines)
+
+
+def _too_long(token: str) -> bool:
+    """ASCII digits that int() refuses: past the interpreter's digit limit."""
+    try:
+        int(token)
+    except ValueError:
+        return token.isascii() and token.isdigit()
+    return False
 
 
 def serialize_graph(g: Graph, comments: Sequence[str] = ()) -> str:

@@ -11,7 +11,9 @@ the succinct DAG directly: a child repeated with multiplicity m costs one
 exponentiation, never m subtree copies. `rooted_hom` is the only DP. It
 computes one vector per reachable node, a whole vector at a time: a
 child's neighbor sums over all vertices at once, then one elementwise
-power and product per child. A call shares nothing with the next.
+power and product per child. A vertex's neighbor sum is read through the
+graph's gather (graphs.gather), which the graph builds on first use and
+keeps; no count is kept from one call to the next.
 """
 
 from __future__ import annotations
@@ -53,19 +55,22 @@ def rooted_hom(arena: TreeArena, t: int, graph: Graph) -> tuple[int, ...]:
     One vector per node reachable from t, children first, each computed a
     whole vector at a time. A parent reads a child only through its
     neighbor sums, so those are kept, once per node however often it
-    recurs in the DAG; a leaf's are the degrees.
+    recurs in the DAG; a leaf's are the degrees. A first child of
+    multiplicity 1 is its sums themselves, never copied and never changed.
     """
-    adjacency = graph.adjacency
     sums: dict[int, list[int]] = {}
     for node in arena.reachable(t):
-        kids = arena.children(node)
-        vector = [1] * graph.vertex_count
-        for child, mult in kids:
-            vector = [x * s ** mult for x, s in zip(vector, sums[child])]
+        vector = None
+        for child, mult in arena.children(node):
+            s = sums[child]
+            if vector is not None:
+                vector = [x * y ** mult for x, y in zip(vector, s)]
+            else:
+                vector = s if mult == 1 else [y ** mult for y in s]
         if node == t:
-            return tuple(vector)
-        sums[node] = ([sum(map(vector.__getitem__, nbrs)) for nbrs in adjacency]
-                      if kids else [len(nbrs) for nbrs in adjacency])
+            return (1,) * graph.vertex_count if vector is None else tuple(vector)
+        sums[node] = ([len(nbrs) for nbrs in graph.adjacency] if vector is None
+                      else [sum(nbr_values(vector)) for nbr_values in graph.gathers])
 
 
 def hom_count(arena: TreeArena, t: int, graph: Graph) -> int:

@@ -53,7 +53,7 @@ import json
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .graphs import Graph
+from .graphs import Graph, gather
 from .homs import hom_count, rooted_hom
 from .trees import TreeArena, parse_tree, serialize_tree
 from .wl import LabelTable, refine_to_difference, refine_verdict
@@ -232,18 +232,21 @@ def lift(
     m over r' in the multiset defs_level[r]: the rooted count of one root
     over m copies of a tree whose level-(level-1) counts are `base`. Each
     candidate m sums one power vector base ** m over every label of the
-    level, and the accepted sums are returned. By the Descartes bound in
-    the module docstring some m up to 1 + (|S| - 1) * sum over r in S of
-    the number of distinct ranks in defs_level[r] works when `base` is
-    distinct and positive on the ranks the defs refer to; past it,
-    SynthesisInvariantError. The bound is computed only once m = 1 fails.
-    On return the sums over S are distinct and positive, so synthesize
+    level, read through one gather per label built once per call, and the
+    accepted sums are returned. By the Descartes bound in the module
+    docstring some m up to 1 + (|S| - 1) * sum over r in S of the number
+    t(r) of distinct ranks in defs_level[r] works when `base` is distinct
+    and positive on the ranks the defs refer to; past it,
+    SynthesisInvariantError. As t(r) >= 1 on S, the bound is at least
+    1 + (|S| - 1) * |S|, and it is computed only once m reaches that. On
+    return the sums over S are distinct and positive, so synthesize
     takes the last lift's sums as its final bases unchecked.
     """
     if not S:
         raise ValueError("rank set must be nonempty")
     defs = labels.defs_at(level)
-    values = [sum(map(base.__getitem__, label)) for label in defs]
+    label_gathers = list(map(gather, defs))
+    values = [sum(of_label(base)) for of_label in label_gathers]
     if min(values[r] for r in S) < 1:
         raise SynthesisInvariantError(
             f"nonpositive count at a non-isolated level-{level} rank"
@@ -251,14 +254,15 @@ def lift(
     # b ** m > 0 exactly when b > 0, so later values stay positive.
     m, powers, bound = 1, base, None
     while len({values[r] for r in S}) < len(S):
-        bound = bound or 1 + (len(S) - 1) * sum(len(set(defs[r])) for r in S)
-        if m == bound:
-            raise SynthesisInvariantError(
-                f"no m <= {bound} makes the level-{level} counts distinct"
-            )
+        if m > (len(S) - 1) * len(S):
+            bound = bound or 1 + (len(S) - 1) * sum(len(set(defs[r])) for r in S)
+            if m == bound:
+                raise SynthesisInvariantError(
+                    f"no m <= {bound} makes the level-{level} counts distinct"
+                )
         m += 1
         powers = [p * b for p, b in zip(powers, base)]
-        values = [sum(map(powers.__getitem__, label)) for label in defs]
+        values = [sum(of_label(powers)) for of_label in label_gathers]
     return m, tuple(values)
 
 

@@ -16,7 +16,10 @@ label of its level; the empty multiset (isolated vertices) is always minimal.
 A label is stored as its neighbors' previous ranks, repeats included, sorted
 descending, on which plain tuple order is the label order. A level-1 label
 is d copies of the one level-0 rank, so level 1 is read off the degrees and
-no round signs vertices at level 0.
+no round signs vertices at level 0. Every signature reads a vertex's
+neighbor ranks or ids with one gather (graphs.gather): a canonical round
+uses its graph's own, and the worklist and the replay use joint ones built
+at the hand-over.
 
 joint_refine records these ranks, and the verdict, on a LabelTable. Past
 stabilization the partition is fixed but its numbering can cycle, so the
@@ -65,7 +68,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from .graphs import Graph
+from .graphs import Graph, gather
 
 # A label: its multiset of previous-level ranks, sorted descending.
 LabelDef = tuple[int, ...]
@@ -156,7 +159,7 @@ def _next_level(
     # Neighbor ranks sorted descending: each is its label, and tuple order
     # on these is the label order.
     signatures = [
-        [tuple(sorted([ranks[w] for w in nbrs], reverse=True)) for nbrs in g.adjacency]
+        [tuple(sorted(nbr_ranks(ranks), reverse=True)) for nbr_ranks in g.gathers]
         for g, ranks in zip(pair, prev)
     ]
     defs, rank_of = _intern(set(signatures[0]).union(signatures[1]))
@@ -243,10 +246,10 @@ def _hand_over(table: LabelTable):
     are dense).
 
     A vertex moved when it lies outside the largest piece of its previous
-    class. The start is (adjacency, color, members, touched): the adjacency
-    of the disjoint union, g2's vertices following g1's, the joint ranks as
-    class ids, each class's vertex set, and the neighbors of the vertices
-    that moved.
+    class. The start is (adjacency, gathers, color, members, touched): the
+    adjacency of the disjoint union, g2's vertices following g1's, and its
+    gathers, the joint ranks as class ids, each class's vertex set, and the
+    neighbors of the vertices that moved.
     """
     prev, color = ([*lvl.ranks[0], *lvl.ranks[1]] for lvl in table.levels[-2:])
     parent = dict(zip(color, prev))
@@ -258,13 +261,14 @@ def _hand_over(table: LabelTable):
     g1, g2 = table.graphs
     n1 = g1.vertex_count
     adjacency = [*g1.adjacency, *([w + n1 for w in nbrs] for nbrs in g2.adjacency)]
+    gathers = [*g1.gathers, *map(gather, adjacency[n1:])]
     members = [set() for _ in table.levels[-1].defs]
     for v, q in enumerate(color):
         members[q].add(v)
     kept = {q for _, q in largest.values()}
     touched = {w for q, piece in enumerate(members) if q not in kept
                for v in piece for w in adjacency[v]}
-    return adjacency, color, members, touched
+    return adjacency, gathers, color, members, touched
 
 
 def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: bool):
@@ -272,9 +276,9 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
     class ids, up to max_level, stabilization or, if stop_at_difference,
     the first difference.
 
-    Returns (table, adjacency, rounds): the canonical levels up to the
+    Returns (table, gathers, rounds): the canonical levels up to the
     hand-over with the distinguishing and stabilization levels, the
-    worklist's included, and, if the worklist ran, the joint adjacency and
+    worklist's included, and, if the worklist ran, the joint gathers and
     the pieces that took new ids in each of its rounds, in the order the ids
     were given. A round re-signs only the touched vertices: the rest of a
     class share one next label, which no touched vertex of the class has.
@@ -290,7 +294,7 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
         _append_level(table)
     if start is None:
         return table, None, []
-    adjacency, color, members, touched = start
+    adjacency, gathers, color, members, touched = start
     n1, level = g1.vertex_count, table.max_recorded_level
     rounds = []
     while level < max_level and not (stop_at_difference and table.distinguished):
@@ -298,7 +302,7 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
         # of their neighbors; the rest of each class keeps its old label.
         groups: dict[tuple[int, ...], list[int]] = {}
         for v in touched:
-            sig = (color[v], *sorted([color[w] for w in adjacency[v]]))
+            sig = (color[v], *sorted(gathers[v](color)))
             groups.setdefault(sig, []).append(v)
         by_class: dict[int, list[list[int]]] = {}
         for sig, piece in groups.items():
@@ -326,7 +330,7 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
                                            for piece in moved):
             table.distinguishing_level = level
         touched = {w for piece in moved for v in piece for w in adjacency[v]}
-    return table, adjacency, rounds
+    return table, gathers, rounds
 
 
 def refine_verdict(
@@ -346,7 +350,7 @@ def refine_to_difference(g1: Graph, g2: Graph, max_level: int | None = None) -> 
     distinguished one gains levels past the hand-over, replayed up to d,
     and it has no stabilization level.
     """
-    table, adjacency, rounds = _refine(g1, g2, max_level, True)
+    table, gathers, rounds = _refine(g1, g2, max_level, True)
     if not table.distinguished:
         return table
     # Replay the moved pieces onto the hand-over ids. All of a class share
@@ -360,7 +364,7 @@ def refine_to_difference(g1: Graph, g2: Graph, max_level: int | None = None) -> 
             for v in piece:
                 color[v] = next_id
             next_id += 1
-        sig_of = {c: tuple(sorted([ranks[w] for w in adjacency[v]], reverse=True))
+        sig_of = {c: tuple(sorted(gathers[v](ranks), reverse=True))
                   for c, v in dict(zip(color, range(len(color)))).items()}
         defs, rank_of = _intern(sig_of.values())
         rank_of_class = {c: rank_of[sig] for c, sig in sig_of.items()}

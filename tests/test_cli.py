@@ -87,6 +87,15 @@ class TestCompare:
         assert rc == 2
         assert "line" in capsys.readouterr().err
 
+    def test_number_past_digit_limit(self, tmp_path, gfile, capsys):
+        bad = tmp_path / "bad"
+        bad.write_text("2 1\n0 " + "9" * 5000 + "\n", encoding="utf-8")
+        rc = main(["compare", str(bad), gfile("b", P4)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 2: number of 5000 digits is too long" in err
+        assert len(err) < 200
+
     def test_negative_max_level_rejected(self, gfile, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compare", gfile("a", K13), gfile("b", P4), "--max-level", "-1"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -70,8 +71,11 @@ def _reference_parse_graph(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]
     """The line-by-line parser, checking each edge as it is added.
 
     Returns (vertex_count, adjacency); parse_graph must agree with it on
-    every text, errors and their line numbers included.
+    every text, errors and their line numbers included. A number longer
+    than int()'s digit limit is reported by its length, before any other
+    error of its line.
     """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     header = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -79,6 +83,10 @@ def _reference_parse_graph(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]
         if not line or line.startswith("#"):
             continue
         fields = line.split()
+        for field in fields:
+            if field.isascii() and field.isdigit() and 0 < limit < len(field):
+                raise GraphFormatError(
+                    f"number of {len(field)} digits is too long", lineno)
         if header is None:
             message = f"header must be two integers 'N M', got {line!r}"
             if len(fields) != 2:

@@ -19,6 +19,7 @@ from wlhom import (
 )
 
 from wlhom import graphs as graphs_module
+from wlhom.graphs import gather
 
 from .conftest import (
     PROPERTY_SETTINGS,
@@ -107,6 +108,19 @@ class TestParse:
         with pytest.raises(GraphFormatError):
             parse_graph("2 1\n0 5\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("2 1\n0 " + "9" * 5000, 2),
+        ("9" * 5000 + " 0\n", 1),
+        ("# c\n2 1\nx " + "9" * 5000 + "\n", 3),
+    ])
+    def test_number_past_digit_limit_is_too_long_not_echoed(self, text, line):
+        # int() refuses 5000 digits; the error names the length, not the line
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: number of 5000 digits is too long"
+        assert len(str(exc.value)) < 200
+
     def test_bad_header(self):
         with pytest.raises(GraphFormatError):
             parse_graph("three 3\n")
@@ -177,6 +191,35 @@ class TestConstructors:
     def test_disjoint_union_shifts(self):
         g = disjoint_union(path_graph(2), path_graph(2))
         assert g.edges == frozenset({(0, 1), (2, 3)})
+
+
+index_lists = st.lists(st.integers(0, 9), max_size=6).flatmap(
+    lambda idx: st.sampled_from((idx, tuple(idx))))
+
+
+@PROPERTY_SETTINGS
+@given(index_lists, st.lists(st.integers(), min_size=10, max_size=10),
+       st.booleans())
+def test_gather_reads_items_in_order(idx, values, as_tuple):
+    # lengths 0, 1 and >= 2 take different itemgetter forms; all give a
+    # sequence equal to the items at idx, repeats included
+    seq = tuple(values) if as_tuple else values
+    assert list(gather(idx)(seq)) == [seq[i] for i in idx]
+
+
+def test_gather_forms_cover_every_length():
+    seq = [10, 11, 12]
+    assert list(gather(())(seq)) == []
+    assert list(gather([2])(seq)) == [12]
+    assert list(gather((1, 1, 0))(seq)) == [11, 11, 10]
+
+
+def test_graph_gathers_built_on_first_use():
+    g = parse_graph("4 2\n0 1\n0 2\n")
+    assert g._gathers is None
+    ranks = ("a", "b", "c", "d")
+    assert [list(nbrs(ranks)) for nbrs in g.gathers] == [["b", "c"], ["a"], ["a"], []]
+    assert g.gathers is g.gathers
 
 
 @PROPERTY_SETTINGS

@@ -109,6 +109,19 @@ class TestWholeVectorDP:
         arena, t = dag
         assert rooted_hom(arena, t, g) == rooted_hom_reference(arena, t, g)
 
+    def test_child_shared_at_multiplicity_one(self):
+        # children sort by id, so `edge` is the first child of both parents
+        # and of the root, each of which starts from its sums uncopied; the
+        # later children must not write into them
+        arena = TreeArena()
+        edge = arena.attach([(arena.leaf(), 1)])
+        star2 = arena.attach([(edge, 2)])
+        left = arena.attach([(edge, 1)])
+        right = arena.attach([(edge, 1), (star2, 1)])
+        t = arena.attach([(edge, 1), (left, 1), (right, 3)])
+        for g in (P4, K13, C6, Graph(5, [(0, 1), (1, 2)])):
+            assert rooted_hom(arena, t, g) == rooted_hom_reference(arena, t, g)
+
     def test_matches_reference_on_multi_thousand_bit_counts(self):
         rnd = random.Random(200)
         edges = [(u, v) for u in range(190) for v in range(u + 1, 190)
