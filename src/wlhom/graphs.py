@@ -1,12 +1,12 @@
 """Simple undirected graphs and their plain-text edge-list format.
 
 Vertices are 0-based indices. A graph is its vertex count and its sorted
-adjacency lists; the edge set, and one neighbor gather per vertex, are
-derived from them on first use. A gather (see `gather`) reads a vertex's
-neighbor values out of any per-vertex sequence in one C-level call, and
-is how refinement, the lift and the counting DP read neighbors. Graphs
-are immutable once built; self-loops and duplicate edges are rejected
-outright so corpus mistakes surface early.
+adjacency lists. The edge set is derived from them on each use; one
+neighbor gather per vertex is built on first use and kept. A gather (see
+`gather`) reads a vertex's neighbor values out of any per-vertex sequence
+in one C-level call, and is how refinement, the lift and the counting DP
+read neighbors. Graphs are immutable once built; self-loops and duplicate
+edges are rejected outright so corpus mistakes surface early.
 
 A plain file, the header line and then one ``u v`` line per edge, each
 line two numbers in ASCII digits separated by spaces or tabs and nothing
@@ -55,10 +55,11 @@ def gather(idx: Sequence[int]) -> Callable[[Sequence], Sequence]:
 class Graph:
     """Immutable simple undirected graph on vertices 0..vertex_count-1.
 
-    `edges` and `gathers` are built on first use and kept.
+    `edges` is derived from the adjacency on each use; `gathers` is built on
+    first use and kept.
     """
 
-    __slots__ = ("vertex_count", "adjacency", "_edges", "_gathers")
+    __slots__ = ("vertex_count", "adjacency", "_gathers")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 0:
@@ -68,24 +69,20 @@ class Graph:
         self.adjacency = _adjacency(
             vertex_count, [u for u, _ in edges], [v for _, v in edges]
         )
-        self._edges: frozenset[tuple[int, int]] | None = None
         self._gathers: tuple[Callable[[Sequence], Sequence], ...] | None = None
 
     @classmethod
     def _from_adjacency(cls, vertex_count: int, adjacency) -> Graph:
         g = cls.__new__(cls)
-        g.vertex_count, g.adjacency = vertex_count, adjacency
-        g._edges = g._gathers = None
+        g.vertex_count, g.adjacency, g._gathers = vertex_count, adjacency, None
         return g
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """Edges as (u, v) with u < v."""
-        if self._edges is None:
-            self._edges = frozenset(
-                (u, v) for u, ns in enumerate(self.adjacency) for v in ns if u < v
-            )
-        return self._edges
+        return frozenset(
+            (u, v) for u, ns in enumerate(self.adjacency) for v in ns if u < v
+        )
 
     @property
     def gathers(self) -> tuple[Callable[[Sequence], Sequence], ...]:
@@ -99,8 +96,7 @@ class Graph:
         return sum(map(len, self.adjacency)) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self.edges
+        return 0 <= u < self.vertex_count and v in self.adjacency[u]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -144,7 +140,7 @@ def _first_bad_edge(n: int, us: Sequence[int], vs: Sequence[int]) -> tuple[int, 
     for i, (u, v) in enumerate(zip(us, vs)):
         for x in (u, v):
             if not 0 <= x < n:
-                return i, f"vertex index {x} out of range [0, {n})"
+                return i, f"vertex index {spell(x)} out of range [0, {n})"
         if u == v:
             return i, f"self-loop at vertex {u}"
         key = (u, v) if u < v else (v, u)
@@ -169,7 +165,7 @@ def parse_graph(text: str) -> Graph:
         n, m, us, vs, lines = _read_lines(text)
     if len(us) != m:
         raise GraphFormatError(
-            f"header announces {m} edges but file contains {len(us)}"
+            f"header announces {spell(m)} edges but file contains {len(us)}"
         )
     return Graph._from_adjacency(n, _adjacency(n, us, vs, lines))
 
@@ -188,13 +184,10 @@ def _read_lines(text: str) -> tuple[int, int, list[int], list[int], list[int]]:
         try:
             u, v = map(int, fields)
         except ValueError:
-            digits = next((len(t) for t in fields if _too_long(t)), None)
-            if digits is not None:
-                raise GraphFormatError(
-                    f"number of {digits} digits is too long", lineno) from None
             expected = ("header must be two integers 'N M'" if header is None
                         else "edge line must be 'u v'")
-            raise GraphFormatError(f"{expected}, got {line!r}", lineno) from None
+            raise GraphFormatError(
+                too_long(fields) or f"{expected}, got {line!r}", lineno) from None
         if header is None:
             if u < 0 or v < 0:
                 raise GraphFormatError(f"negative count in header {line!r}", lineno)
@@ -208,13 +201,24 @@ def _read_lines(text: str) -> tuple[int, int, list[int], list[int], list[int]]:
     return (*header, us, vs, lines)
 
 
-def _too_long(token: str) -> bool:
-    """ASCII digits that int() refuses: past the interpreter's digit limit."""
-    try:
-        int(token)
-    except ValueError:
-        return token.isascii() and token.isdigit()
-    return False
+def too_long(tokens: Iterable[str]) -> str | None:
+    """The error naming the length of the first token of ASCII digits that
+    int() refuses, past the interpreter's digit limit, or None."""
+    for token in tokens:
+        if token.isascii() and token.isdigit():
+            try:
+                int(token)
+            except ValueError:
+                return f"number of {len(token)} digits is too long"
+    return None
+
+
+def spell(x: int) -> str:
+    """x for an error message: in decimal up to 18 digits, and past that
+    by its digit count, so a message quoting a huge number stays short."""
+    if -10**18 < x < 10**18:
+        return str(x)
+    return f"{'-' if x < 0 else ''}<{len(str(abs(x)))} digits>"
 
 
 def serialize_graph(g: Graph, comments: Sequence[str] = ()) -> str:

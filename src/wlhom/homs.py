@@ -19,10 +19,13 @@ keeps; no count is kept from one call to the next.
 from __future__ import annotations
 
 import itertools
+from typing import TYPE_CHECKING
 
 from .graphs import Graph
 from .trees import TreeArena
-from .wl import LabelTable
+
+if TYPE_CHECKING:
+    from .wl import LabelTable
 
 
 class BudgetExceededError(RuntimeError):

@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable
 
+from .graphs import spell, too_long
+
 
 class TreeFormatError(ValueError):
     """Malformed tree file; carries the 1-based source line when known."""
@@ -131,13 +133,13 @@ def parse_tree(text: str) -> tuple[TreeArena, int]:
     try:
         count = int(fields[1])
     except ValueError:
-        raise TreeFormatError(f"bad node count {fields[1]!r}", 1) from None
-    if count < 1:
-        raise TreeFormatError(f"node count must be >= 1, got {count}", 1)
-    if len(lines) != count + 2:
         raise TreeFormatError(
-            f"expected {count} node lines plus a root line, found {len(lines) - 1}"
-        )
+            too_long(fields[1:]) or f"bad node count {fields[1]!r}", 1) from None
+    if count < 1:
+        raise TreeFormatError(f"node count must be >= 1, got {spell(count)}", 1)
+    if len(lines) != count + 2:
+        raise TreeFormatError(f"expected {spell(count)} node lines plus a root "
+                              f"line, found {len(lines) - 1}")
     arena = TreeArena()
     for node in range(count):
         lineno = node + 2
@@ -158,13 +160,15 @@ def parse_tree(text: str) -> tuple[TreeArena, int]:
             try:
                 child, mult = int(child_str), int(mult_str)
             except ValueError:
-                raise TreeFormatError(f"bad child token {token!r}", lineno) from None
+                raise TreeFormatError(
+                    too_long((child_str, mult_str)) or f"bad child token {token!r}",
+                    lineno) from None
             if not 0 <= child < node:
                 raise TreeFormatError(
-                    f"child id {child} must be in [0, {node})", lineno
+                    f"child id {spell(child)} must be in [0, {node})", lineno
                 )
             if mult < 1:
-                raise TreeFormatError(f"multiplicity {mult} < 1", lineno)
+                raise TreeFormatError(f"multiplicity {spell(mult)} < 1", lineno)
             children.append((child, mult))
         arena.attach(children)
     fields = lines[count + 1].split()
@@ -175,9 +179,10 @@ def parse_tree(text: str) -> tuple[TreeArena, int]:
     try:
         root = int(fields[1])
     except ValueError:
-        raise TreeFormatError(f"bad root id {fields[1]!r}", count + 2) from None
+        raise TreeFormatError(
+            too_long(fields[1:]) or f"bad root id {fields[1]!r}", count + 2) from None
     if not 0 <= root < count:
-        raise TreeFormatError(f"root id {root} out of range", count + 2)
+        raise TreeFormatError(f"root id {spell(root)} out of range", count + 2)
     return arena, root
 
 

@@ -66,7 +66,7 @@ hand-over is computed.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 
 from .graphs import Graph, gather
 
@@ -246,10 +246,11 @@ def _hand_over(table: LabelTable):
     are dense).
 
     A vertex moved when it lies outside the largest piece of its previous
-    class. The start is (adjacency, gathers, color, members, touched): the
+    class. The start is (adjacency, gathers, color, members, moved): the
     adjacency of the disjoint union, g2's vertices following g1's, and its
     gathers, the joint ranks as class ids, each class's vertex set, and the
-    neighbors of the vertices that moved.
+    vertex sets of the classes outside each kept largest piece, the pieces
+    that moved.
     """
     prev, color = ([*lvl.ranks[0], *lvl.ranks[1]] for lvl in table.levels[-2:])
     parent = dict(zip(color, prev))
@@ -266,9 +267,8 @@ def _hand_over(table: LabelTable):
     for v, q in enumerate(color):
         members[q].add(v)
     kept = {q for _, q in largest.values()}
-    touched = {w for q, piece in enumerate(members) if q not in kept
-               for v in piece for w in adjacency[v]}
-    return adjacency, gathers, color, members, touched
+    moved = [piece for q, piece in enumerate(members) if q not in kept]
+    return adjacency, gathers, color, members, moved
 
 
 def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: bool):
@@ -280,7 +280,9 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
     hand-over with the distinguishing and stabilization levels, the
     worklist's included, and, if the worklist ran, the joint gathers and
     the pieces that took new ids in each of its rounds, in the order the ids
-    were given. A round re-signs only the touched vertices: the rest of a
+    were given. A round re-signs only the touched vertices, the neighbors
+    of the pieces that moved in the round before (at the hand-over, for the
+    first), read before the round changes any vertex set: the rest of a
     class share one next label, which no touched vertex of the class has.
     """
     table, max_level = _level_zero(g1, g2, max_level)
@@ -294,21 +296,19 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
         _append_level(table)
     if start is None:
         return table, None, []
-    adjacency, gathers, color, members, touched = start
+    adjacency, gathers, color, members, moved = start
     n1, level = g1.vertex_count, table.max_recorded_level
     rounds = []
     while level < max_level and not (stop_at_difference and table.distinguished):
-        # Touched vertices only, keyed by class id and then the sorted ids
-        # of their neighbors; the rest of each class keeps its old label.
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for v in touched:
-            sig = (color[v], *sorted(gathers[v](color)))
-            groups.setdefault(sig, []).append(v)
-        by_class: dict[int, list[list[int]]] = {}
-        for sig, piece in groups.items():
-            by_class.setdefault(sig[0], []).append(piece)
+        # The touched vertices, the neighbors of the last moved pieces, keyed
+        # by class id and then the sorted ids of their neighbors; the rest
+        # of each class keeps its old label.
+        by_class: defaultdict[int, dict[tuple[int, ...], list[int]]] = defaultdict(dict)
+        for v in {w for piece in moved for u in piece for w in adjacency[u]}:
+            by_class[color[v]].setdefault(tuple(sorted(gathers[v](color))), []).append(v)
         moved = []
-        for c, pieces in by_class.items():
+        for c, groups in by_class.items():
+            pieces = list(groups.values())
             rest = len(members[c]) - sum(map(len, pieces))
             if rest < max(map(len, pieces)):
                 if rest:
@@ -329,7 +329,6 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
         if not table.distinguished and any(2 * sum(v < n1 for v in piece) != len(piece)
                                            for piece in moved):
             table.distinguishing_level = level
-        touched = {w for piece in moved for v in piece for w in adjacency[v]}
     return table, gathers, rounds
 
 

@@ -96,6 +96,14 @@ class TestCompare:
         assert "line 2: number of 5000 digits is too long" in err
         assert len(err) < 200
 
+    def test_long_vertex_index_named_by_digit_count(self, tmp_path, gfile, capsys):
+        bad = tmp_path / "bad"
+        bad.write_text("2 1\n0 " + "9" * 4000 + "\n", encoding="utf-8")
+        rc = main(["compare", str(bad), gfile("b", P4)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: line 2: vertex index <4000 digits> out of range [0, 2)\n")
+
     def test_negative_max_level_rejected(self, gfile, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compare", gfile("a", K13), gfile("b", P4), "--max-level", "-1"])
@@ -169,6 +177,15 @@ class TestHomCount:
             "count": "12",
             "rooted": ["9", "1", "1", "1"],
         }
+
+    def test_long_child_id_named_by_digit_count(self, gfile, tmp_path, capsys):
+        tree = tmp_path / "t"
+        tree.write_text("T 2\nnode 0 :\nnode 1 : " + "9" * 4000 + "*1\nroot 1\n",
+                        encoding="utf-8")
+        rc = main(["hom-count", str(tree), gfile("g", C6)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: line 3: child id <4000 digits> must be in [0, 1)\n")
 
     def test_malformed_tree(self, gfile, tmp_path, capsys):
         tree = tmp_path / "t"

@@ -73,8 +73,13 @@ def _reference_parse_graph(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]
     Returns (vertex_count, adjacency); parse_graph must agree with it on
     every text, errors and their line numbers included. A number longer
     than int()'s digit limit is reported by its length, before any other
-    error of its line.
+    error of its line, and a message names a number of more than 18 digits
+    by its digit count.
     """
+    def spelled(x):
+        digits = len(str(abs(x)))
+        return str(x) if digits <= 18 else "-" * (x < 0) + f"<{digits} digits>"
+
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     header = None
     edges = []
@@ -112,13 +117,14 @@ def _reference_parse_graph(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]
     n, m = header
     if len(edges) != m:
         raise GraphFormatError(
-            f"header announces {m} edges but file contains {len(edges)}")
+            f"header announces {spelled(m)} edges but file contains {len(edges)}")
     seen = set()
     neighbors = [[] for _ in range(n)]
     for lineno, u, v in edges:
         for x in (u, v):
             if not 0 <= x < n:
-                raise GraphFormatError(f"vertex index {x} out of range [0, {n})", lineno)
+                raise GraphFormatError(
+                    f"vertex index {spelled(x)} out of range [0, {n})", lineno)
         if u == v:
             raise GraphFormatError(f"self-loop at vertex {u}", lineno)
         key = (min(u, v), max(u, v))

@@ -121,6 +121,23 @@ class TestParse:
         assert str(exc.value) == f"line {line}: number of 5000 digits is too long"
         assert len(str(exc.value)) < 200
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("2 1\n0 " + "9" * 4000, 2, "vertex index <4000 digits> out of range [0, 2)"),
+        ("2 1\n" + "9" * 19 + " 0\n", 2, "vertex index <19 digits> out of range [0, 2)"),
+        ("2 1\n0 -" + "9" * 19 + "\n", 2, "vertex index -<19 digits> out of range [0, 2)"),
+        ("2 " + "9" * 4000, None, "header announces <4000 digits> edges but file contains 0"),
+        # up to 18 digits a number is quoted whole, in bulk and line by line
+        ("2 1\n0 " + "9" * 18, 2, f"vertex index {'9' * 18} out of range [0, 2)"),
+        ("2 1\n0 -" + "9" * 18, 2, f"vertex index -{'9' * 18} out of range [0, 2)"),
+        ("2 " + "9" * 18, None, f"header announces {'9' * 18} edges but file contains 0"),
+    ])
+    def test_long_number_named_by_digit_count(self, text, line, message):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph(text)
+        assert exc.value.line == line
+        assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+        assert len(str(exc.value)) < 200
+
     def test_bad_header(self):
         with pytest.raises(GraphFormatError):
             parse_graph("three 3\n")
@@ -252,13 +269,21 @@ def test_constructor_and_bulk_parse_agree(case):
     text = serialize_graph(built)
     assert graphs_module._PLAIN.fullmatch(text)  # read in bulk
     parsed = parse_graph(text)
-    assert parsed._edges is None  # the edge set is derived on first use
     for g in (built, parsed):
         assert g == built and hash(g) == hash(built)
         assert g != Graph(n + 1, edges)
-        assert g.edges == expected and g.edges is g.edges
+        assert g.edges == expected
         assert g.edge_count == len(expected)
         assert parse_graph(serialize_graph(g)) == g
+
+
+@PROPERTY_SETTINGS
+@given(graphs())
+def test_has_edge_matches_edge_set(g):
+    n, edges = g.vertex_count, g.edges
+    for u in range(-2, n + 2):
+        for v in range(-2, n + 2):
+            assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
 
 
 @PROPERTY_SETTINGS

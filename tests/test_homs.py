@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -23,6 +25,7 @@ from wlhom import (
     path_graph,
     rooted_hom,
 )
+from wlhom import homs
 from wlhom.wl import LevelLabels
 
 from .conftest import (
@@ -298,3 +301,27 @@ def test_zero_vertex_graph():
     arena = TreeArena()
     assert rooted_hom(arena, star(arena, 2), Graph(0, [])) == ()
     assert hom_count(arena, arena.leaf(), Graph(0, [])) == 0
+
+
+def _run_time_imports(tree: ast.Module):
+    """Modules the top-level statements import, outside `if TYPE_CHECKING:`."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.If) and ast.unparse(stmt.test).endswith("TYPE_CHECKING"):
+            stmt = ast.Module(body=stmt.orelse, type_ignores=[])
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                yield base
+                yield from (base.rstrip(".") + "." + alias.name for alias in node.names)
+
+
+def test_counting_does_not_import_refinement_or_synthesis():
+    # the DP reads a LabelTable only through its methods, so wl (and synth,
+    # which imports homs) is named for annotations alone
+    imported = set(_run_time_imports(ast.parse(Path(homs.__file__).read_text("utf-8"))))
+    assert ".graphs" in imported and ".trees" in imported
+    for module in (".wl", ".synth"):
+        assert not {name for name in imported
+                    if name == module or name.endswith(module)}, module

@@ -151,6 +151,41 @@ class TestFormat:
             parse_tree(text)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("T 2\nnode 0 :\nnode 1 : " + "9" * 4000 + "*1\nroot 1\n", 3,
+         "child id <4000 digits> must be in [0, 1)"),
+        ("T 2\nnode 0 :\nnode 1 : 0*-" + "9" * 4000 + "\nroot 1\n", 3,
+         "multiplicity -<4000 digits> < 1"),
+        ("T " + "9" * 4000 + "\n", None,
+         "expected <4000 digits> node lines plus a root line, found 0"),
+        ("T -" + "9" * 4000 + "\n", 1, "node count must be >= 1, got -<4000 digits>"),
+        ("T 1\nnode 0 :\nroot " + "9" * 4000 + "\n", 3, "root id <4000 digits> out of range"),
+        ("T 1\nnode 0 :\nroot -" + "9" * 19 + "\n", 3, "root id -<19 digits> out of range"),
+        # up to 18 digits a number is quoted whole
+        ("T 2\nnode 0 :\nnode 1 : " + "9" * 18 + "*1\nroot 1\n", 3,
+         f"child id {'9' * 18} must be in [0, 1)"),
+        ("T 1\nnode 0 :\nroot " + "9" * 18 + "\n", 3, f"root id {'9' * 18} out of range"),
+    ])
+    def test_long_number_named_by_digit_count(self, text, line, message):
+        with pytest.raises(TreeFormatError) as exc:
+            parse_tree(text)
+        assert exc.value.line == line
+        assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+        assert len(str(exc.value)) < 200
+
+    @pytest.mark.parametrize("text, line", [
+        ("T " + "9" * 5000 + "\n", 1),
+        ("T 2\nnode 0 :\nnode 1 : 0*" + "9" * 5000 + "\nroot 1\n", 3),
+        ("T 2\nnode 0 :\nnode 1 : " + "9" * 5000 + "*1\nroot 1\n", 3),
+        ("T 1\nnode 0 :\nroot " + "9" * 5000 + "\n", 3),
+    ])
+    def test_number_past_digit_limit_is_too_long_not_echoed(self, text, line):
+        # int() refuses 5000 digits; the error names the length, not the token
+        with pytest.raises(TreeFormatError) as exc:
+            parse_tree(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: number of 5000 digits is too long"
+
 
 class TestExpand:
     def test_star3(self):
