@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .graphs import empty_graph, parse_graph, serialize_graph, Graph
+from .graphs import empty_graph, parse_graph, quote, serialize_graph, spell, Graph
 from .homs import rooted_hom
 from .synth import (SynthesisInvariantError, certificate_from_json,
                     certificate_to_json, json_text, synthesize, verify)
@@ -26,9 +26,9 @@ def _natural(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected an integer, got {quote(text)}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {spell(value)}")
     return value
 
 

@@ -187,10 +187,10 @@ def _read_lines(text: str) -> tuple[int, int, list[int], list[int], list[int]]:
             expected = ("header must be two integers 'N M'" if header is None
                         else "edge line must be 'u v'")
             raise GraphFormatError(
-                too_long(fields) or f"{expected}, got {line!r}", lineno) from None
+                too_long(fields) or f"{expected}, got {quote(line)}", lineno) from None
         if header is None:
             if u < 0 or v < 0:
-                raise GraphFormatError(f"negative count in header {line!r}", lineno)
+                raise GraphFormatError(f"negative count in header {quote(line)}", lineno)
             header = (u, v)
         else:
             us.append(u)
@@ -219,6 +219,13 @@ def spell(x: int) -> str:
     if -10**18 < x < 10**18:
         return str(x)
     return f"{'-' if x < 0 else ''}<{len(str(abs(x)))} digits>"
+
+
+def quote(value: object) -> str:
+    """value for an error message: its repr up to 60 characters, and past
+    that the length of its text, so a message quoting input stays short."""
+    shown = repr(value)
+    return shown if len(shown) <= 60 else f"<{len(str(value))} characters>"
 
 
 def serialize_graph(g: Graph, comments: Sequence[str] = ()) -> str:

@@ -53,7 +53,7 @@ import json
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .graphs import Graph, gather
+from .graphs import Graph, gather, quote
 from .homs import hom_count, rooted_hom
 from .trees import TreeArena, parse_tree, serialize_tree
 from .wl import LabelTable, refine_to_difference, refine_verdict
@@ -136,6 +136,11 @@ def _parse_count(value: object, field: str) -> int:
     return int(value)
 
 
+def _is_int(value: object, least: float = float("-inf")) -> bool:
+    """value is a JSON integer of at least `least`; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def certificate_from_json(text: str) -> Certificate:
     try:
         data = json.loads(text)
@@ -143,7 +148,7 @@ def certificate_from_json(text: str) -> Certificate:
         raise CertificateError(f"not valid JSON: {exc}") from None
     _require(isinstance(data, dict), "certificate must be a JSON object")
     mode = data.get("mode")
-    _require(mode in MODES, f"mode must be one of {MODES}, got {mode!r}")
+    _require(mode in MODES, f"mode must be one of {MODES}, got {quote(mode)}")
     expected = {"mode"}
     if mode != "equivalent":
         expected |= {"level", "tree", "count_g1", "count_g2"}
@@ -156,8 +161,7 @@ def certificate_from_json(text: str) -> Certificate:
     if mode == "equivalent":
         return Certificate(mode=mode)
     level = data["level"]
-    _require(isinstance(level, int) and not isinstance(level, bool),
-             "level must be an integer")
+    _require(_is_int(level), "level must be an integer")
     tree_text = data["tree"]
     _require(isinstance(tree_text, str), "tree must be a string")
     try:
@@ -175,16 +179,13 @@ def certificate_from_json(text: str) -> Certificate:
     _require(level >= 1, "tree certificate must have level >= 1")
     m_per_level = data["m_per_level"]
     _require(
-        isinstance(m_per_level, list)
-        and all(isinstance(m, int) and not isinstance(m, bool) and m >= 1
-                for m in m_per_level),
+        isinstance(m_per_level, list) and all(_is_int(m, 1) for m in m_per_level),
         "m_per_level must be a list of positive integers",
     )
     _require(len(m_per_level) == level - 1,
              "m_per_level must have one entry per level from 2 to k")
     n_final = data["n_final"]
-    _require(isinstance(n_final, int) and not isinstance(n_final, bool)
-             and n_final >= 1, "n_final must be a positive integer")
+    _require(_is_int(n_final, 1), "n_final must be a positive integer")
     raw_hist = data["histograms"]
     _require(isinstance(raw_hist, list) and raw_hist,
              "histograms must be a nonempty list")
@@ -192,8 +193,7 @@ def certificate_from_json(text: str) -> Certificate:
     for row in raw_hist:
         _require(
             isinstance(row, dict) and set(row) == {"rank", "g1", "g2"}
-            and all(isinstance(row[f], int) and not isinstance(row[f], bool)
-                    and row[f] >= 0 for f in ("rank", "g1", "g2")),
+            and all(_is_int(row[f], 0) for f in ("rank", "g1", "g2")),
             "each histogram row must be {rank, g1, g2} with nonnegative integers",
         )
         histograms.append((row["rank"], row["g1"], row["g2"]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable
 
-from .graphs import spell, too_long
+from .graphs import quote, spell, too_long
 
 
 class TreeFormatError(ValueError):
@@ -129,12 +129,12 @@ def parse_tree(text: str) -> tuple[TreeArena, int]:
         raise TreeFormatError("empty tree file")
     fields = lines[0].split()
     if len(fields) != 2 or fields[0] != "T":
-        raise TreeFormatError(f"expected 'T <node_count>', got {lines[0]!r}", 1)
+        raise TreeFormatError(f"expected 'T <node_count>', got {quote(lines[0])}", 1)
     try:
         count = int(fields[1])
     except ValueError:
         raise TreeFormatError(
-            too_long(fields[1:]) or f"bad node count {fields[1]!r}", 1) from None
+            too_long(fields[1:]) or f"bad node count {quote(fields[1])}", 1) from None
     if count < 1:
         raise TreeFormatError(f"node count must be >= 1, got {spell(count)}", 1)
     if len(lines) != count + 2:
@@ -146,22 +146,23 @@ def parse_tree(text: str) -> tuple[TreeArena, int]:
         line = lines[node + 1]
         fields = line.split()
         if len(fields) < 3 or fields[0] != "node" or fields[2] != ":":
-            raise TreeFormatError(f"expected 'node {node} : ...', got {line!r}", lineno)
+            raise TreeFormatError(
+                f"expected 'node {node} : ...', got {quote(line)}", lineno)
         if fields[1] != str(node):
             raise TreeFormatError(
-                f"node ids must be consecutive; expected {node}, got {fields[1]!r}",
+                f"node ids must be consecutive; expected {node}, got {quote(fields[1])}",
                 lineno,
             )
         children = []
         for token in fields[3:]:
             child_str, sep, mult_str = token.partition("*")
             if not sep:
-                raise TreeFormatError(f"bad child token {token!r}", lineno)
+                raise TreeFormatError(f"bad child token {quote(token)}", lineno)
             try:
                 child, mult = int(child_str), int(mult_str)
             except ValueError:
                 raise TreeFormatError(
-                    too_long((child_str, mult_str)) or f"bad child token {token!r}",
+                    too_long((child_str, mult_str)) or f"bad child token {quote(token)}",
                     lineno) from None
             if not 0 <= child < node:
                 raise TreeFormatError(
@@ -174,13 +175,13 @@ def parse_tree(text: str) -> tuple[TreeArena, int]:
     fields = lines[count + 1].split()
     if len(fields) != 2 or fields[0] != "root":
         raise TreeFormatError(
-            f"expected 'root <id>', got {lines[count + 1]!r}", count + 2
+            f"expected 'root <id>', got {quote(lines[count + 1])}", count + 2
         )
     try:
         root = int(fields[1])
     except ValueError:
         raise TreeFormatError(
-            too_long(fields[1:]) or f"bad root id {fields[1]!r}", count + 2) from None
+            too_long(fields[1:]) or f"bad root id {quote(fields[1])}", count + 2) from None
     if not 0 <= root < count:
         raise TreeFormatError(f"root id {spell(root)} out of range", count + 2)
     return arena, root

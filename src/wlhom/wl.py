@@ -7,8 +7,10 @@ previous label is NOT part of the next one, which is the difference from
 classic color refinement; partitions still refine level by level because the
 level-(k+1) label determines the level-k label.
 
-Labels are interned per level into integer ranks, jointly over both input
-graphs so ranks are directly comparable across them. Ranks respect a total
+Labels are interned per level into integer ranks over the disjoint union
+G1 ⊔ G2, so ranks are directly comparable across the two graphs: each level
+is one rank vector, g2's vertices numbered after g1's, and
+LabelTable.ranks_at cuts it at |V1|. Ranks respect a total
 order extended level by level: level-1 labels order by degree, and two
 multisets compare by the largest element they contain a different number of
 times (the one with more copies of it is larger). Rank 0 is the smallest
@@ -78,7 +80,8 @@ class LevelLabels(namedtuple("LevelLabels", "defs ranks")):
     """Interned labels of one refinement level, an immutable value record.
 
     defs[r] is the rank-r label (a LabelDef), whose length is the degree of
-    its vertices; ranks[i][v] is the rank of vertex v of graph i.
+    its vertices; ranks[v] is the rank of vertex v of G1 ⊔ G2, where vertex
+    v of g2 is vertex |V1| + v.
     defs is sorted ascending in tuple order, which is the label order of
     the module docstring, so the integer rank IS the label order.
     """
@@ -120,8 +123,10 @@ class LabelTable:
         """
         if level < 0:
             raise ValueError(f"negative level {level}")
+        n1 = self.graphs[0].vertex_count
+        cut = slice(n1, None) if which else slice(n1)
         if level <= self.max_recorded_level:
-            return self.levels[level].ranks[which]
+            return self.levels[level].ranks[cut]
         if not self.complete:
             raise ValueError(
                 f"level {level} not computed (recorded up to "
@@ -132,9 +137,9 @@ class LabelTable:
             nxt = _next_level(self.graphs, seen[-1]).ranks
             if nxt in seen:
                 start = seen.index(nxt)
-                return seen[start + (level - base - start) % (len(seen) - start)][which]
+                return seen[start + (level - base - start) % (len(seen) - start)][cut]
             seen.append(nxt)
-        return seen[-1][which]
+        return seen[-1][cut]
 
     def defs_at(self, level: int) -> tuple[LabelDef, ...]:
         if not 0 <= level <= self.max_recorded_level:
@@ -152,21 +157,17 @@ def _intern(signatures) -> tuple[tuple[LabelDef, ...], dict]:
     return defs, {sig: r for r, sig in enumerate(defs)}
 
 
-def _next_level(
-    pair: tuple[Graph, Graph], prev: tuple[tuple[int, ...], tuple[int, ...]]
-) -> LevelLabels:
+def _next_level(pair: tuple[Graph, Graph], prev: tuple[int, ...]) -> LevelLabels:
     """The level after ranks `prev`: each label is a neighbor-rank multiset."""
     # Neighbor ranks sorted descending: each is its label, and tuple order
-    # on these is the label order.
+    # on these is the label order. Each graph's gathers read its own slice.
+    n1 = pair[0].vertex_count
     signatures = [
-        [tuple(sorted(nbr_ranks(ranks), reverse=True)) for nbr_ranks in g.gathers]
-        for g, ranks in zip(pair, prev)
+        tuple(sorted(nbr_ranks(ranks), reverse=True))
+        for g, ranks in zip(pair, (prev[:n1], prev[n1:])) for nbr_ranks in g.gathers
     ]
-    defs, rank_of = _intern(set(signatures[0]).union(signatures[1]))
-    return LevelLabels(
-        defs=defs,
-        ranks=tuple(tuple(map(rank_of.__getitem__, sigs)) for sigs in signatures),
-    )
+    defs, rank_of = _intern(set(signatures))
+    return LevelLabels(defs=defs, ranks=tuple(map(rank_of.__getitem__, signatures)))
 
 
 def _degree_level(pair: tuple[Graph, Graph]) -> LevelLabels:
@@ -176,13 +177,11 @@ def _degree_level(pair: tuple[Graph, Graph]) -> LevelLabels:
     tuple order on these is degree order, so ranks index the sorted
     distinct degrees.
     """
-    degrees = [[len(nbrs) for nbrs in g.adjacency] for g in pair]
-    distinct = sorted(set(degrees[0]).union(degrees[1]))
+    degrees = [len(nbrs) for g in pair for nbrs in g.adjacency]
+    distinct = sorted(set(degrees))
     rank_of = {d: r for r, d in enumerate(distinct)}
-    return LevelLabels(
-        defs=tuple((0,) * d for d in distinct),
-        ranks=tuple(tuple(map(rank_of.__getitem__, degs)) for degs in degrees),
-    )
+    return LevelLabels(defs=tuple((0,) * d for d in distinct),
+                       ranks=tuple(map(rank_of.__getitem__, degrees)))
 
 
 def _level_zero(g1: Graph, g2: Graph, max_level: int | None) -> tuple[LabelTable, int]:
@@ -192,9 +191,8 @@ def _level_zero(g1: Graph, g2: Graph, max_level: int | None) -> tuple[LabelTable
         max_level = g1.vertex_count + g2.vertex_count
     elif max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
-    pair = (g1, g2)
-    level0 = LevelLabels(defs=((),), ranks=tuple((0,) * g.vertex_count for g in pair))
-    table = LabelTable(graphs=pair, levels=[level0])
+    level0 = LevelLabels(defs=((),), ranks=(0,) * (g1.vertex_count + g2.vertex_count))
+    table = LabelTable(graphs=(g1, g2), levels=[level0])
     if g1.vertex_count != g2.vertex_count:
         table.distinguishing_level = 0
     if g1.vertex_count + g2.vertex_count == 0:
@@ -208,8 +206,9 @@ def _append_level(table: LabelTable) -> None:
     level = (_next_level(table.graphs, prev.ranks) if table.max_recorded_level
              else _degree_level(table.graphs))
     table.levels.append(level)
-    if not table.distinguished and Counter(level.ranks[0]) != Counter(level.ranks[1]):
-        table.distinguishing_level = table.max_recorded_level
+    k = table.max_recorded_level
+    if not table.distinguished and table.histogram(0, k) != table.histogram(1, k):
+        table.distinguishing_level = k
     # Refinement is monotone (a level's label determines the previous
     # one), so an unchanged class count means an unchanged partition.
     if len(level.defs) == len(prev.defs):
@@ -252,7 +251,7 @@ def _hand_over(table: LabelTable):
     vertex sets of the classes outside each kept largest piece, the pieces
     that moved.
     """
-    prev, color = ([*lvl.ranks[0], *lvl.ranks[1]] for lvl in table.levels[-2:])
+    prev, color = table.levels[-2].ranks, list(table.levels[-1].ranks)
     parent = dict(zip(color, prev))
     largest = {}
     for q, size in Counter(color).items():
@@ -355,9 +354,8 @@ def refine_to_difference(g1: Graph, g2: Graph, max_level: int | None = None) -> 
     # Replay the moved pieces onto the hand-over ids. All of a class share
     # one label over the previous canonical ranks, so one representative
     # per class gives every label of the level.
-    n1 = g1.vertex_count
-    level = table.levels[-1].ranks[0] + table.levels[-1].ranks[1]
-    color, ranks, next_id = list(level), level, len(table.levels[-1].defs)
+    ranks = table.levels[-1].ranks
+    color, next_id = list(ranks), len(table.levels[-1].defs)
     for moved in rounds:
         for piece in moved:
             for v in piece:
@@ -368,5 +366,5 @@ def refine_to_difference(g1: Graph, g2: Graph, max_level: int | None = None) -> 
         defs, rank_of = _intern(sig_of.values())
         rank_of_class = {c: rank_of[sig] for c, sig in sig_of.items()}
         ranks = tuple(map(rank_of_class.__getitem__, color))
-        table.levels.append(LevelLabels(defs=defs, ranks=(ranks[:n1], ranks[n1:])))
+        table.levels.append(LevelLabels(defs=defs, ranks=ranks))
     return table

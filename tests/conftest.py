@@ -95,16 +95,17 @@ def force_labels(monkeypatch, defs, ranks) -> None:
     """Make synthesize read the given labels instead of refining.
 
     Level 0 is one rank; defs[i] and ranks[i] are the definitions and the
-    per-graph ranks of level i + 1, and the last level is reported as the
-    first differing one.
+    per-graph ranks (g1's, g2's) of level i + 1, joined into the one vector
+    of a table level, and the last level is reported as the first differing
+    one.
     """
 
     def fake_refine(g1, g2, *args, **kwargs):
         return LabelTable(
             graphs=(g1, g2),
-            levels=[LevelLabels(defs=((),), ranks=((0,) * g1.vertex_count,
-                                                   (0,) * g2.vertex_count))]
-            + [LevelLabels(defs=d, ranks=r) for d, r in zip(defs, ranks)],
+            levels=[LevelLabels(defs=((),), ranks=(0,) * (g1.vertex_count
+                                                          + g2.vertex_count))]
+            + [LevelLabels(defs=d, ranks=(*r1, *r2)) for d, (r1, r2) in zip(defs, ranks)],
             distinguishing_level=len(defs),
         )
 

@@ -104,6 +104,14 @@ class TestCompare:
         assert capsys.readouterr().err == (
             "error: line 2: vertex index <4000 digits> out of range [0, 2)\n")
 
+    def test_long_header_token_named_by_length(self, tmp_path, gfile, capsys):
+        bad = tmp_path / "bad"
+        bad.write_text("x" * 4000 + " 1\n", encoding="utf-8")
+        rc = main(["compare", str(bad), gfile("b", P4)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: header must be two integers 'N M', got <4002 characters>\n")
+
     def test_negative_max_level_rejected(self, gfile, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compare", gfile("a", K13), gfile("b", P4), "--max-level", "-1"])
@@ -186,6 +194,14 @@ class TestHomCount:
         assert rc == 2
         assert capsys.readouterr().err == (
             "error: line 3: child id <4000 digits> must be in [0, 1)\n")
+
+    def test_long_node_id_named_by_length(self, gfile, tmp_path, capsys):
+        tree = tmp_path / "t"
+        tree.write_text("T 1\nnode " + "9" * 4000 + " :\nroot 0\n", encoding="utf-8")
+        rc = main(["hom-count", str(tree), gfile("g", C6)])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: line 2: node ids must be consecutive; "
+                                           "expected 0, got <4000 characters>\n")
 
     def test_malformed_tree(self, gfile, tmp_path, capsys):
         tree = tmp_path / "t"
@@ -275,6 +291,18 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == (
             "error: count_g1 must be a nonnegative decimal string\n")
+
+    def test_long_mode_named_by_length(self, gfile, tmp_path, capsys):
+        cert = self._cert_path(gfile, tmp_path)
+        data = json.loads(cert.read_text(encoding="utf-8"))
+        data["mode"] = "x" * 4000
+        cert.write_text(json.dumps(data), encoding="utf-8")
+        rc = main(["verify", str(cert), gfile("a", K13), gfile("b", P4)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: mode must be one of ('tree', 'single-node', "
+                                "'equivalent'), got <4000 characters>\n")
 
     def test_deeply_nested_certificate(self, gfile, tmp_path, capsys):
         deep = tmp_path / "deep.json"

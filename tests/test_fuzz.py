@@ -73,12 +73,16 @@ def _reference_parse_graph(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]
     Returns (vertex_count, adjacency); parse_graph must agree with it on
     every text, errors and their line numbers included. A number longer
     than int()'s digit limit is reported by its length, before any other
-    error of its line, and a message names a number of more than 18 digits
-    by its digit count.
+    error of its line, a message names a number of more than 18 digits by
+    its digit count, and it quotes a line whose repr has more than 60
+    characters by the line's length.
     """
     def spelled(x):
         digits = len(str(abs(x)))
         return str(x) if digits <= 18 else "-" * (x < 0) + f"<{digits} digits>"
+
+    def quoted(line):
+        return repr(line) if len(repr(line)) <= 60 else f"<{len(line)} characters>"
 
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     header = None
@@ -93,7 +97,7 @@ def _reference_parse_graph(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]
                 raise GraphFormatError(
                     f"number of {len(field)} digits is too long", lineno)
         if header is None:
-            message = f"header must be two integers 'N M', got {line!r}"
+            message = f"header must be two integers 'N M', got {quoted(line)}"
             if len(fields) != 2:
                 raise GraphFormatError(message, lineno)
             try:
@@ -101,10 +105,10 @@ def _reference_parse_graph(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]
             except ValueError:
                 raise GraphFormatError(message, lineno) from None
             if n < 0 or m < 0:
-                raise GraphFormatError(f"negative count in header {line!r}", lineno)
+                raise GraphFormatError(f"negative count in header {quoted(line)}", lineno)
             header = (n, m)
             continue
-        message = f"edge line must be 'u v', got {line!r}"
+        message = f"edge line must be 'u v', got {quoted(line)}"
         if len(fields) != 2:
             raise GraphFormatError(message, lineno)
         try:
@@ -154,6 +158,7 @@ TOKEN_VARIANTS = (
     lambda t: t + "²",
     lambda t: "9" * 30,
     lambda t: "9" * 5000,  # past int()'s default digit limit
+    lambda t: t + "x" * 60,  # a line too long to quote whole
 )
 
 

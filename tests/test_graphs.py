@@ -138,6 +138,21 @@ class TestParse:
         assert str(exc.value) == (message if line is None else f"line {line}: {message}")
         assert len(str(exc.value)) < 200
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("x" * 4000 + " 1\n", 1, "header must be two integers 'N M', got <4002 characters>"),
+        ("2 -" + "9" * 4000 + "\n", 1, "negative count in header <4003 characters>"),
+        ("2 1\n0 1 " + "9" * 4000 + "\n", 2, "edge line must be 'u v', got <4004 characters>"),
+        # a line whose repr has at most 60 characters is quoted whole
+        ("2 -1\n", 1, "negative count in header '2 -1'"),
+        ("2 1\n0 1 2\n", 2, "edge line must be 'u v', got '0 1 2'"),
+    ])
+    def test_long_line_named_by_its_length(self, text, line, message):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+        assert len(str(exc.value)) < 200
+
     def test_bad_header(self):
         with pytest.raises(GraphFormatError):
             parse_graph("three 3\n")

@@ -155,9 +155,8 @@ class TestLift:
         # m; the search gives up at 1 + (|S| - 1) * the sum over S of the
         # distinct ranks in defs[r] = 1 + 2 * (3 + 3 + 1) = 15 candidates
         label = (2, 2, 2, 1, 1, 0)
-        level0 = LevelLabels(defs=((),), ranks=((0, 0), (0, 0)))
-        level2 = LevelLabels(defs=(label, label, (0,) * 5),
-                             ranks=((0, 1), (0, 2)))
+        level0 = LevelLabels(defs=((),), ranks=(0, 0, 0, 0))
+        level2 = LevelLabels(defs=(label, label, (0,) * 5), ranks=(0, 1, 0, 2))
         table = LabelTable(graphs=(K2, K2), levels=[level0, level0, level2])
         with pytest.raises(SynthesisInvariantError, match="^no m <= 15 "):
             lift(table, 2, [1, 2, 3], [0, 1, 2])
@@ -477,6 +476,27 @@ class TestCertificateJson:
         mangle(data)
         with pytest.raises(CertificateError):
             certificate_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("mode", "x" * 4000, "mode must be one of ('tree', 'single-node', 'equivalent'), "
+                             "got <4000 characters>"),
+        ("mode", "nonsense", "mode must be one of ('tree', 'single-node', 'equivalent'), "
+                             "got 'nonsense'"),
+        ("mode", None, "mode must be one of ('tree', 'single-node', 'equivalent'), got None"),
+        # a bool is not a JSON integer, whatever the field
+        ("level", True, "level must be an integer"),
+        ("m_per_level", [True], "m_per_level must be a list of positive integers"),
+        ("n_final", True, "n_final must be a positive integer"),
+        ("histograms", [{"rank": False, "g1": 1, "g2": 2}],
+         "each histogram row must be {rank, g1, g2} with nonnegative integers"),
+    ])
+    def test_malformed_field_message(self, field, value, message):
+        data = json.loads(certificate_to_json(synthesize(TA, TB)))
+        data[field] = value
+        with pytest.raises(CertificateError) as exc:
+            certificate_from_json(json.dumps(data))
+        assert str(exc.value) == message
+        assert len(str(exc.value)) < 200
 
     @pytest.mark.parametrize("digits", [
         str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"),  # Arabic-Indic: int() reads them

@@ -173,6 +173,29 @@ class TestFormat:
         assert str(exc.value) == (message if line is None else f"line {line}: {message}")
         assert len(str(exc.value)) < 200
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("T 1 " + "x" * 4000 + "\n", 1, "expected 'T <node_count>', got <4004 characters>"),
+        ("T 1\nnode 0 " + "x" * 4000 + "\nroot 0\n", 2,
+         "expected 'node 0 : ...', got <4007 characters>"),
+        ("T 1\nnode " + "9" * 4000 + " :\nroot 0\n", 2,
+         "node ids must be consecutive; expected 0, got <4000 characters>"),
+        ("T 2\nnode 0 :\nnode 1 : " + "9" * 4000 + "\nroot 1\n", 3,
+         "bad child token <4000 characters>"),
+        ("T 1\nnode 0 :\nroot 0 " + "x" * 4000 + "\n", 3,
+         "expected 'root <id>', got <4007 characters>"),
+        ("T 1\nnode 0 :\nroot " + "x" * 4000 + "\n", 3, "bad root id <4000 characters>"),
+        # text whose repr has at most 60 characters is quoted whole
+        ("T 1\nnode 0 :\nroot " + "x" * 58 + "\n", 3, f"bad root id {'x' * 58!r}"),
+        ("T 1\nnode 0 :\nroot " + "x" * 59 + "\n", 3, "bad root id <59 characters>"),
+        ("T 2\nnode 0 :\nnode 1 : 0\nroot 1\n", 3, "bad child token '0'"),
+    ])
+    def test_long_text_named_by_its_length(self, text, line, message):
+        with pytest.raises(TreeFormatError) as exc:
+            parse_tree(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+        assert len(str(exc.value)) < 200
+
     @pytest.mark.parametrize("text, line", [
         ("T " + "9" * 5000 + "\n", 1),
         ("T 2\nnode 0 :\nnode 1 : 0*" + "9" * 5000 + "\nroot 1\n", 3),

@@ -183,7 +183,7 @@ class TestJointRefine:
         # Every table's level 1 comes from _degree_level, so it is checked
         # here against the generic round, which no longer builds level 1.
         pair = (g1, g2)
-        level0 = tuple((0,) * g.vertex_count for g in pair)
+        level0 = (0,) * (g1.vertex_count + g2.vertex_count)
         assert wl._degree_level(pair) == wl._next_level(pair, level0)
 
     def test_k13_p4_level1_histograms(self):
@@ -240,11 +240,17 @@ class TestJointRefine:
             joint_refine(K13, P4, max_level=-1)
 
     @PROPERTY_SETTINGS
-    @given(graphs(max_vertices=8))
-    def test_ranks_at_any_level_match_stepping(self, g):
-        table = joint_refine(g, empty_graph())
-        for level, ranks in enumerate(_stepped_ranks(g, 12)):
-            assert table.ranks_at(0, level) == ranks, level
+    @given(graphs(max_vertices=8), graphs(max_vertices=8))
+    @example(K13, empty_graph())
+    @example(K13, P4)
+    def test_ranks_at_any_level_match_stepping(self, g1, g2):
+        # The joint numbering is the numbering of the disjoint union, cut
+        # at |V1|, at recorded levels and past stabilization alike.
+        table = joint_refine(g1, g2)
+        n1 = g1.vertex_count
+        for level, ranks in enumerate(_stepped_ranks(disjoint_union(g1, g2), 12)):
+            assert table.ranks_at(0, level) == ranks[:n1], level
+            assert table.ranks_at(1, level) == ranks[n1:], level
 
     @PROPERTY_SETTINGS
     @given(graphs(max_vertices=6), graphs(max_vertices=6))
