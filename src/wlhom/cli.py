@@ -5,7 +5,9 @@ Exit codes follow one contract everywhere: 0 for a positive verdict
 verdict (equivalent, verification failed), 2 for usage, parse, or limit
 errors, and for a failed internal check of synthesize
 (SynthesisInvariantError), which writes no output. Output is
-byte-deterministic for fixed inputs and flags.
+byte-deterministic for fixed inputs and flags. The argument parser is built
+once, at import; `main` keeps no state between calls, so it may be called
+repeatedly in one process.
 """
 
 from __future__ import annotations
@@ -168,9 +170,11 @@ def _cmd_expand(args) -> int:
     return 0
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, SynthesisInvariantError) as exc:

@@ -144,7 +144,7 @@ def _is_int(value: object, least: float = float("-inf")) -> bool:
 def certificate_from_json(text: str) -> Certificate:
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CertificateError(f"not valid JSON: {exc}") from None
     _require(isinstance(data, dict), "certificate must be a JSON object")
     mode = data.get("mode")

@@ -313,6 +313,16 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: not valid JSON:")
 
+    def test_number_past_digit_limit(self, gfile, tmp_path, capsys):
+        cert = tmp_path / "long.json"
+        cert.write_text('{"mode": ' + "1" * 5000 + "}", encoding="utf-8")
+        rc = main(["verify", str(cert), gfile("a", K13), gfile("b", P4)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not valid JSON:")
+        assert len(captured.err) < 200
+
     def test_rows_inconsistent_with_the_tree_fail(self, gfile, tmp_path, capsys):
         out = tmp_path / "cert.json"
         a, b = gfile("a", TA), gfile("b", TB)
@@ -360,6 +370,16 @@ class TestExpand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: not valid JSON:")
+
+    def test_number_past_digit_limit(self, tmp_path, capsys):
+        cert = tmp_path / "long.json"
+        cert.write_text('{"mode": ' + "1" * 5000 + "}", encoding="utf-8")
+        rc = main(["expand", str(cert)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not valid JSON:")
+        assert len(captured.err) < 200
 
     def test_out_file(self, gfile, tmp_path, capsys):
         cert = self._cert_path(gfile, tmp_path, K13, P4)

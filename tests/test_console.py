@@ -1,0 +1,148 @@
+"""The console script's frozen outputs, called in-process, and the one
+argument parser that every `main` call in a process shares."""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from wlhom.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# T_A and T_B of conftest.py, which first differ at level 2, as edge lists.
+TA = "6 5\n0 1\n1 2\n2 3\n3 4\n2 5\n"
+TB = "6 5\n0 1\n1 2\n2 3\n3 4\n3 5\n"
+# A 6-vertex path, a relabelled copy, and two 3-vertex paths.
+P6 = "6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n"
+Q6 = "6 5\n3 0\n0 5\n5 1\n1 4\n4 2\n"
+P3P3 = "6 4\n0 1\n1 2\n3 4\n4 5\n"
+# C6 and two triangles: both 2-regular, so stable at round 0.
+C6 = "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
+C3C3 = "6 6\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n"
+# Two 15-vertex caterpillars: a 14-vertex spine with a pendant at vertex 7
+# respectively 8. Canonical rounds hand over at level 1, and the worklist
+# runs on to the first difference at level 4.
+SPINE = "15 14\n" + "".join(f"{i} {i + 1}\n" for i in range(13))
+CAT7 = SPINE + "7 14\n"
+CAT8 = SPINE + "8 14\n"
+
+
+@pytest.fixture
+def write(tmp_path):
+    def write(name: str, text: str) -> str:
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    return write
+
+
+def run(argv: list[str], capsys) -> tuple[int, str, str]:
+    """main(argv)'s exit code, stdout and stderr; argparse's exits included."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def verdict(distinguished: str, level: str, stabilization: int) -> str:
+    return (f'{{\n  "distinguished": {distinguished},\n  "level": {level},\n'
+            f'  "stabilization": {stabilization}\n}}\n')
+
+
+class TestCompareJson:
+    """`compare --json` refines on to the stabilization round."""
+
+    def test_first_difference_at_level_2(self, write, capsys):
+        argv = ["compare", "--json", write("ta", TA), write("tb", TB)]
+        assert run(argv, capsys) == (0, verdict("true", "2", 3), "")
+
+    def test_unbalanced_classes_past_the_difference(self, write, capsys):
+        # P6 against two P3s differs at level 1, and past it the classes
+        # hold unequal numbers of the two graphs' vertices.
+        argv = ["compare", "--json", write("p6", P6), write("p3p3", P3P3)]
+        assert run(argv, capsys) == (0, verdict("true", "1", 3), "")
+
+    def test_regular_pair(self, write, capsys):
+        argv = ["compare", "--json", write("c6", C6), write("c3c3", C3C3)]
+        assert run(argv, capsys) == (1, verdict("false", "null", 0), "")
+
+    def test_worklist_writes_the_stabilization_level(self, write, capsys):
+        argv = ["compare", "--json", write("cat7", CAT7), write("cat8", CAT8)]
+        assert run(argv, capsys) == (0, verdict("true", "4", 8), "")
+
+
+class TestLabels:
+    """`labels` is the one command that reads canonical ranks past the
+    first difference."""
+
+    def test_level_2(self, write, capsys):
+        argv = ["labels", write("ta", TA), "--max-level", "2"]
+        expected = "# level 2\n0 0\n1 3\n2 1\n3 3\n4 0\n5 2\n"
+        assert run(argv, capsys) == (0, expected, "")
+
+    def test_level_read_off_the_cycle(self, write, capsys):
+        # Far past stabilization the numbering cycles: the level is read off
+        # the cycle, not computed round by round.
+        argv = ["labels", write("ta", TA), "--max-level", "1000001"]
+        expected = "# level 1000001\n0 2\n1 1\n2 3\n3 1\n4 2\n5 0\n"
+        assert run(argv, capsys) == (0, expected, "")
+
+
+def test_expand_equivalent_certificate(write, tmp_path, capsys):
+    cert = str(tmp_path / "eq.json")
+    assert run(["synthesize", write("p6", P6), write("q6", Q6), "--out", cert],
+               capsys) == (1, "", "")
+    expected = "error: equivalent-mode certificate carries no tree\n"
+    assert run(["expand", cert], capsys) == (2, "", expected)
+
+
+def test_main_builds_no_parser(write, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    ta, tb = write("ta", TA), write("tb", TB)
+    for _ in range(3):
+        assert run(["compare", ta, tb], capsys) == (0, "distinguished at level 2\n", "")
+    assert built == []
+
+
+def test_import_builds_the_parser_once():
+    code = ("import argparse\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "progs = []\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    progs.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import wlhom.cli\n"
+            "print(progs.count('wlhom'))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.stdout == "1\n"
+
+
+def test_reused_parser_matches_a_fresh_process(write, monkeypatch, capsys):
+    # Help is formatted differently across Python versions, so the reference
+    # is a fresh process of the same interpreter, not frozen text.
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    ta, tb = write("ta", TA), write("tb", TB)
+    for argv in (["compare", "--max-level", "x"], ["--help"], ["compare", "--help"],
+                 ["compare", ta, tb]):
+        fresh = subprocess.run([sys.executable, "-m", "wlhom.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert run(argv, capsys) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
