@@ -9,23 +9,22 @@ read neighbors. Graphs are immutable once built; self-loops and duplicate
 edges are rejected outright so corpus mistakes surface early.
 
 A plain file, the header line and then one ``u v`` line per edge, each
-line two numbers in ASCII digits separated by spaces or tabs and nothing
-else, with LF or CRLF line ends and no comments or blank lines, is read in
-bulk: one shape test, one split, and checks over all edges at once. Any
-other file is read line by line. Either way an error has the same text and
-names the same line.
+line two numbers in ASCII digits without leading zeros, one blank or tab
+between them and nothing else, with LF or CRLF line ends, the last one
+optional, and no comments or blank lines, is read in bulk (`_read_bulk`):
+one translate tests its shape, one ``json.loads`` reads every number, and
+the edges are checked all at once. Any other file is read line by line.
+Either way an error has the same text and names the same line.
 """
 
 from __future__ import annotations
 
-import re
+import json
 from collections.abc import Callable, Iterable, Sequence
 from operator import itemgetter
 
-# Two runs of at most 18 digits per line, so every token is a nonnegative
-# int that int() converts whatever the interpreter's digit limit.
-_PAIR = r"[0-9]{1,18}[ \t]+[0-9]{1,18}"
-_PLAIN = re.compile(rf"{_PAIR}(?:\r?\n{_PAIR})*(?:\r?\n)?")
+_SHAPE = str.maketrans("\t", " ", "0123456789")
+_COMMAS = str.maketrans(" \t\n", ",,,")
 
 
 class GraphFormatError(ValueError):
@@ -158,9 +157,10 @@ def parse_graph(text: str) -> Graph:
     (see the module docstring) is read in bulk, any other line by line,
     with the same result and the same errors.
     """
-    if _PLAIN.fullmatch(text):
-        n, m, *ends = map(int, text.split())
-        us, vs, lines = ends[0::2], ends[1::2], range(2, len(ends) // 2 + 2)
+    numbers = _read_bulk(text)
+    if numbers is not None:
+        n, m = numbers[:2]
+        us, vs, lines = numbers[2::2], numbers[3::2], range(2, len(numbers) // 2 + 1)
     else:
         n, m, us, vs, lines = _read_lines(text)
     if len(us) != m:
@@ -168,6 +168,27 @@ def parse_graph(text: str) -> Graph:
             f"header announces {spell(m)} edges but file contains {len(us)}"
         )
     return Graph._from_adjacency(n, _adjacency(n, us, vs, lines))
+
+
+def _read_bulk(text: str) -> list[int] | None:
+    """Every number of a plain file, header first, or None for any other
+    text; from a plain text `_read_lines` reads the same numbers.
+
+    CRLF is folded into LF in the text, not in its shape, where a bare CR
+    could meet an LF, and one last LF is dropped. With the digits deleted
+    and a tab taken for a blank, a plain text leaves " \\n" repeated and one
+    " " more; a CR left over fails that, as `str.splitlines` breaks a line
+    there. ``json.loads`` reads the digit runs as one list and fails exactly
+    on an empty run, a leading zero or a run past the digit limit.
+    """
+    body = text.replace("\r\n", "\n").removesuffix("\n")
+    shape = body.translate(_SHAPE)
+    if shape != " \n" * (len(shape) // 2) + " ":
+        return None
+    try:
+        return json.loads(f"[{body.translate(_COMMAS)}]")
+    except ValueError:
+        return None
 
 
 def _read_lines(text: str) -> tuple[int, int, list[int], list[int], list[int]]:

@@ -53,7 +53,7 @@ import json
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .graphs import Graph, gather, quote
+from .graphs import Graph, gather, quote, too_long
 from .homs import hom_count, rooted_hom
 from .trees import TreeArena, parse_tree, serialize_tree
 from .wl import LabelTable, refine_to_difference, refine_verdict
@@ -133,7 +133,10 @@ def _parse_count(value: object, field: str) -> int:
              f"{field} must be a nonnegative decimal string")
     _require(value == "0" or not value.startswith("0"),
              f"{field} has a leading zero")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise CertificateError(f"{field}: {too_long((value,))}") from None
 
 
 def _is_int(value: object, least: float = float("-inf")) -> bool:

@@ -159,6 +159,9 @@ class TestLabels:
 
 STAR2 = "T 2\nnode 0 :\nnode 1 : 0*2\nroot 1\n"
 LEAF = "T 1\nnode 0 :\nroot 0\n"
+# A single-node certificate whose count_g1 is past int()'s default digit limit.
+LONG_COUNT = json.dumps({"mode": "single-node", "level": 0, "tree": LEAF,
+                         "count_g1": "1" * 5000, "count_g2": "1"})
 
 
 class TestHomCount:
@@ -323,6 +326,14 @@ class TestVerify:
         assert captured.err.startswith("error: not valid JSON:")
         assert len(captured.err) < 200
 
+    def test_count_past_digit_limit(self, gfile, tmp_path, capsys):
+        cert = tmp_path / "long.json"
+        cert.write_text(LONG_COUNT, encoding="utf-8")
+        rc = main(["verify", str(cert), gfile("a", K13), gfile("b", P4)])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", "error: count_g1: number of 5000 digits is too long\n")
+
     def test_rows_inconsistent_with_the_tree_fail(self, gfile, tmp_path, capsys):
         out = tmp_path / "cert.json"
         a, b = gfile("a", TA), gfile("b", TB)
@@ -380,6 +391,14 @@ class TestExpand:
         assert captured.out == ""
         assert captured.err.startswith("error: not valid JSON:")
         assert len(captured.err) < 200
+
+    def test_count_past_digit_limit(self, tmp_path, capsys):
+        cert = tmp_path / "long.json"
+        cert.write_text(LONG_COUNT, encoding="utf-8")
+        rc = main(["expand", str(cert)])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", "error: count_g1: number of 5000 digits is too long\n")
 
     def test_out_file(self, gfile, tmp_path, capsys):
         cert = self._cert_path(gfile, tmp_path, K13, P4)

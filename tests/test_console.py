@@ -105,6 +105,23 @@ def test_expand_equivalent_certificate(write, tmp_path, capsys):
     assert run(["expand", cert], capsys) == (2, "", expected)
 
 
+class TestLongInput:
+    """Input text too long to quote whole is named by its length, and stderr
+    stays under 200 bytes."""
+
+    def test_tree_node_id_of_4000_digits(self, write, capsys):
+        tree = write("longid.txt", "T 1\nnode " + "9" * 4000 + " :\nroot 0\n")
+        rc, out, err = run(["hom-count", tree, write("ta.txt", TA)], capsys)
+        assert (rc, out) == (2, "")
+        assert len(err.encode()) < 200
+
+    def test_graph_header_token_of_4000_characters(self, write, capsys):
+        graph = write("longheader.txt", "x" * 4000 + " 1\n")
+        rc, out, err = run(["compare", graph, write("ta.txt", TA)], capsys)
+        assert (rc, out) == (2, "")
+        assert len(err.encode()) < 200
+
+
 def test_main_builds_no_parser(write, monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__

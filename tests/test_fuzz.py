@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
+from unittest.mock import patch
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +21,7 @@ from wlhom import (
     path_graph,
     synthesize,
 )
+from wlhom import graphs as graphs_module
 
 from .conftest import C6, K13, P4, PROPERTY_SETTINGS, TA, TB, TWO_C3, graphs
 
@@ -147,6 +151,26 @@ def _graph_outcome(parse, text: str):
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
+def _parsed(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    g = parse_graph(text)
+    return g.vertex_count, g.adjacency
+
+
+def _readers_agree(text: str) -> list[int] | None:
+    """The bulk reader's numbers for text, after checking that it declines
+    or reads what the line reader reads, and that parse_graph gives the
+    outcome it gives when every text goes line by line."""
+    numbers = graphs_module._read_bulk(text)
+    if numbers is not None:
+        n, m, us, vs, lines = graphs_module._read_lines(text)
+        assert numbers == [n, m, *chain.from_iterable(zip(us, vs))]
+        assert lines == list(range(2, len(us) + 2))
+    with patch.object(graphs_module, "_read_bulk", return_value=None):
+        line_by_line = _graph_outcome(_parsed, text)
+    assert _graph_outcome(_parsed, text) == line_by_line
+    return numbers
+
+
 # tokens the bulk reader must leave to the line reader; int() accepts some
 TOKEN_VARIANTS = (
     "+{}".format,
@@ -190,6 +214,32 @@ def near_plain_graph_texts(draw) -> str:
     trail = draw(st.sampled_from(("", "", " ", "\t")))
     text = eol.join(sep.join(row) + trail for row in rows)
     return text + draw(st.sampled_from((eol, "")))
+
+
+# Digits and what may stand between them: the blanks, the line breaks that
+# str.splitlines knows (CR, VT and U+2028 among them) and tokens' other
+# characters.
+READER_ALPHABET = "0123456789 \t\n\r-#_\x0b\u2028"
+
+
+@st.composite
+def reader_texts(draw) -> str:
+    """Lines of two numbers, most of them plain: now and then a number is
+    an empty run or has a leading zero, or a gap gains or becomes another
+    character of READER_ALPHABET."""
+    pieces = []
+    for _ in range(draw(st.integers(1, 6))):
+        for gap in (" ", "\n"):
+            run = str(draw(st.integers(0, 30)))
+            if draw(st.integers(0, 7)) == 0:
+                run = draw(st.sampled_from(("", "0" + run)))
+            if draw(st.integers(0, 7)) == 0:
+                extra = draw(st.sampled_from(READER_ALPHABET[10:]))
+                gap = draw(st.sampled_from((extra, extra + gap, gap + extra)))
+            pieces += [run, gap]
+    if draw(st.booleans()):
+        pieces.pop()  # no last line end
+    return "".join(pieces)
 
 
 child_token = st.one_of(
@@ -255,12 +305,43 @@ def test_parse_graph(text):
 @given(st.one_of(graph_texts, near_plain_graph_texts()))
 def test_parse_graph_matches_line_reader(text):
     assume(_header_vertices(text) <= MAX_HEADER_VERTICES)
+    assert _graph_outcome(_parsed, text) == _graph_outcome(_reference_parse_graph, text)
 
-    def parse(text):
-        g = parse_graph(text)
-        return g.vertex_count, g.adjacency
 
-    assert _graph_outcome(parse, text) == _graph_outcome(_reference_parse_graph, text)
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(st.one_of(st.text(READER_ALPHABET, max_size=40), reader_texts()))
+def test_bulk_reader_declines_or_agrees_with_line_reader(text):
+    assume(_header_vertices(text) <= MAX_HEADER_VERTICES)
+    _readers_agree(text)
+
+
+@pytest.mark.parametrize("text, numbers", [
+    ("2 1\n0 1\n", [2, 1, 0, 1]),
+    ("2 1\n0 1", [2, 1, 0, 1]),
+    ("2 1\n00 1\n", None),  # leading zero
+    ("2  1\n0 1\n", None),  # a run of blanks
+    ("2\t1\n0\t1\n", [2, 1, 0, 1]),
+    ("2 1\r\n0 1\r\n", [2, 1, 0, 1]),
+    ("2 1\n0\r 1\n", None),  # a bare CR breaks the line
+    ("2 \r1\n0 1\n", None),  # one that deleting the digits puts before LF
+    ("2 1\n0 1 \n", None),  # a trailing blank
+    ("2 1\n 1\n", None),  # an empty digit run
+    ("2 1\n0 " + "9" * 19 + "\n", [2, 1, 0, 10**19 - 1]),
+    ("9" * 5000 + " 0\n", None),  # past int()'s default digit limit
+])
+def test_bulk_reader_named_cases(text, numbers):
+    assert _readers_agree(text) == numbers
+
+
+def test_bulk_reader_on_every_one_character_edit():
+    # a plain text with LF, CRLF, a tab and no last line end
+    plain = "3 2\n0 1\r\n10\t2"
+    assert _readers_agree(plain) == [3, 2, 0, 1, 10, 2]
+    for i in range(len(plain) + 1):
+        _readers_agree(plain[:i] + plain[i + 1:])
+        for c in READER_ALPHABET:
+            _readers_agree(plain[:i] + c + plain[i:])
+            _readers_agree(plain[:i] + c + plain[i + 1:])
 
 
 @PROPERTY_SETTINGS
