@@ -4,9 +4,11 @@ Vertices are 0-based indices. A graph is its vertex count and its sorted
 adjacency lists. The edge set is derived from them on each use; one
 neighbor gather per vertex is built on first use and kept. A gather (see
 `gather`) reads a vertex's neighbor values out of any per-vertex sequence
-in one C-level call, and is how refinement, the lift and the counting DP
-read neighbors. Graphs are immutable once built; self-loops and duplicate
-edges are rejected outright so corpus mistakes surface early.
+in one C-level call, and is how canonical refinement rounds, the lift and
+the counting DP read neighbors; refinement's worklist reads only the
+adjacency of the vertices that moved. Graphs are immutable once built;
+self-loops and duplicate edges are rejected outright so corpus mistakes
+surface early.
 
 A plain file, the header line and then one ``u v`` line per edge, each
 line two numbers in ASCII digits without leading zeros, one blank or tab

@@ -18,10 +18,10 @@ label of its level; the empty multiset (isolated vertices) is always minimal.
 A label is stored as its neighbors' previous ranks, repeats included, sorted
 descending, on which plain tuple order is the label order. A level-1 label
 is d copies of the one level-0 rank, so level 1 is read off the degrees and
-no round signs vertices at level 0. Every signature reads a vertex's
-neighbor ranks or ids with one gather (graphs.gather): a canonical round
-uses its graph's own, and the worklist and the replay use joint ones built
-at the hand-over.
+no round signs vertices at level 0. A canonical round reads a vertex's
+neighbor ranks with its graph's gathers (graphs.gather), and the replay
+gathers them for one representative per class; the worklist reads no
+gather, only the adjacency of the pieces that moved.
 
 joint_refine records these ranks, and the verdict, on a LabelTable. Past
 stabilization the partition is fixed but its numbering can cycle, so the
@@ -31,17 +31,26 @@ Ranks are read only where a certificate or `wlhom labels` reports them.
 The verdict (the first level whose histograms differ) and the
 stabilization round (the last before a round that splits no class) are
 facts about the joint partition at each level, whatever its classes are
-called, so refine_verdict keeps joint but non-canonical class ids. A vertex
-whose neighbors all kept their ids has the same neighbor-id multiset as a
-round before, which its whole class shared, so each round re-signs only
-the neighbors of vertices whose id changed. Each class they touch splits
-into its untouched rest and one piece per sorted neighbor-id tuple. The
-largest piece keeps the class id, as in Hopcroft's partition refinement,
-so the vertices whose id changed, the next round's seeds, are few. No
-per-class counts are kept: a class holding equally many vertices of each
-graph splits into pieces whose imbalances sum to zero, so the histograms
-first differ at the first level where a piece that moved holds unequal
-numbers, and as classes only split they differ at every later level.
+called, so refine_verdict keeps joint but non-canonical class ids. Each
+round splits classes into pieces. The largest piece of a class keeps its
+id, as in Hopcroft's partition refinement, and the others, the pieces that
+moved, take new ids. The vertices of one class had equal neighbor
+multisets over the classes of the round before, and a split class's count
+is the sum of its pieces' counts, one of them kept. So two vertices of one
+class get equal next labels exactly when they have equal counts into each
+moved piece, and a vertex is signed by the ids of its neighbors in the
+moved pieces only. The signatures are built by scanning the moved pieces'
+adjacency, so a round costs the degree sum of the vertices that moved, not
+of the vertices it signs. Each class the moved pieces touch splits into its
+untouched rest and one piece per signature. A vertex moves only into a
+piece at most half its class's size, so O(log V) times, and a whole
+refinement costs O((V + E) log V), the bound of Cardon and Crochemore
+(1982) and of Paige and Tarjan (1987), which Berkholz, Bonsma and Grohe
+(2013) show is tight for color refinement. No per-class counts are kept:
+a class holding equally many vertices of each graph splits into pieces
+whose imbalances sum to zero, so the histograms first differ at the first
+level where a piece that moved holds unequal numbers, and as classes only
+split they differ at every later level.
 
 One driver serves both verdict paths and writes the verdict on its table, all
 that refine_verdict reads. It runs canonical rounds while they are dense:
@@ -49,7 +58,7 @@ while each round moves more than half of the vertices, a vertex having moved
 when it lies outside the largest piece of its previous class, re-signing
 every vertex costs no more than the worklist would. After the first round
 that moves fewer, one hand-over hands the canonical ranks, already joint
-class ids, to the worklist, whose first round re-signs the neighbors of the
+class ids, to the worklist, whose first round signs the neighbors of the
 vertices that moved: in a class, the vertices whose neighbors all stayed in
 the largest pieces share their next label, and no other vertex has it. The
 pieces are read off the joint ranks, since past the first difference a class
@@ -245,11 +254,10 @@ def _hand_over(table: LabelTable):
     are dense).
 
     A vertex moved when it lies outside the largest piece of its previous
-    class. The start is (adjacency, gathers, color, members, moved): the
-    adjacency of the disjoint union, g2's vertices following g1's, and its
-    gathers, the joint ranks as class ids, each class's vertex set, and the
-    vertex sets of the classes outside each kept largest piece, the pieces
-    that moved.
+    class. The start is (adjacency, color, members, moved): the adjacency
+    of the disjoint union, g2's vertices following g1's, the joint ranks as
+    class ids, each class's vertex set, and the vertex set of each class
+    outside the kept largest pieces, the pieces that moved, by id ascending.
     """
     prev, color = table.levels[-2].ranks, list(table.levels[-1].ranks)
     parent = dict(zip(color, prev))
@@ -261,13 +269,12 @@ def _hand_over(table: LabelTable):
     g1, g2 = table.graphs
     n1 = g1.vertex_count
     adjacency = [*g1.adjacency, *([w + n1 for w in nbrs] for nbrs in g2.adjacency)]
-    gathers = [*g1.gathers, *map(gather, adjacency[n1:])]
     members = [set() for _ in table.levels[-1].defs]
     for v, q in enumerate(color):
         members[q].add(v)
     kept = {q for _, q in largest.values()}
-    moved = [piece for q, piece in enumerate(members) if q not in kept]
-    return adjacency, gathers, color, members, moved
+    moved = {q: piece for q, piece in enumerate(members) if q not in kept}
+    return adjacency, color, members, moved
 
 
 def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: bool):
@@ -275,14 +282,15 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
     class ids, up to max_level, stabilization or, if stop_at_difference,
     the first difference.
 
-    Returns (table, gathers, rounds): the canonical levels up to the
+    Returns (table, adjacency, rounds): the canonical levels up to the
     hand-over with the distinguishing and stabilization levels, the
-    worklist's included, and, if the worklist ran, the joint gathers and
-    the pieces that took new ids in each of its rounds, in the order the ids
-    were given. A round re-signs only the touched vertices, the neighbors
-    of the pieces that moved in the round before (at the hand-over, for the
-    first), read before the round changes any vertex set: the rest of a
-    class share one next label, which no touched vertex of the class has.
+    worklist's included, and, if the worklist ran, the joint adjacency and
+    the pieces that took new ids in each of its rounds, by id ascending. A
+    round signs only the touched vertices, the neighbors of the pieces that
+    moved in the round before (at the hand-over, for the first), each by the
+    ids of its neighbors in those pieces, read before the round changes any
+    vertex set: the rest of a class share one next label, which no touched
+    vertex of the class has.
     """
     table, max_level = _level_zero(g1, g2, max_level)
     start = None
@@ -295,17 +303,23 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
         _append_level(table)
     if start is None:
         return table, None, []
-    adjacency, gathers, color, members, moved = start
+    adjacency, color, members, moved = start
     n1, level = g1.vertex_count, table.max_recorded_level
     rounds = []
     while level < max_level and not (stop_at_difference and table.distinguished):
-        # The touched vertices, the neighbors of the last moved pieces, keyed
-        # by class id and then the sorted ids of their neighbors; the rest
-        # of each class keeps its old label.
+        # The touched vertices, the neighbors of the last moved pieces, each
+        # with the ids of its neighbors among them, ascending as the pieces
+        # are listed, and keyed by class id and then those ids; the rest of
+        # each class keeps its old label.
+        moved_ids: defaultdict[int, list[int]] = defaultdict(list)
+        for q, piece in moved.items():
+            for u in piece:
+                for w in adjacency[u]:
+                    moved_ids[w].append(q)
         by_class: defaultdict[int, dict[tuple[int, ...], list[int]]] = defaultdict(dict)
-        for v in {w for piece in moved for u in piece for w in adjacency[u]}:
-            by_class[color[v]].setdefault(tuple(sorted(gathers[v](color))), []).append(v)
-        moved = []
+        for v, ids in moved_ids.items():
+            by_class[color[v]].setdefault(tuple(ids), []).append(v)
+        moved = {}
         for c, groups in by_class.items():
             pieces = list(groups.values())
             rest = len(members[c]) - sum(map(len, pieces))
@@ -318,17 +332,17 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
                 members[c].difference_update(piece)
                 for v in piece:
                     color[v] = len(members)
+                moved[len(members)] = piece
                 members.append(set(piece))
-                moved.append(piece)
         level += 1
         if not moved:
             table.stabilization_level = level - 1
             break
         rounds.append(moved)
         if not table.distinguished and any(2 * sum(v < n1 for v in piece) != len(piece)
-                                           for piece in moved):
+                                           for piece in moved.values()):
             table.distinguishing_level = level
-    return table, gathers, rounds
+    return table, adjacency, rounds
 
 
 def refine_verdict(
@@ -348,20 +362,19 @@ def refine_to_difference(g1: Graph, g2: Graph, max_level: int | None = None) -> 
     distinguished one gains levels past the hand-over, replayed up to d,
     and it has no stabilization level.
     """
-    table, gathers, rounds = _refine(g1, g2, max_level, True)
+    table, adjacency, rounds = _refine(g1, g2, max_level, True)
     if not table.distinguished:
         return table
-    # Replay the moved pieces onto the hand-over ids. All of a class share
-    # one label over the previous canonical ranks, so one representative
-    # per class gives every label of the level.
+    # Replay the moved pieces, with the worklist's ids, onto the hand-over
+    # ids. All of a class share one label over the previous canonical
+    # ranks, so one representative per class gives every label of the level.
     ranks = table.levels[-1].ranks
-    color, next_id = list(ranks), len(table.levels[-1].defs)
+    color = list(ranks)
     for moved in rounds:
-        for piece in moved:
+        for q, piece in moved.items():
             for v in piece:
-                color[v] = next_id
-            next_id += 1
-        sig_of = {c: tuple(sorted(gathers[v](ranks), reverse=True))
+                color[v] = q
+        sig_of = {c: tuple(sorted(gather(adjacency[v])(ranks), reverse=True))
                   for c, v in dict(zip(color, range(len(color)))).items()}
         defs, rank_of = _intern(sig_of.values())
         rank_of_class = {c: rank_of[sig] for c, sig in sig_of.items()}

@@ -4,6 +4,8 @@ argument parser that every `main` call in a process shares."""
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -31,6 +33,12 @@ C3C3 = "6 6\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n"
 SPINE = "15 14\n" + "".join(f"{i} {i + 1}\n" for i in range(13))
 CAT7 = SPINE + "7 14\n"
 CAT8 = SPINE + "8 14\n"
+# A 4-vertex and a 3-vertex graph, which differ at level 0.
+S4 = "4 2\n0 1\n1 2\n"
+S3 = "3 2\n0 1\n1 2\n"
+# T_A and T_B with an isolated vertex 6 each.
+TA7 = "7 5\n0 1\n1 2\n2 3\n3 4\n2 5\n"
+TB7 = "7 5\n0 1\n1 2\n2 3\n3 4\n3 5\n"
 
 
 @pytest.fixture
@@ -51,6 +59,15 @@ def run(argv: list[str], capsys) -> tuple[int, str, str]:
         rc = exc.code
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def synthesize(g1: str, g2: str, out: str, capsys) -> tuple[int, dict, bytes]:
+    """`synthesize g1 g2 --out out`'s exit code, and the certificate it
+    wrote, parsed and as bytes; the command prints nothing."""
+    rc, out_text, err = run(["synthesize", g1, g2, "--out", out], capsys)
+    assert (out_text, err) == ("", "")
+    raw = Path(out).read_bytes()
+    return rc, json.loads(raw), raw
 
 
 def verdict(distinguished: str, level: str, stabilization: int) -> str:
@@ -95,6 +112,70 @@ class TestLabels:
         argv = ["labels", write("ta", TA), "--max-level", "1000001"]
         expected = "# level 1000001\n0 2\n1 1\n2 3\n3 1\n4 2\n5 0\n"
         assert run(argv, capsys) == (0, expected, "")
+
+
+class TestRoundTrips:
+    """Certificates written by `synthesize` and checked by `verify`, their
+    bytes and exit codes, and their trees counted by `hom-count`."""
+
+    def test_tree_certificate(self, write, tmp_path, capsys):
+        ta, tb, cert = write("ta", TA), write("tb", TB), str(tmp_path / "cert.json")
+        rc, payload, _ = synthesize(ta, tb, cert, capsys)
+        assert rc == 0
+        assert run(["verify", cert, ta, tb], capsys) == (0, "PASS\n", "")
+        # The certificate's tree counted into each graph, plain and as JSON,
+        # and written out explicitly: 9 nodes, root 0.
+        tree = write("tree.txt", payload["tree"])
+        assert run(["hom-count", tree, ta], capsys) == (0, "2714\n", "")
+        rc, out, _ = run(["hom-count", "--json", tree, tb], capsys)
+        assert rc == 0 and '"count": "2928"' in out
+        rc, out, _ = run(["expand", cert], capsys)
+        assert rc == 0 and out.startswith("# root 0\n9 8\n")
+        assert run(["compare", ta, ta], capsys)[0] == 1
+
+    def test_equivalent_certificate(self, write, tmp_path, capsys):
+        # A 6-vertex path and a relabelled copy.
+        p6, q6, cert = write("p6", P6), write("q6", Q6), str(tmp_path / "eq.json")
+        rc, payload, _ = synthesize(p6, q6, cert, capsys)
+        assert (rc, payload["mode"]) == (1, "equivalent")
+        assert run(["verify", cert, p6, q6], capsys) == (0, "PASS\n", "")
+
+    def test_single_node_certificate(self, write, tmp_path, capsys):
+        s4, s3, cert = write("s4", S4), write("s3", S3), str(tmp_path / "sn.json")
+        rc, payload, _ = synthesize(s4, s3, cert, capsys)
+        assert (rc, payload["mode"]) == (0, "single-node")
+        assert run(["verify", cert, s4, s3], capsys) == (0, "PASS\n", "")
+
+    def test_regular_pair_certificate(self, write, tmp_path, capsys):
+        # The degree partition has one class and is stable at round 0.
+        c6, c3c3, cert = write("c6", C6), write("c3c3", C3C3), str(tmp_path / "reg.json")
+        rc, payload, _ = synthesize(c6, c3c3, cert, capsys)
+        assert (rc, payload["mode"]) == (1, "equivalent")
+        assert run(["verify", cert, c6, c3c3], capsys) == (0, "PASS\n", "")
+
+    def test_worklist_certificate_bytes(self, write, tmp_path, capsys):
+        # The worklist's 3 rounds up to the first difference at level 4 are
+        # replayed onto the canonical levels the certificate reports.
+        cat7, cat8, cert = write("cat7", CAT7), write("cat8", CAT8), str(tmp_path / "cat.json")
+        rc, _, raw = synthesize(cat7, cat8, cert, capsys)
+        assert rc == 0
+        assert hashlib.sha256(raw).hexdigest() == (
+            "a08794a7e602cc5546052dac0962f01ddbbc7b0d705bed24e02d2498586644b8")
+        assert run(["verify", cert, cat7, cat8], capsys) == (0, "PASS\n", "")
+
+    def test_isolated_vertex_certificate_bytes(self, write, tmp_path, capsys):
+        # Neighbor reads of degree 0 (the isolated vertex) and degree 1 (the
+        # leaves). The isolated vertex's rooted count is 0.
+        ta7, tb7, cert = write("ta7", TA7), write("tb7", TB7), str(tmp_path / "cert7.json")
+        rc, payload, raw = synthesize(ta7, tb7, cert, capsys)
+        assert rc == 0
+        assert hashlib.sha256(raw).hexdigest() == (
+            "c5e42bb85f83ec856facca767deb6d554a628e6f4557e168d60c72f866be4b2d")
+        assert run(["verify", cert, ta7, tb7], capsys) == (0, "PASS\n", "")
+        tree = write("tree7.txt", payload["tree"])
+        expected = ('{\n  "count": "2714",\n  "rooted": [\n    "64",\n    "784",\n'
+                    '    "289",\n    "784",\n    "64",\n    "729",\n    "0"\n  ]\n}\n')
+        assert run(["hom-count", "--json", tree, ta7], capsys) == (0, expected, "")
 
 
 def test_expand_equivalent_certificate(write, tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import random
 import time
 from collections import Counter
@@ -36,6 +37,7 @@ from .conftest import (
     TA,
     TB,
     TWO_C3,
+    cycle_graph,
     degree,
     disjoint_union,
     early_table,
@@ -471,19 +473,63 @@ def _caterpillar(spine, pendant):
     return Graph(spine + 1, edges)
 
 
+def _with_hub(g):
+    """g with one more vertex, joined to all of g's."""
+    n = g.vertex_count
+    return Graph(n + 1, [*g.edges, *((v, n) for v in range(n))])
+
+
+def _fan(n):
+    """The fan F_n: a path on n vertices and a hub joined to all of them."""
+    return _with_hub(path_graph(n))
+
+
+def _wheel(n):
+    """The wheel W_n: a cycle on n vertices and a hub joined to all of them."""
+    return _with_hub(cycle_graph(n))
+
+
+def _star_of_paths(legs, length):
+    """A hub joined to one end of each of `legs` paths on `length` vertices."""
+    edges = []
+    for leg in range(legs):
+        first = 1 + leg * length
+        edges += [(0, first)] + [(v, v + 1) for v in range(first, first + length - 1)]
+    return Graph(1 + legs * length, edges)
+
+
+def _one_swap(g, rng):
+    """g after one degree-preserving double-edge swap drawn with rng, with its
+    vertices shuffled; g itself, shuffled, when no swap applies."""
+    edges = sorted(g.edges)
+    rng.shuffle(edges)
+    present, swapped = set(edges), edges
+    for (a, b), (c, d) in combinations(edges, 2):
+        new = [tuple(sorted(e)) for e in ((a, d), (c, b))]
+        if len({a, b, c, d}) == 4 and not present.intersection(new):
+            swapped = [e for e in edges if e not in ((a, b), (c, d))] + new
+            break
+    return _shuffled(Graph(g.vertex_count, swapped), rng.random())
+
+
+@st.composite
+def graph_pairs(draw):
+    """Two graphs on up to 8 vertices, of equal sizes half the time, so
+    differences show past level 0."""
+    g1 = draw(graphs(max_vertices=8))
+    if draw(st.booleans()):
+        n = g1.vertex_count
+        return g1, draw(graphs(max_vertices=n, min_vertices=n))
+    return g1, draw(graphs(max_vertices=8))
+
+
 class TestRefineVerdict:
     """The partition-only verdicts against distinguishing_level as oracle."""
 
     @PROPERTY_SETTINGS
-    @given(graphs(max_vertices=8), st.data())
-    def test_matches_canonical_engine(self, g1, data):
-        # equal sizes half the time, so differences show past level 0
-        if data.draw(st.booleans()):
-            n = g1.vertex_count
-            g2 = data.draw(graphs(max_vertices=n, min_vertices=n))
-        else:
-            g2 = data.draw(graphs(max_vertices=8))
-        _agrees_with_oracle(g1, g2)
+    @given(graph_pairs())
+    def test_matches_canonical_engine(self, pair):
+        _agrees_with_oracle(*pair)
 
     @pytest.mark.parametrize("g1, g2", [
         (empty_graph(), empty_graph()),
@@ -524,6 +570,13 @@ class TestRefineVerdict:
         with pytest.raises(ValueError):
             refine_verdict(K13, P4, max_level=-1)
 
+    def test_worklist_builds_no_gathers(self):
+        # Level 1 moves only the path ends, so the first hand-over is sparse
+        # and no canonical round reads a gather.
+        g1, g2 = path_graph(40), _shuffled(path_graph(40), 40)
+        assert refine_verdict(g1, g2) == (None, 19)
+        assert g1._gathers is None and g2._gathers is None
+
     def test_long_path_vs_permuted_copy_is_fast(self):
         # The canonical engine re-signs all 4000 vertices in each of the
         # 1000 rounds; this pair must not take seconds.
@@ -533,6 +586,73 @@ class TestRefineVerdict:
         assert refine_verdict(g, h) == (None, 999)
         assert verify(Certificate(mode="equivalent"), g, h)
         assert time.perf_counter() - start < 2.0
+
+
+class TestHubs:
+    """A hub next to a long path is touched in every worklist round, whose
+    signature counts only moved neighbors and so rests on each class's
+    shared neighbor multiset."""
+
+    @pytest.mark.parametrize("g", [
+        *(pytest.param(_fan(n), id=f"fan-{n}") for n in (5, 40, 121)),
+        *(pytest.param(_wheel(n), id=f"wheel-{n}") for n in (5, 40, 121)),
+        *(pytest.param(_star_of_paths(legs, length), id=f"star-{legs}x{length}")
+          for legs, length in ((3, 13), (5, 20), (2, 40))),
+    ])
+    def test_against_permuted_and_swapped_copies(self, g):
+        levels = (None, 0, 1, 2, 3, g.vertex_count // 4)
+        _agrees_with_oracle(g, _shuffled(g, g.vertex_count), levels)
+        _agrees_with_oracle(g, _one_swap(g, random.Random(g.vertex_count)), levels)
+
+    @PROPERTY_SETTINGS
+    @given(graph_pairs())
+    def test_universal_vertex_added(self, pair):
+        _agrees_with_oracle(*map(_with_hub, pair))
+
+    def test_distinguished_hub_pair_certificate(self, canonical_rounds):
+        # Caterpillars with a pendant at 9 and at 10 on a 26-vertex spine,
+        # each with a hub: the worklist runs from level 1 to the first
+        # difference, and the certificate's levels are replayed from it.
+        g1 = _shuffled(_with_hub(_caterpillar(26, 9)), 1)
+        g2 = _shuffled(_with_hub(_caterpillar(26, 10)), 2)
+        cert = synthesize(g1, g2)
+        assert len(canonical_rounds) == 1
+        assert cert.mode == "tree"
+        assert cert.level == distinguishing_level(g1, g2).distinguishing_level > 2
+        assert verify(cert, g1, g2)
+
+    def test_fan_refines_in_quasilinear_neighbor_reads(self, monkeypatch):
+        # Signing the hub of F_2000 by all of its neighbors in each of the
+        # worklist's 999 rounds reads about V^2 / 2 entries. Counted: the
+        # entries of the adjacency lists and of the class ids the worklist
+        # reads.
+        reads = [0]
+
+        class Adjacency(list):
+            def __getitem__(self, u):
+                nbrs = super().__getitem__(u)
+                reads[0] += len(nbrs)
+                return nbrs
+
+        class Color(list):
+            def __getitem__(self, v):
+                reads[0] += 1
+                return super().__getitem__(v)
+
+        hand_over = wl._hand_over
+
+        def counted(table):
+            start = hand_over(table)
+            if start is not None:
+                adjacency, color, *rest = start
+                start = (Adjacency(adjacency), Color(color), *rest)
+            return start
+
+        monkeypatch.setattr(wl, "_hand_over", counted)
+        g = _fan(2000)
+        assert refine_verdict(g, _shuffled(g, 2000)) == (None, 999)
+        vertices, edges = 2 * g.vertex_count, 2 * g.edge_count
+        assert 0 < reads[0] <= 2 * (vertices + edges) * math.log2(vertices)
 
 
 @pytest.fixture
@@ -581,18 +701,9 @@ class TestRefineToDifference:
 
 
 def _gnp_and_swap(n, p, rng):
-    """G(n, p) drawn with rng, and its image under one degree-preserving
-    double-edge swap with its vertices shuffled; the graph itself, shuffled,
-    when no swap applies."""
-    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-    rng.shuffle(edges)
-    present, swapped = set(edges), edges
-    for (a, b), (c, d) in combinations(edges, 2):
-        new = [tuple(sorted(e)) for e in ((a, d), (c, b))]
-        if len({a, b, c, d}) == 4 and not present.intersection(new):
-            swapped = [e for e in edges if e not in ((a, b), (c, d))] + new
-            break
-    return Graph(n, edges), _shuffled(Graph(n, swapped), rng.random())
+    """G(n, p) drawn with rng, and its _one_swap image."""
+    g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+    return g, _one_swap(g, rng)
 
 
 @st.composite
