@@ -29,14 +29,18 @@ _SHAPE = str.maketrans("\t", " ", "0123456789")
 _COMMAS = str.maketrans(" \t\n", ",,,")
 
 
-class GraphFormatError(ValueError):
-    """Malformed graph input; carries the 1-based source line when known."""
+class FormatError(ValueError):
+    """Malformed input text; carries the 1-based source line when known."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class GraphFormatError(FormatError):
+    """Malformed graph input."""
 
 
 def gather(idx: Sequence[int]) -> Callable[[Sequence], Sequence]:

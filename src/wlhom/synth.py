@@ -33,9 +33,8 @@ argument behind the label test / homomorphism-count correspondence:
   final: with distinct positive bases s_k[r], the difference of the two
   histogram-weighted sums is sum_r delta(r) * s_k[r]^n. If it vanished for
   n = 1..|S_k| the Vandermonde system would force every delta(r) to zero,
-  so the least separating n is found within |S_k| steps. Ranks with
-  delta(r) = 0 add nothing to the difference, so the certificate lists
-  only the histogram rows that differ.
+  so the least separating n is found within |S_k| steps. The tree and its
+  two counts are the whole proof: no certificate byte names a rank.
 
 So the search runs on one count vector per level, indexed by rank and read
 from the level definitions alone, and the emitted tree is a chain: a leaf
@@ -75,21 +74,20 @@ class InconclusiveError(ValueError):
 
 class Certificate(namedtuple(
     "Certificate",
-    "mode level m_per_level n_final tree_text count_g1 count_g2 histograms",
-    defaults=(None,) * 7,
+    "mode level m_per_level n_final tree_text count_g1 count_g2",
+    defaults=(None,) * 6,
 )):
     """Transcript of a synthesis run, sufficient for independent checking;
     an immutable value record whose fields other than mode default to None.
 
-    mode "tree": level k, the m chosen at each lift (levels 2..k, a tuple),
-    the final n, the tree itself (tree file format), both counts, and the
-    level-k histogram rows the inequality was read off from: the
-    non-isolated ranks whose two counts differ, as (rank, g1, g2) in rank
-    order. mode "single-node": level 0, the empty chain (a lone leaf) and
-    the two vertex counts, with no rows. verify checks both the same way:
-    the tree must be the claimed chain, the rows well formed (checked for
-    shape only; re-deriving them needs refinement), and the counts the
-    tree's and different. mode "equivalent": no further fields.
+    mode "tree": level k, the tree's depth; the m chosen at each lift
+    (levels 2..k, a tuple) and the final n, the chain's multiplicities;
+    the tree (tree file format); and both counts. mode "single-node":
+    level 0, the empty chain (a lone leaf) and the two vertex counts.
+    verify checks both the same way: the tree must be the claimed chain,
+    and the counts the tree's and different. As the level-k labels fix a
+    depth-k tree's counts, level is certified only as an upper bound on
+    the first differing level. mode "equivalent": no further fields.
     """
 
     __slots__ = ()
@@ -116,9 +114,6 @@ def certificate_to_json(cert: Certificate) -> str:
     if cert.mode == "tree":
         payload["m_per_level"] = list(cert.m_per_level)
         payload["n_final"] = cert.n_final
-        payload["histograms"] = [
-            {"rank": r, "g1": c1, "g2": c2} for r, c1, c2 in cert.histograms
-        ]
     return json_text(payload)
 
 
@@ -156,7 +151,7 @@ def certificate_from_json(text: str) -> Certificate:
     if mode != "equivalent":
         expected |= {"level", "tree", "count_g1", "count_g2"}
     if mode == "tree":
-        expected |= {"m_per_level", "n_final", "histograms"}
+        expected |= {"m_per_level", "n_final"}
     _require(
         set(data) == expected,
         f"mode {mode} certificate must have exactly the fields {sorted(expected)}",
@@ -189,17 +184,6 @@ def certificate_from_json(text: str) -> Certificate:
              "m_per_level must have one entry per level from 2 to k")
     n_final = data["n_final"]
     _require(_is_int(n_final, 1), "n_final must be a positive integer")
-    raw_hist = data["histograms"]
-    _require(isinstance(raw_hist, list) and raw_hist,
-             "histograms must be a nonempty list")
-    histograms = []
-    for row in raw_hist:
-        _require(
-            isinstance(row, dict) and set(row) == {"rank", "g1", "g2"}
-            and all(_is_int(row[f], 0) for f in ("rank", "g1", "g2")),
-            "each histogram row must be {rank, g1, g2} with nonnegative integers",
-        )
-        histograms.append((row["rank"], row["g1"], row["g2"]))
     return Certificate(
         mode=mode,
         level=level,
@@ -208,7 +192,6 @@ def certificate_from_json(text: str) -> Certificate:
         tree_text=tree_text,
         count_g1=count_g1,
         count_g2=count_g2,
-        histograms=tuple(histograms),
     )
 
 
@@ -278,8 +261,9 @@ def synthesize(
 
     Refinement (refine_to_difference) runs refine_verdict's driver, so an
     equivalent pair costs about what refine_verdict does, and builds
-    canonical ranks only up to k, the distinguishing level.
-    Only the non-isolated level-k histograms are read. If no level differs
+    canonical ranks only up to k, the distinguishing level. Each graph's
+    level-k histogram over non-isolated ranks is read only to choose n; no
+    certificate byte depends on how ranks are named. If no level differs
     up to stabilization, the graphs are equivalent; reaching max_level
     first raises InconclusiveError. At k = 0 the vertex counts differ and
     the empty chain, a lone leaf, distinguishes. Otherwise the construction
@@ -320,7 +304,7 @@ def synthesize(
         m, counts = lift(labels, lvl, counts, s_lvl)
         m_per_level.append(m)
 
-    s_k = sorted(set(hist1) | set(hist2))
+    s_k = hist1.keys() | hist2.keys()
     for n in range(1, len(s_k) + 1):
         c1 = sum(c * counts[r] ** n for r, c in hist1.items())
         c2 = sum(c * counts[r] ** n for r, c in hist2.items())
@@ -349,10 +333,6 @@ def synthesize(
         tree_text=serialize_tree(arena, t),
         count_g1=c1,
         count_g2=c2,
-        histograms=tuple(
-            (r, hist1.get(r, 0), hist2.get(r, 0))
-            for r in s_k if hist1.get(r, 0) != hist2.get(r, 0)
-        ),
     )
 
 
@@ -361,24 +341,21 @@ def verify(cert: Certificate, g1: Graph, g2: Graph) -> bool:
 
     Recomputes from scratch: equivalent mode re-runs the level comparison
     on the joint partition alone (refine_verdict). Every tree claim, the
-    single-node one being the empty chain with no rows, has one check: the
-    embedded tree must be the claimed chain (m_per_level then n_final) and
-    the histogram rows must name strictly increasing ranks with differing
-    counts; then the graph DP recounts homomorphisms of the tree, which
-    for a lone leaf are the vertex counts, and both must match plus differ.
+    single-node one being the empty chain, has one check: the embedded tree
+    must be the claimed chain (m_per_level then n_final, whose depth
+    certificate_from_json holds to level); then the graph DP recounts
+    homomorphisms of the tree, which for a lone leaf are the vertex counts,
+    and both must match plus differ. As the level-k labels fix a depth-k
+    tree's counts, level is certified only as an upper bound on the first
+    differing level.
     """
     if cert.mode not in MODES:
         raise CertificateError(f"unknown mode {cert.mode!r}")
     if cert.mode == "equivalent":
         return refine_verdict(g1, g2, stop_at_difference=True)[0] is None
     arena, root = cert.tree()
-    mults, rows = (), ()
-    if cert.mode == "tree":
-        mults, rows = (*cert.m_per_level, cert.n_final), cert.histograms
-    ranks = [r for r, _, _ in rows]
-    if (arena.extract(root) != _chain(mults)
-            or any(a >= b for a, b in zip(ranks, ranks[1:]))
-            or any(x == y for _, x, y in rows)):
+    mults = (*cert.m_per_level, cert.n_final) if cert.mode == "tree" else ()
+    if arena.extract(root) != _chain(mults):
         return False
     c1 = hom_count(arena, root, g1)
     c2 = hom_count(arena, root, g2)

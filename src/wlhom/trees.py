@@ -11,17 +11,11 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable
 
-from .graphs import quote, spell, too_long
+from .graphs import FormatError, quote, spell, too_long
 
 
-class TreeFormatError(ValueError):
-    """Malformed tree file; carries the 1-based source line when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+class TreeFormatError(FormatError):
+    """Malformed tree file."""
 
 
 class ExpansionLimitError(ValueError):

@@ -334,18 +334,6 @@ class TestVerify:
         assert capsys.readouterr() == (
             "", "error: count_g1: number of 5000 digits is too long\n")
 
-    def test_rows_inconsistent_with_the_tree_fail(self, gfile, tmp_path, capsys):
-        out = tmp_path / "cert.json"
-        a, b = gfile("a", TA), gfile("b", TB)
-        assert main(["synthesize", a, b, "--out", str(out)]) == 0
-        data = json.loads(out.read_text(encoding="utf-8"))
-        data["histograms"] = [{"rank": 99, "g1": 5, "g2": 5},
-                              {"rank": 99, "g1": 7, "g2": 0}]
-        out.write_text(json.dumps(data), encoding="utf-8")
-        capsys.readouterr()
-        assert main(["verify", str(out), a, b]) == 1
-        assert capsys.readouterr().out == "FAIL\n"
-
 
 class TestExpand:
     def _cert_path(self, gfile, tmp_path, g1, g2):
@@ -407,6 +395,22 @@ class TestExpand:
         assert rc == 0
         assert capsys.readouterr().out == ""
         assert out.read_text(encoding="utf-8") == "# root 0\n3 2\n0 1\n0 2\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "expand"])
+def test_certificate_with_histogram_rows_refused(command, gfile, tmp_path, capsys):
+    # the level-k histogram rows of the earlier format are a field too many
+    a, b = gfile("a", TA), gfile("b", TB)
+    cert = tmp_path / "cert.json"
+    assert main(["synthesize", a, b, "--out", str(cert)]) == 0
+    data = json.loads(cert.read_text(encoding="utf-8"))
+    data["histograms"] = [{"rank": 4, "g1": 1, "g2": 2}]
+    cert.write_text(json.dumps(data), encoding="utf-8")
+    rc = main([command, str(cert), *([a, b] if command == "verify" else [])])
+    assert rc == 2
+    assert capsys.readouterr() == ("", (
+        "error: mode tree certificate must have exactly the fields ['count_g1', "
+        "'count_g2', 'level', 'm_per_level', 'mode', 'n_final', 'tree']\n"))
 
 
 def test_import_is_lean():

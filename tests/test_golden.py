@@ -14,8 +14,8 @@ from wlhom import Graph, certificate_to_json, synthesize
 
 from .conftest import enumerate_graphs
 
-CENSUS_DIGEST = "846b0d02ce4bd8ed352d4c2912e919d43333598bfefd3c719d222b24a0f41f9a"
-SWAP_DIGEST = "b0ae2407751de658a6f197e56a95480242c2853339307cd0dacc732ec6c818f6"
+CENSUS_DIGEST = "03635d50034ac7556247e8358c66d81b6b1886408a781479a7ff22449d90b8f3"
+SWAP_DIGEST = "a47d20cf2074bda4f1a11c00ba350b3a0ff97688155fa76551c8192763649766"
 
 
 def _digest(pairs) -> str:

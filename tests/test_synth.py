@@ -466,9 +466,10 @@ class TestCertificateJson:
             lambda d: d.update(m_per_level=[0]),
             lambda d: d.update(m_per_level=[1, 1]),
             lambda d: d.update(n_final=0),
-            lambda d: d.update(histograms=[]),
-            lambda d: d.update(histograms=[{"rank": 0, "g1": 1}]),
-            lambda d: d.update(histograms=[{"rank": 0, "g1": 1, "g2": -1}]),
+            lambda d: d.pop("m_per_level"),
+            lambda d: d.pop("n_final"),
+            # the histogram rows of the earlier format are a field too many
+            lambda d: d.update(histograms=[{"rank": 0, "g1": 1, "g2": 2}]),
         ],
     )
     def test_malformed_rejected(self, mangle):
@@ -487,8 +488,9 @@ class TestCertificateJson:
         ("level", True, "level must be an integer"),
         ("m_per_level", [True], "m_per_level must be a list of positive integers"),
         ("n_final", True, "n_final must be a positive integer"),
-        ("histograms", [{"rank": False, "g1": 1, "g2": 2}],
-         "each histogram row must be {rank, g1, g2} with nonnegative integers"),
+        ("histograms", [{"rank": 0, "g1": 1, "g2": 2}],
+         "mode tree certificate must have exactly the fields ['count_g1', "
+         "'count_g2', 'level', 'm_per_level', 'mode', 'n_final', 'tree']"),
     ])
     def test_malformed_field_message(self, field, value, message):
         data = json.loads(certificate_to_json(synthesize(TA, TB)))
@@ -575,8 +577,7 @@ class TestVerify:
         assert not verify(cert, empty_graph(1), path_graph(2))
 
     def test_true_but_equal_counts_fail(self):
-        # correct counts that do not differ prove nothing, even beside a
-        # well-formed row
+        # correct counts that do not differ prove nothing
         arena = TreeArena()
         t = _chain(arena, (1,))
         g1, g2 = path_graph(3), star_graph(2)  # isomorphic
@@ -584,22 +585,23 @@ class TestVerify:
         cert = Certificate(
             mode="tree", level=1, m_per_level=(), n_final=1,
             tree_text="T 2\nnode 0 :\nnode 1 : 0*1\nroot 1\n",
-            count_g1=c, count_g2=c, histograms=((0, 1, 2),),
+            count_g1=c, count_g2=c,
         )
         assert not verify(cert, g1, g2)
 
     @pytest.mark.parametrize("mangle", [
-        # a repeated rank and an equal row
-        lambda d: d.update(histograms=[{"rank": 99, "g1": 5, "g2": 5},
-                                       {"rank": 99, "g1": 7, "g2": 0}]),
-        lambda d: d.update(histograms=[{"rank": 4, "g1": 1, "g2": 1}]),
-        lambda d: d.update(histograms=[{"rank": 4, "g1": 1, "g2": 2},
-                                       {"rank": 3, "g1": 0, "g2": 1}]),
         lambda d: d.update(n_final=d["n_final"] + 1),
         lambda d: d.update(m_per_level=[d["m_per_level"][0] + 1]),
+        lambda d: d.update(count_g1=str(int(d["count_g1"]) + 1)),
+        lambda d: d.update(count_g2=str(int(d["count_g2"]) - 1)),
+        lambda d: d.update(count_g1=d["count_g2"], count_g2=d["count_g1"]),
+        # the chain of m_per_level [3] and n 3, where n_final is 2
+        lambda d: d.update(
+            tree="T 3\nnode 0 :\nnode 1 : 0*3\nnode 2 : 1*3\nroot 2\n"),
     ])
     def test_fields_inconsistent_with_the_tree_fail(self, mangle):
-        # the tree and both counts are still the true ones
+        # each case changes one field, or swaps the counts; every other
+        # field keeps its true value
         data = json.loads(certificate_to_json(synthesize(TA, TB)))
         mangle(data)
         assert not verify(certificate_from_json(json.dumps(data)), TA, TB)

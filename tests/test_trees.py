@@ -7,6 +7,7 @@ from hypothesis import given
 
 from wlhom import (
     ExpansionLimitError,
+    GraphFormatError,
     TreeArena,
     TreeFormatError,
     expand_tree,
@@ -208,6 +209,15 @@ class TestFormat:
             parse_tree(text)
         assert exc.value.line == line
         assert str(exc.value) == f"line {line}: number of 5000 digits is too long"
+
+    def test_format_errors_share_a_base_not_each_other(self):
+        # one definition of the line prefix serves graph and tree files,
+        # and an except clause for either still catches only its own
+        assert not issubclass(TreeFormatError, GraphFormatError)
+        assert not issubclass(GraphFormatError, TreeFormatError)
+        for error in (TreeFormatError, GraphFormatError):
+            assert (str(error("bad", 4)), error("bad", 4).line) == ("line 4: bad", 4)
+            assert (str(error("bad")), error("bad").line) == ("bad", None)
 
 
 class TestExpand:
