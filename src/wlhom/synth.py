@@ -38,8 +38,9 @@ argument behind the label test / homomorphism-count correspondence:
 
 So the search runs on one count vector per level, indexed by rank and read
 from the level definitions alone, and the emitted tree is a chain: a leaf
-under roots repeating their one child m_2, ..., m_k and n times. One graph DP
-of it per graph cross-checks the last vector, distinct and positive as lift
+under roots repeating their one child m_2, ..., m_k and n times, and a
+certificate is that chain with the tree and its two counts. One graph DP of
+it per graph cross-checks the last vector, distinct and positive as lift
 accepts it or as degrees are: every vertex must carry its level-k rank's
 count, or SynthesisInvariantError is raised and nothing is emitted. The
 vertex sums are then the histogram-weighted ones, as an isolated rank's count
@@ -73,24 +74,31 @@ class InconclusiveError(ValueError):
 
 
 class Certificate(namedtuple(
-    "Certificate",
-    "mode level m_per_level n_final tree_text count_g1 count_g2",
-    defaults=(None,) * 6,
+    "Certificate", "chain tree_text count_g1 count_g2", defaults=(None,) * 4,
 )):
-    """Transcript of a synthesis run, sufficient for independent checking;
-    an immutable value record whose fields other than mode default to None.
+    """A claim about two graphs, checkable on its own; an immutable value
+    record whose fields default to None.
 
-    mode "tree": level k, the tree's depth; the m chosen at each lift
-    (levels 2..k, a tuple) and the final n, the chain's multiplicities;
-    the tree (tree file format); and both counts. mode "single-node":
-    level 0, the empty chain (a lone leaf) and the two vertex counts.
-    verify checks both the same way: the tree must be the claimed chain,
-    and the counts the tree's and different. As the level-k labels fix a
-    depth-k tree's counts, level is certified only as an upper bound on
-    the first differing level. mode "equivalent": no further fields.
+    The claim is its chain, the multiplicities m_2, ..., m_k, n of the
+    separating tree: () for a lone leaf, None when no level ever separates
+    the graphs, so Certificate() claims equivalence. A separating claim
+    also holds the tree (tree file format) and both counts. mode and level,
+    the tree's depth, are read off the chain, and the JSON format is their
+    view. As the level-k labels fix a depth-k tree's counts, level is
+    certified only as an upper bound on the first differing level.
     """
 
     __slots__ = ()
+
+    @property
+    def mode(self) -> str:
+        if self.chain is None:
+            return "equivalent"
+        return "tree" if self.chain else "single-node"
+
+    @property
+    def level(self) -> int | None:
+        return None if self.chain is None else len(self.chain)
 
     def tree(self) -> tuple[TreeArena, int]:
         if self.tree_text is None:
@@ -106,14 +114,11 @@ def json_text(payload) -> str:
 def certificate_to_json(cert: Certificate) -> str:
     """Canonical JSON form; counts become decimal strings."""
     payload: dict = {"mode": cert.mode}
-    if cert.mode != "equivalent":
-        payload["level"] = cert.level
-        payload["tree"] = cert.tree_text
-        payload["count_g1"] = str(cert.count_g1)
-        payload["count_g2"] = str(cert.count_g2)
-    if cert.mode == "tree":
-        payload["m_per_level"] = list(cert.m_per_level)
-        payload["n_final"] = cert.n_final
+    if cert.chain is not None:
+        payload.update(level=cert.level, tree=cert.tree_text,
+                       count_g1=str(cert.count_g1), count_g2=str(cert.count_g2))
+    if cert.chain:
+        payload.update(m_per_level=list(cert.chain[:-1]), n_final=cert.chain[-1])
     return json_text(payload)
 
 
@@ -157,7 +162,7 @@ def certificate_from_json(text: str) -> Certificate:
         f"mode {mode} certificate must have exactly the fields {sorted(expected)}",
     )
     if mode == "equivalent":
-        return Certificate(mode=mode)
+        return Certificate()
     level = data["level"]
     _require(_is_int(level), "level must be an integer")
     tree_text = data["tree"]
@@ -170,29 +175,20 @@ def certificate_from_json(text: str) -> Certificate:
     count_g2 = _parse_count(data["count_g2"], "count_g2")
     if mode == "single-node":
         _require(level == 0, "single-node certificate must have level 0")
-        return Certificate(
-            mode=mode, level=0, tree_text=tree_text,
-            count_g1=count_g1, count_g2=count_g2,
+        chain = ()
+    else:
+        _require(level >= 1, "tree certificate must have level >= 1")
+        m_per_level = data["m_per_level"]
+        _require(
+            isinstance(m_per_level, list) and all(_is_int(m, 1) for m in m_per_level),
+            "m_per_level must be a list of positive integers",
         )
-    _require(level >= 1, "tree certificate must have level >= 1")
-    m_per_level = data["m_per_level"]
-    _require(
-        isinstance(m_per_level, list) and all(_is_int(m, 1) for m in m_per_level),
-        "m_per_level must be a list of positive integers",
-    )
-    _require(len(m_per_level) == level - 1,
-             "m_per_level must have one entry per level from 2 to k")
-    n_final = data["n_final"]
-    _require(_is_int(n_final, 1), "n_final must be a positive integer")
-    return Certificate(
-        mode=mode,
-        level=level,
-        m_per_level=tuple(m_per_level),
-        n_final=n_final,
-        tree_text=tree_text,
-        count_g1=count_g1,
-        count_g2=count_g2,
-    )
+        _require(len(m_per_level) == level - 1,
+                 "m_per_level must have one entry per level from 2 to k")
+        n_final = data["n_final"]
+        _require(_is_int(n_final, 1), "n_final must be a positive integer")
+        chain = (*m_per_level, n_final)
+    return Certificate(chain, tree_text, count_g1, count_g2)
 
 
 def _chain(mults: Sequence[int]) -> tuple[TreeArena, int]:
@@ -257,7 +253,7 @@ def synthesize(
     g2: Graph,
     max_level: int | None = None,
 ) -> Certificate:
-    """Distinguishing tree plus transcript, or an equivalent-mode certificate.
+    """Distinguishing chain, tree and counts, or Certificate() if equivalent.
 
     Refinement (refine_to_difference) runs refine_verdict's driver, so an
     equivalent pair costs about what refine_verdict does, and builds
@@ -267,23 +263,19 @@ def synthesize(
     up to stabilization, the graphs are equivalent; reaching max_level
     first raises InconclusiveError. At k = 0 the vertex counts differ and
     the empty chain, a lone leaf, distinguishes. Otherwise the construction
-    runs at level k. The emitted tree is counted once per graph, with one
-    DP each, and checked per vertex against the level-k counts.
+    runs at level k; the chain is the m each lift chose, then n. The
+    emitted tree is counted once per graph, with one DP each, and checked
+    per vertex against the level-k counts.
     """
     labels = refine_to_difference(g1, g2, max_level)
     if not labels.distinguished:
         if not labels.complete:
             raise InconclusiveError(f"inconclusive: no verdict by level {max_level}")
-        return Certificate(mode="equivalent")
+        return Certificate()
     k = labels.distinguishing_level
     if k == 0:
-        return Certificate(
-            mode="single-node",
-            level=0,
-            tree_text=serialize_tree(*_chain(())),
-            count_g1=g1.vertex_count,
-            count_g2=g2.vertex_count,
-        )
+        return Certificate((), serialize_tree(*_chain(())),
+                           g1.vertex_count, g2.vertex_count)
     # Histograms over non-isolated vertices: at levels >= 1 a vertex is
     # isolated exactly when its label is the empty multiset. The vertex
     # counts agree, and so do the isolated ones at every level >= 1, so
@@ -296,13 +288,13 @@ def synthesize(
 
     # s_1: a one-leaf star counts neighbors, the degree each rank defines.
     counts = [len(label) for label in labels.defs_at(1)]
-    m_per_level = []
+    lifts = []
     for lvl in range(2, k + 1):
         # Every rank is some vertex's, so the non-isolated ones are those
         # with a non-empty definition.
         s_lvl = [r for r, label in enumerate(labels.defs_at(lvl)) if label]
         m, counts = lift(labels, lvl, counts, s_lvl)
-        m_per_level.append(m)
+        lifts.append(m)
 
     s_k = hist1.keys() | hist2.keys()
     for n in range(1, len(s_k) + 1):
@@ -314,7 +306,8 @@ def synthesize(
         raise SynthesisInvariantError(
             f"no separating n within |S_k| = {len(s_k)} steps"
         )
-    arena, t = _chain((*m_per_level, n))
+    chain = (*lifts, n)
+    arena, t = _chain(chain)
     # The tree's count at a vertex is fixed by its level-k label, so each
     # vertex must carry the count of its rank, in either graph.
     expected = [c ** n for c in counts]
@@ -325,37 +318,23 @@ def synthesize(
                 f"graph {which + 1} counts of the emitted tree disagree with "
                 f"the level-{k} counts"
             )
-    return Certificate(
-        mode="tree",
-        level=k,
-        m_per_level=tuple(m_per_level),
-        n_final=n,
-        tree_text=serialize_tree(arena, t),
-        count_g1=c1,
-        count_g2=c2,
-    )
+    return Certificate(chain, serialize_tree(arena, t), c1, c2)
 
 
 def verify(cert: Certificate, g1: Graph, g2: Graph) -> bool:
     """Independently re-check a certificate against the two graphs.
 
-    Recomputes from scratch: equivalent mode re-runs the level comparison
-    on the joint partition alone (refine_verdict). Every tree claim, the
-    single-node one being the empty chain, has one check: the embedded tree
-    must be the claimed chain (m_per_level then n_final, whose depth
-    certificate_from_json holds to level); then the graph DP recounts
-    homomorphisms of the tree, which for a lone leaf are the vertex counts,
-    and both must match plus differ. As the level-k labels fix a depth-k
-    tree's counts, level is certified only as an upper bound on the first
-    differing level.
+    Recomputes from scratch: the claim of equivalence (chain None) re-runs
+    the level comparison on the joint partition alone (refine_verdict).
+    Every other claim, the lone leaf's empty chain included, has one check:
+    the embedded tree must be the chain, whose length is the claimed level;
+    then the graph DP recounts homomorphisms of the tree, which for a lone
+    leaf are the vertex counts, and both must match plus differ.
     """
-    if cert.mode not in MODES:
-        raise CertificateError(f"unknown mode {cert.mode!r}")
-    if cert.mode == "equivalent":
+    if cert.chain is None:
         return refine_verdict(g1, g2, stop_at_difference=True)[0] is None
     arena, root = cert.tree()
-    mults = (*cert.m_per_level, cert.n_final) if cert.mode == "tree" else ()
-    if arena.extract(root) != _chain(mults):
+    if arena.extract(root) != _chain(cert.chain):
         return False
     c1 = hom_count(arena, root, g1)
     c2 = hom_count(arena, root, g2)

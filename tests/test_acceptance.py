@@ -192,7 +192,7 @@ def test_criterion_07_known_pair():
     cert = synthesize(K13, P4)
     assert cert.mode == "tree"
     assert cert.level == 1
-    assert cert.n_final == 2
+    assert cert.chain == (2,)
     assert (cert.count_g1, cert.count_g2) == (12, 10)
     assert verify(cert, K13, P4)
 

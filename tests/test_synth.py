@@ -259,10 +259,10 @@ class TestLiftSearch:
 
         monkeypatch.setattr(synth_module, "TreeArena", CountingArena)
         cert = synthesize(g1, g2)
-        assert cert.m_per_level == (3,)
+        assert cert.chain[:-1] == (3,)
         assert len(arenas) == 1
         arena, root = cert.tree()
-        bound = len(arena.reachable(root)) + 4 * len(cert.m_per_level)
+        bound = len(arena.reachable(root)) + 4 * len(cert.chain[:-1])
         assert len(attaches) <= bound
 
 
@@ -271,8 +271,7 @@ class TestSynthesizeKnownPairs:
         cert = synthesize(K13, P4)
         assert cert.mode == "tree"
         assert cert.level == 1
-        assert cert.m_per_level == ()
-        assert cert.n_final == 2
+        assert cert.chain == (2,)
         assert (cert.count_g1, cert.count_g2) == (12, 10)
         assert verify(cert, K13, P4)
 
@@ -306,8 +305,7 @@ class TestSynthesizeKnownPairs:
         cert = synthesize(TA, TB)
         assert cert.mode == "tree"
         assert cert.level == 2
-        assert cert.m_per_level == (3,)
-        assert cert.n_final == 2
+        assert cert.chain == (3, 2)
         assert (cert.count_g1, cert.count_g2) == (2714, 2928)
         arena, root = cert.tree()
         assert arena.depth(root) == 2
@@ -320,7 +318,7 @@ class TestSynthesizeKnownPairs:
         cert = synthesize(g1, path_graph(3))
         assert cert.mode == "tree"
         assert cert.level == 1
-        assert cert.n_final == 1
+        assert cert.chain == (1,)
         assert (cert.count_g1, cert.count_g2) == (2, 4)
         assert verify(cert, g1, path_graph(3))
 
@@ -377,6 +375,10 @@ class TestSynthesizeProperties:
             arena, root = cert.tree()
             assert arena.depth(root) == cert.level
             assert cert.count_g1 != cert.count_g2
+        # every mode, bytes and record, survives the JSON round trip
+        text = certificate_to_json(cert)
+        assert certificate_to_json(certificate_from_json(text)) == text
+        assert certificate_from_json(text) == cert
 
     @PROPERTY_SETTINGS
     @given(graphs(max_vertices=5), graphs(max_vertices=5))
@@ -396,8 +398,7 @@ class TestSynthesizeProperties:
         cert = synthesize(*pair)
         if cert.mode == "tree":
             arena = TreeArena()
-            mults = (*cert.m_per_level, cert.n_final)
-            assert cert.tree_text == serialize_tree(arena, _chain(arena, mults))
+            assert cert.tree_text == serialize_tree(arena, _chain(arena, cert.chain))
 
     @PROPERTY_SETTINGS
     @given(graphs(max_vertices=8), st.data())
@@ -545,14 +546,20 @@ class TestVerify:
         assert not verify(certificate_from_json(json.dumps(data)), K13, P4)
 
     def test_equivalent_claim_on_distinguished_pair_fails(self):
-        assert not verify(Certificate(mode="equivalent"), K13, P4)
+        assert not verify(Certificate(), K13, P4)
 
-    def test_unknown_mode_raises(self):
-        with pytest.raises(CertificateError, match="unknown mode 'bogus'"):
-            verify(Certificate(mode="bogus"), K13, P4)
+    def test_level_is_the_chain_length(self):
+        # A record has no level of its own to claim: T_A / T_B first differ
+        # at level 2, and their depth-2 tree cannot be claimed at level 1.
+        cert = synthesize(TA, TB)
+        with pytest.raises(ValueError):
+            cert._replace(level=1)
+        assert cert.level == len(cert.chain) == 2
+        assert verify(cert, TA, TB)
+        assert not verify(cert._replace(chain=(2,)), TA, TB)
 
     def test_equivalent_claim_on_equivalent_pair_passes(self):
-        assert verify(Certificate(mode="equivalent"), C6, TWO_C3)
+        assert verify(Certificate(), C6, TWO_C3)
 
     def test_single_node_wrong_counts_fail(self):
         good = synthesize(empty_graph(1), path_graph(2))
@@ -563,14 +570,14 @@ class TestVerify:
 
     def test_single_node_equal_counts_fail(self):
         cert = Certificate(
-            mode="single-node", level=0, tree_text="T 1\nnode 0 :\nroot 0\n",
+            chain=(), tree_text="T 1\nnode 0 :\nroot 0\n",
             count_g1=3, count_g2=3,
         )
         assert not verify(cert, path_graph(3), cycle_graph(3))
 
     def test_single_node_non_leaf_tree_fails(self):
         cert = Certificate(
-            mode="single-node", level=0,
+            chain=(),
             tree_text="T 2\nnode 0 :\nnode 1 : 0*1\nroot 1\n",
             count_g1=1, count_g2=2,
         )
@@ -583,7 +590,7 @@ class TestVerify:
         g1, g2 = path_graph(3), star_graph(2)  # isomorphic
         c = hom_count(arena, t, g1)
         cert = Certificate(
-            mode="tree", level=1, m_per_level=(), n_final=1,
+            chain=(1,),
             tree_text="T 2\nnode 0 :\nnode 1 : 0*1\nroot 1\n",
             count_g1=c, count_g2=c,
         )
@@ -618,7 +625,7 @@ class TestVerify:
         assume(count_g1 >= 0 and count_g2 >= 0)
         tree_text = ("T 2\nnode 0 :\nnode 1 : 0*1\nroot 1\n" if edge
                      else "T 1\nnode 0 :\nroot 0\n")
-        cert = Certificate(mode="single-node", level=0, tree_text=tree_text,
+        cert = Certificate(chain=(), tree_text=tree_text,
                            count_g1=count_g1, count_g2=count_g2)
         assert verify(cert, g1, g2) == (
             not edge
@@ -635,7 +642,9 @@ class TestRecords:
             level.defs = ()
         cert = synthesize(TA, TB)
         with pytest.raises(AttributeError):
-            cert.n_final = 3
+            cert.chain = (3, 3)
+        with pytest.raises(AttributeError):
+            cert.level = 1
         with pytest.raises(AttributeError):
             cert.extra = 1
 
@@ -644,7 +653,7 @@ class TestRecords:
         again = certificate_from_json(certificate_to_json(cert))
         assert again == cert
         assert {cert, again} == {cert}
-        assert Certificate(mode="equivalent") != cert
+        assert Certificate() != cert
 
 
 class TestInvariantMachinery:
@@ -680,6 +689,7 @@ class TestQuotient:
                 expected = {}
             assert by_rank == expected
 
+    # m_per_level: the chain's lifts, the multiplicities before n
     @pytest.mark.parametrize("g1, g2, m_per_level", [(TA, TB, (3,)), (K13, P4, ())])
     def test_graph_dp_covers_only_the_emitted_tree(self, monkeypatch, g1, g2,
                                                    m_per_level):
@@ -691,7 +701,7 @@ class TestQuotient:
 
         monkeypatch.setattr(synth_module, "rooted_hom", counting_rooted_hom)
         cert = synthesize(g1, g2)
-        assert cert.m_per_level == m_per_level
+        assert cert.chain[:-1] == m_per_level
         assert [graph for _, graph in calls] == [g1, g2]
         assert all(text == cert.tree_text for text, _ in calls)
 
