@@ -312,8 +312,8 @@ def synthesize(
     # vertex must carry the count of its rank, in either graph.
     expected = [c ** n for c in counts]
     for which, graph in enumerate((g1, g2)):
-        vector = rooted_hom(arena, t, graph)
-        if any(x != expected[r] for x, r in zip(vector, labels.ranks_at(which, k))):
+        if rooted_hom(arena, t, graph) != tuple(map(expected.__getitem__,
+                                                    labels.ranks_at(which, k))):
             raise SynthesisInvariantError(
                 f"graph {which + 1} counts of the emitted tree disagree with "
                 f"the level-{k} counts"

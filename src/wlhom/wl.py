@@ -15,13 +15,31 @@ order extended level by level: level-1 labels order by degree, and two
 multisets compare by the largest element they contain a different number of
 times (the one with more copies of it is larger). Rank 0 is the smallest
 label of its level; the empty multiset (isolated vertices) is always minimal.
-A label is stored as its neighbors' previous ranks, repeats included, sorted
-descending, on which plain tuple order is the label order. A level-1 label
-is d copies of the one level-0 rank, so level 1 is read off the degrees and
-no round signs vertices at level 0. A canonical round reads a vertex's
-neighbor ranks with its graph's gathers (graphs.gather), and the replay
-gathers them for one representative per class; the worklist reads no
-gather, only the adjacency of the pieces that moved.
+A label is written (LabelDef) as its neighbors' previous ranks, repeats
+included, sorted descending, on which plain tuple order is the label order.
+A canonical round need not build it. With w the bit length of the largest
+degree, no count of one rank among a vertex's neighbors reaches 2^w, so the
+sum over the neighbors of 2^(w * rank) is the label's count vector packed
+into one integer: its base-2^w digit r is the number of rank-r neighbors.
+Two such integers compare at their highest differing digit, the largest rank
+the two labels hold a different number of times, and the one holding more
+copies is larger. So integer order is the label order, the empty multiset
+is 0, and one sort of the distinct integers ranks the level. A key has at
+most R * w bits for R previous classes. Past PACKED_KEY_BITS, adding keys
+that wide costs more than sorting the ranks they encode, so the round keys
+each vertex by its label instead, which gives the same ranks.
+
+A level is recorded as its ranks and its class count. A round keyed by
+labels keeps them. refine_to_difference keys every round by labels, since
+synthesize reads the labels of each of its levels. For any other level,
+LabelTable.defs_at reads the labels when asked, off one vertex per rank and
+the previous ranks, as all vertices of a rank share one label; the verdict
+paths never ask. A level-1 label is d copies of the one level-0 rank, whose
+key is d, so level 1 and its labels are read off the degrees and no round
+signs vertices at level 0. A canonical round reads a vertex's neighbors' values with its
+graph's gathers (graphs.gather), and the replay gathers them for one
+representative per class; the worklist reads no gather, only the adjacency
+of the pieces that moved.
 
 joint_refine records these ranks, and the verdict, on a LabelTable. Past
 stabilization the partition is fixed but its numbering can cycle, so the
@@ -70,9 +88,9 @@ record only the pieces that moved. If one of them is unbalanced, the
 pieces are replayed onto the hand-over ids, and each level up to that one
 is interned from one representative per class: all of a class share one
 label over the previous canonical ranks, so the representatives give
-exactly the level's labels, and sorting them gives the tuple order and
-ranks a canonical round gives. Otherwise no canonical level past the
-hand-over is computed.
+exactly the level's labels, which are kept, and sorting them gives the
+tuple order and ranks a canonical round gives. Otherwise no canonical level
+past the hand-over is computed.
 """
 
 from __future__ import annotations
@@ -84,15 +102,20 @@ from .graphs import Graph, gather
 # A label: its multiset of previous-level ranks, sorted descending.
 LabelDef = tuple[int, ...]
 
+# The widest packed key, in bits, that a canonical round sums: the previous
+# level's class count times the bits of the largest degree. Past it the round
+# keys each vertex by its label: on G(n, p) pairs a packed round broke even
+# with a label-keyed one near 500 bits and took twice as long near 3500.
+PACKED_KEY_BITS = 384
 
-class LevelLabels(namedtuple("LevelLabels", "defs ranks")):
-    """Interned labels of one refinement level, an immutable value record.
 
-    defs[r] is the rank-r label (a LabelDef), whose length is the degree of
-    its vertices; ranks[v] is the rank of vertex v of G1 ⊔ G2, where vertex
-    v of g2 is vertex |V1| + v.
-    defs is sorted ascending in tuple order, which is the label order of
-    the module docstring, so the integer rank IS the label order.
+class LevelLabels(namedtuple("LevelLabels", "ranks classes")):
+    """One refinement level, an immutable value record.
+
+    ranks[v] is the rank of vertex v of G1 ⊔ G2, where vertex v of g2 is
+    vertex |V1| + v, and the ranks are 0 .. classes - 1. Ranks follow the
+    label order of the module docstring; the labels themselves are
+    LabelTable.defs_at's.
     """
 
     __slots__ = ()
@@ -101,7 +124,8 @@ class LevelLabels(namedtuple("LevelLabels", "defs ranks")):
 class LabelTable:
     """Joint label levels for a pair of graphs, with the verdict they give."""
 
-    __slots__ = ("graphs", "levels", "stabilization_level", "distinguishing_level")
+    __slots__ = ("graphs", "levels", "stabilization_level", "distinguishing_level",
+                 "_defs")
 
     def __init__(self, graphs: tuple[Graph, Graph], levels=(),
                  stabilization_level: int | None = None,
@@ -109,6 +133,7 @@ class LabelTable:
         self.graphs, self.levels = graphs, list(levels)
         self.stabilization_level = stabilization_level
         self.distinguishing_level = distinguishing_level
+        self._defs: dict[int, tuple[LabelDef, ...]] = {}
 
     @property
     def max_recorded_level(self) -> int:
@@ -141,56 +166,83 @@ class LabelTable:
                 f"level {level} not computed (recorded up to "
                 f"{self.max_recorded_level} without stabilizing)"
             )
-        base, seen = self.max_recorded_level, [self.levels[-1].ranks]
+        base, seen = self.max_recorded_level, [self.levels[-1]]
         while base + len(seen) <= level:  # seen[i] is level base + i
-            nxt = _next_level(self.graphs, seen[-1]).ranks
+            nxt = _next_level(self.graphs, seen[-1])[0]
             if nxt in seen:
                 start = seen.index(nxt)
-                return seen[start + (level - base - start) % (len(seen) - start)][cut]
+                return seen[start + (level - base - start) % (len(seen) - start)].ranks[cut]
             seen.append(nxt)
-        return seen[-1][cut]
+        return seen[-1].ranks[cut]
 
     def defs_at(self, level: int) -> tuple[LabelDef, ...]:
+        """The labels of a recorded level by rank: those its round kept, or
+        else each read off one vertex of its rank and the previous level's
+        ranks, and kept."""
         if not 0 <= level <= self.max_recorded_level:
             raise ValueError(f"level {level} not recorded")
-        return self.levels[level].defs
+        if level not in self._defs:
+            self._defs[level] = ((),) if level == 0 else self._derive(level)
+        return self._defs[level]
+
+    def _derive(self, level: int) -> tuple[LabelDef, ...]:
+        # All vertices of a rank share its label, so its last vertex will do.
+        (g1, g2), prev = self.graphs, self.levels[level - 1].ranks
+        ranks, n1 = self.levels[level].ranks, g1.vertex_count
+        last = dict(zip(ranks, range(len(ranks))))
+        of1, of2, cut1, cut2 = g1.gathers, g2.gathers, prev[:n1], prev[n1:]
+        return tuple(
+            tuple(sorted(of1[v](cut1) if v < n1 else of2[v - n1](cut2), reverse=True))
+            for v in map(last.__getitem__, range(self.levels[level].classes))
+        )
 
     def histogram(self, which: int, level: int) -> Counter:
         return Counter(self.ranks_at(which, level))
 
 
-def _intern(signatures) -> tuple[tuple[LabelDef, ...], dict]:
-    """Distinct neighbor-rank signatures sorted in tuple order (the label
-    order), and the rank of each signature."""
-    defs = tuple(sorted(signatures))
-    return defs, {sig: r for r, sig in enumerate(defs)}
+def _intern(keys: list) -> tuple[LevelLabels, tuple]:
+    """The level whose vertices have these label keys, integers or tuples
+    whose order is the label order, and the sorted distinct keys, which
+    its ranks index."""
+    order = tuple(sorted(set(keys)))
+    rank_of = {key: r for r, key in enumerate(order)}
+    return LevelLabels(ranks=tuple(map(rank_of.__getitem__, keys)), classes=len(order)), order
 
 
-def _next_level(pair: tuple[Graph, Graph], prev: tuple[int, ...]) -> LevelLabels:
-    """The level after ranks `prev`: each label is a neighbor-rank multiset."""
-    # Neighbor ranks sorted descending: each is its label, and tuple order
-    # on these is the label order. Each graph's gathers read its own slice.
-    n1 = pair[0].vertex_count
-    signatures = [
-        tuple(sorted(nbr_ranks(ranks), reverse=True))
-        for g, ranks in zip(pair, (prev[:n1], prev[n1:])) for nbr_ranks in g.gathers
-    ]
-    defs, rank_of = _intern(set(signatures))
-    return LevelLabels(defs=defs, ranks=tuple(map(rank_of.__getitem__, signatures)))
+def _next_level(pair: tuple[Graph, Graph], prev: LevelLabels,
+                labeled: bool = False) -> tuple[LevelLabels, tuple[LabelDef, ...] | None]:
+    """The level after `prev`, and its labels if the round built them.
 
-
-def _degree_level(pair: tuple[Graph, Graph]) -> LevelLabels:
-    """Level 1, read off the degrees: the level after level 0.
-
-    Each level-1 label is d copies of the one level-0 rank, (0,) * d, and
-    tuple order on these is degree order, so ranks index the sorted
-    distinct degrees.
+    The round keys each vertex by its label's count vector packed into one
+    integer: a rank-r neighbor adds 2 ** (width * r), and no count reaches
+    2 ** width. If `labeled`, or if the keys could pass PACKED_KEY_BITS, it
+    keys each vertex by its label instead, its neighbors' ranks sorted
+    descending, and returns the labels. Each graph's gathers read its own
+    slice of the values.
     """
-    degrees = [len(nbrs) for g in pair for nbrs in g.adjacency]
-    distinct = sorted(set(degrees))
-    rank_of = {d: r for r, d in enumerate(distinct)}
-    return LevelLabels(defs=tuple((0,) * d for d in distinct),
-                       ranks=tuple(map(rank_of.__getitem__, degrees)))
+    n1 = pair[0].vertex_count
+    width = max(max(map(len, g.adjacency), default=0) for g in pair).bit_length()
+    if labeled or prev.classes * width > PACKED_KEY_BITS:
+        ranks = prev.ranks
+        return _intern([tuple(sorted(of_nbrs(part), reverse=True))
+                        for g, part in zip(pair, (ranks[:n1], ranks[n1:]))
+                        for of_nbrs in g.gathers])
+    weights = [1 << width * r for r in range(prev.classes)]
+    values = list(map(weights.__getitem__, prev.ranks))
+    return _intern([sum(of_nbrs(part))
+                    for g, part in zip(pair, (values[:n1], values[n1:]))
+                    for of_nbrs in g.gathers])[0], None
+
+
+def _degree_level(pair: tuple[Graph, Graph]) -> tuple[LevelLabels, tuple[LabelDef, ...]]:
+    """Level 1, read off the degrees: the level after level 0, and its
+    labels, one per distinct degree.
+
+    Each level-1 label is d copies of the one level-0 rank, (0,) * d, whose
+    packed key is d, so ranks index the sorted distinct degrees.
+    """
+    level, degrees = _intern([len(nbrs) for g in pair for nbrs in g.adjacency])
+    return level, tuple((0,) * d for d in degrees)
 
 
 def _level_zero(g1: Graph, g2: Graph, max_level: int | None) -> tuple[LabelTable, int]:
@@ -200,7 +252,7 @@ def _level_zero(g1: Graph, g2: Graph, max_level: int | None) -> tuple[LabelTable
         max_level = g1.vertex_count + g2.vertex_count
     elif max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
-    level0 = LevelLabels(defs=((),), ranks=(0,) * (g1.vertex_count + g2.vertex_count))
+    level0 = LevelLabels(ranks=(0,) * (g1.vertex_count + g2.vertex_count), classes=1)
     table = LabelTable(graphs=(g1, g2), levels=[level0])
     if g1.vertex_count != g2.vertex_count:
         table.distinguishing_level = 0
@@ -209,18 +261,21 @@ def _level_zero(g1: Graph, g2: Graph, max_level: int | None) -> tuple[LabelTable
     return table, max_level
 
 
-def _append_level(table: LabelTable) -> None:
-    """Record the next canonical level and the verdict it gives."""
+def _append_level(table: LabelTable, labeled: bool = False) -> None:
+    """Record the next canonical level, its labels if the round built them
+    (always at level 1 or if `labeled`), and the verdict it gives."""
     prev = table.levels[-1]
-    level = (_next_level(table.graphs, prev.ranks) if table.max_recorded_level
-             else _degree_level(table.graphs))
+    level, defs = (_next_level(table.graphs, prev, labeled) if table.max_recorded_level
+                   else _degree_level(table.graphs))
     table.levels.append(level)
     k = table.max_recorded_level
+    if defs is not None:
+        table._defs[k] = defs
     if not table.distinguished and table.histogram(0, k) != table.histogram(1, k):
         table.distinguishing_level = k
     # Refinement is monotone (a level's label determines the previous
     # one), so an unchanged class count means an unchanged partition.
-    if len(level.defs) == len(prev.defs):
+    if level.classes == prev.classes:
         table.stabilization_level = table.max_recorded_level - 1
 
 
@@ -269,7 +324,7 @@ def _hand_over(table: LabelTable):
     g1, g2 = table.graphs
     n1 = g1.vertex_count
     adjacency = [*g1.adjacency, *([w + n1 for w in nbrs] for nbrs in g2.adjacency)]
-    members = [set() for _ in table.levels[-1].defs]
+    members = [set() for _ in range(table.levels[-1].classes)]
     for v, q in enumerate(color):
         members[q].add(v)
     kept = {q for _, q in largest.values()}
@@ -277,10 +332,12 @@ def _hand_over(table: LabelTable):
     return adjacency, color, members, moved
 
 
-def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: bool):
+def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: bool,
+            labeled: bool = False):
     """Canonical rounds while they are dense, then worklist rounds on joint
     class ids, up to max_level, stabilization or, if stop_at_difference,
-    the first difference.
+    the first difference. If `labeled`, the canonical rounds key vertices by
+    their labels and keep them.
 
     Returns (table, adjacency, rounds): the canonical levels up to the
     hand-over with the distinguishing and stabilization levels, the
@@ -300,7 +357,7 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
             start = _hand_over(table)
             if start is not None:
                 break
-        _append_level(table)
+        _append_level(table, labeled)
     if start is None:
         return table, None, []
     adjacency, color, members, moved = start
@@ -356,28 +413,30 @@ def refine_verdict(
 
 def refine_to_difference(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTable:
     """joint_refine's table cut at its distinguishing level d, with
-    canonical levels computed only up to d.
+    canonical levels computed only up to d, each with its labels kept.
 
     The driver's table carries the verdict, joint_refine's. Only a
     distinguished one gains levels past the hand-over, replayed up to d,
     and it has no stabilization level.
     """
-    table, adjacency, rounds = _refine(g1, g2, max_level, True)
+    table, adjacency, rounds = _refine(g1, g2, max_level, True, labeled=True)
     if not table.distinguished:
         return table
     # Replay the moved pieces, with the worklist's ids, onto the hand-over
     # ids. All of a class share one label over the previous canonical
-    # ranks, so one representative per class gives every label of the level.
+    # ranks, so one representative per class gives every label of the
+    # level, and they are kept, as in a labeled canonical round.
     ranks = table.levels[-1].ranks
     color = list(ranks)
     for moved in rounds:
         for q, piece in moved.items():
             for v in piece:
                 color[v] = q
-        sig_of = {c: tuple(sorted(gather(adjacency[v])(ranks), reverse=True))
-                  for c, v in dict(zip(color, range(len(color)))).items()}
-        defs, rank_of = _intern(sig_of.values())
-        rank_of_class = {c: rank_of[sig] for c, sig in sig_of.items()}
+        rep_of = dict(zip(color, range(len(color))))
+        by_class, defs = _intern([tuple(sorted(gather(adjacency[v])(ranks), reverse=True))
+                                  for v in rep_of.values()])
+        rank_of_class = dict(zip(rep_of, by_class.ranks))
         ranks = tuple(map(rank_of_class.__getitem__, color))
-        table.levels.append(LevelLabels(defs=defs, ranks=ranks))
+        table.levels.append(LevelLabels(ranks=ranks, classes=by_class.classes))
+        table._defs[table.max_recorded_level] = defs
     return table

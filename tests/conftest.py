@@ -91,6 +91,26 @@ def rooted_hom_reference(arena: TreeArena, t: int, graph: Graph) -> tuple[int, .
     return vectors[t]
 
 
+def tuple_rounds(g1: Graph, g2: Graph, levels: int) -> list:
+    """(defs, ranks) of levels 0..levels, each round keyed by the neighbors'
+    previous ranks sorted descending, on which tuple order is the label
+    order; every round is generic, level 1 included. The oracle of wl's
+    rounds and of LabelTable.defs_at."""
+    pair, n1 = (g1, g2), g1.vertex_count
+    ranks = (0,) * (n1 + g2.vertex_count)
+    out = [(((),), ranks)]
+    for _ in range(levels):
+        signatures = [
+            tuple(sorted(nbr_ranks(part), reverse=True))
+            for g, part in zip(pair, (ranks[:n1], ranks[n1:])) for nbr_ranks in g.gathers
+        ]
+        defs = tuple(sorted(set(signatures)))
+        rank_of = {sig: r for r, sig in enumerate(defs)}
+        ranks = tuple(map(rank_of.__getitem__, signatures))
+        out.append((defs, ranks))
+    return out
+
+
 def force_labels(monkeypatch, defs, ranks) -> None:
     """Make synthesize read the given labels instead of refining.
 
@@ -101,13 +121,17 @@ def force_labels(monkeypatch, defs, ranks) -> None:
     """
 
     def fake_refine(g1, g2, *args, **kwargs):
-        return LabelTable(
+        table = LabelTable(
             graphs=(g1, g2),
-            levels=[LevelLabels(defs=((),), ranks=(0,) * (g1.vertex_count
-                                                          + g2.vertex_count))]
-            + [LevelLabels(defs=d, ranks=(*r1, *r2)) for d, (r1, r2) in zip(defs, ranks)],
+            levels=[LevelLabels(ranks=(0,) * (g1.vertex_count + g2.vertex_count),
+                                classes=1)]
+            + [LevelLabels(ranks=(*r1, *r2), classes=len(d)) for d, (r1, r2) in zip(defs, ranks)],
             distinguishing_level=len(defs),
         )
+        # The given labels need not be any vertex's, so they are put in the
+        # table's label cache, not read off the graphs.
+        table._defs.update(enumerate(defs, 1))
+        return table
 
     monkeypatch.setattr(synth, "refine_to_difference", fake_refine)
 

@@ -242,8 +242,8 @@ def test_criterion_09_invariants():
     bad_ranks = LabelTable(
         graphs=(P4, empty_graph()),
         levels=[
-            LevelLabels(defs=((),), ranks=(0, 0, 0, 0)),
-            LevelLabels(defs=((0,),), ranks=(0, 0, 0, 0)),
+            LevelLabels(ranks=(0, 0, 0, 0), classes=1),
+            LevelLabels(ranks=(0, 0, 0, 0), classes=1),
         ],
         stabilization_level=0,
     )

@@ -221,8 +221,8 @@ class TestHomByLabel:
         fake = LabelTable(
             graphs=(g, empty_graph()),
             levels=[
-                LevelLabels(defs=((),), ranks=(0, 0, 0)),
-                LevelLabels(defs=((0,),), ranks=(0, 0, 0)),
+                LevelLabels(ranks=(0, 0, 0), classes=1),
+                LevelLabels(ranks=(0, 0, 0), classes=1),
             ],
             stabilization_level=0,
         )

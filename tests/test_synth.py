@@ -155,9 +155,11 @@ class TestLift:
         # m; the search gives up at 1 + (|S| - 1) * the sum over S of the
         # distinct ranks in defs[r] = 1 + 2 * (3 + 3 + 1) = 15 candidates
         label = (2, 2, 2, 1, 1, 0)
-        level0 = LevelLabels(defs=((),), ranks=(0, 0, 0, 0))
-        level2 = LevelLabels(defs=(label, label, (0,) * 5), ranks=(0, 1, 0, 2))
+        level0 = LevelLabels(ranks=(0, 0, 0, 0), classes=1)
+        level2 = LevelLabels(ranks=(0, 1, 0, 2), classes=3)
         table = LabelTable(graphs=(K2, K2), levels=[level0, level0, level2])
+        # no K2 vertex has these labels, so they go in the label cache
+        table._defs[2] = (label, label, (0,) * 5)
         with pytest.raises(SynthesisInvariantError, match="^no m <= 15 "):
             lift(table, 2, [1, 2, 3], [0, 1, 2])
 
@@ -639,7 +641,7 @@ class TestRecords:
     def test_fields_are_read_only(self):
         level = joint_refine(K13, P4).levels[1]
         with pytest.raises(AttributeError):
-            level.defs = ()
+            level.classes = 0
         cert = synthesize(TA, TB)
         with pytest.raises(AttributeError):
             cert.chain = (3, 3)

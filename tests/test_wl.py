@@ -27,7 +27,8 @@ from wlhom import (
     verify,
 )
 from wlhom import wl
-from wlhom.wl import refine_to_difference
+from wlhom.cli import main
+from wlhom.wl import LabelTable, refine_to_difference
 
 from .conftest import (
     C6,
@@ -44,6 +45,7 @@ from .conftest import (
     graphs,
     label_defs,
     star_graph,
+    tuple_rounds,
 )
 
 
@@ -185,8 +187,9 @@ class TestJointRefine:
         # Every table's level 1 comes from _degree_level, so it is checked
         # here against the generic round, which no longer builds level 1.
         pair = (g1, g2)
-        level0 = (0,) * (g1.vertex_count + g2.vertex_count)
-        assert wl._degree_level(pair) == wl._next_level(pair, level0)
+        level0 = joint_refine(g1, g2, max_level=0).levels[0]
+        assert wl._degree_level(pair) == wl._next_level(pair, level0, labeled=True)
+        assert wl._degree_level(pair)[0] == wl._next_level(pair, level0)[0]
 
     def test_k13_p4_level1_histograms(self):
         table = joint_refine(K13, P4)
@@ -396,10 +399,10 @@ class TestEarlyExit:
         assert levels == full.levels[: len(levels)]
         if early.distinguished:
             assert levels == full.levels[: early.distinguishing_level + 1]
-        for lvl in full.levels:
+        for level in range(full.max_recorded_level + 1):
             # the oracle reads the (rank, mult) pairs of each label
             pairs = [tuple((r, len(list(run))) for r, run in groupby(label))
-                     for label in lvl.defs]
+                     for label in full.defs_at(level)]
             assert pairs == sorted(
                 set(pairs), key=functools.cmp_to_key(compare_labels)
             )
@@ -736,3 +739,175 @@ class TestDenseRounds:
         verdict = refine_verdict(g1, g2, stop_at_difference=stop)
         assert len(canonical_rounds) >= 2
         assert verdict == _oracle(g1, g2, None, stop)
+
+
+def _star_order(a, b):
+    """(a < b, a == b) in the order of one packed round: the labels held by
+    the centers of two stars whose leaves have previous ranks with
+    multiplicities a[r] and b[r], ranked with the packing bound lifted."""
+    leaves = [[r for r, c in enumerate(counts) for _ in range(c)] for counts in (a, b)]
+    # Vertices 0 and 1 are the centers, then come a's leaves and b's.
+    edges = [(0, 2 + i) for i in range(len(leaves[0]))]
+    edges += [(1, 2 + len(leaves[0]) + i) for i in range(len(leaves[1]))]
+    g = Graph(2 + len(edges), edges)
+    prev = wl.LevelLabels(ranks=(0, 0, *leaves[0], *leaves[1]), classes=len(a))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wl, "PACKED_KEY_BITS", 10 ** 9)
+        level, defs = wl._next_level((g, empty_graph()), prev)
+    assert defs is None
+    ka, kb = level.ranks[:2]
+    return ka < kb, ka == kb
+
+
+def _descending_label(counts):
+    return tuple(r for r in reversed(range(len(counts))) for _ in range(counts[r]))
+
+
+def _key_kinds(mp):
+    """The type of the first key of each _intern call while `mp` holds its
+    patch: int for a packed round, tuple for a round keyed by labels."""
+    kinds = []
+    intern = wl._intern
+
+    def recorded(keys):
+        kinds.extend(type(key) for key in keys[:1])
+        return intern(keys)
+
+    mp.setattr(wl, "_intern", recorded)
+    return kinds
+
+
+def _caterpillar_pair(level):
+    """A caterpillar pair first differing at `level`, whose levels past the
+    first are replayed from the worklist (see TestRefineToDifference)."""
+    p = 2 * level - 3
+    spine = 2 * p + 4 + level % 4
+    return (_shuffled(_caterpillar(spine, p), level),
+            _shuffled(_caterpillar(spine, p + 1), -level))
+
+
+class TestPackedRounds:
+    """A canonical round keys a vertex by its count vector packed into one
+    integer, or by its label past PACKED_KEY_BITS or when the labels will
+    be read; a level records its ranks and class count, and labels no round
+    kept are read off one vertex per rank when asked."""
+
+    @staticmethod
+    def _matches_oracle(g1, g2, bound):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wl, "PACKED_KEY_BITS", bound)
+            tables = (joint_refine(g1, g2), refine_to_difference(g1, g2),
+                      wl._refine(g1, g2, None, False)[0])
+        oracle = tuple_rounds(g1, g2, tables[0].max_recorded_level)
+        for table in tables:
+            for level, (defs, ranks) in enumerate(oracle[: len(table.levels)]):
+                assert table.levels[level].ranks == ranks, level
+                assert table.levels[level].classes == len(defs), level
+                assert table.defs_at(level) == defs, level
+
+    # 0 sends every unlabeled round with an edge to the tuple branch,
+    # 10 ** 9 every one to the packed branch.
+    @pytest.mark.parametrize("bound", [0, 10 ** 9])
+    @PROPERTY_SETTINGS
+    @given(graph_pairs())
+    @example((empty_graph(), empty_graph()))
+    @example((K13, P4))
+    @example((TA, TB))
+    def test_levels_match_the_tuple_oracle(self, bound, pair):
+        self._matches_oracle(*pair, bound)
+
+    @pytest.mark.parametrize("bound", [0, 10 ** 9])
+    @pytest.mark.parametrize("level", [5, 8])
+    def test_replayed_levels_match_the_tuple_oracle(self, bound, level):
+        self._matches_oracle(*_caterpillar_pair(level), bound)
+
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_packed_order_is_descending_tuple_order(self, data):
+        # The order lemma: over R ranks with every multiplicity below
+        # 2 ** width, which the largest degree sets, the packed keys order as
+        # the labels' descending tuples.
+        rank_count = data.draw(st.integers(1, 6))
+        counts = st.lists(st.integers(0, 5), min_size=rank_count, max_size=rank_count)
+        a, b = data.draw(counts), data.draw(counts)
+        ta, tb = _descending_label(a), _descending_label(b)
+        assert _star_order(a, b) == (ta < tb, ta == tb)
+
+    @pytest.mark.parametrize("a, b", [
+        ((0, 0, 0), (1, 0, 0)),  # the empty multiset is below every label
+        ((0, 0, 0), (0, 0, 3)),
+        ((0, 1, 1), (1, 1, 1)),  # (2, 1) is a prefix of (2, 1, 0)
+        ((0, 3, 1), (1, 3, 1)),  # (2, 1, 1, 1) is a prefix of (2, 1, 1, 1, 0)
+        ((3, 3, 0), (0, 0, 1)),  # one higher rank beats any lower counts
+    ])
+    def test_packed_order_on_named_cases(self, a, b):
+        assert _descending_label(a) < _descending_label(b)
+        assert _star_order(a, b) == (True, False)
+
+    @staticmethod
+    def _forbid(mp, *names):
+        def forbidden(*args):
+            raise AssertionError("a label was read")
+
+        for name in names:
+            mp.setattr(*name, forbidden)
+
+    @PROPERTY_SETTINGS
+    @given(graph_pairs())
+    @example((TA, TB))
+    @example(_caterpillar_pair(5))
+    def test_refine_verdict_builds_no_label(self, pair):
+        # Keys of graphs this small fit the bound, so every round packs, and
+        # no label is read off the representatives.
+        with pytest.MonkeyPatch.context() as mp:
+            self._forbid(mp, (LabelTable, "_derive"))
+            kinds = _key_kinds(mp)
+            for stop in (False, True):
+                refine_verdict(*pair, stop_at_difference=stop)
+            # a claim of equivalence is checked by refine_verdict too
+            verify(Certificate(), *pair)
+        assert tuple not in kinds
+
+    def test_compare_reads_no_label(self, monkeypatch, tmp_path, capsys):
+        g1, g2 = _gnp_and_swap(60, 0.2, random.Random(7))
+        for name, g in (("a", g1), ("b", g2)):
+            (tmp_path / name).write_text(
+                f"{g.vertex_count} {g.edge_count}\n"
+                + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)), encoding="utf-8")
+        self._forbid(monkeypatch, (LabelTable, "_derive"), (LabelTable, "defs_at"))
+        for flags in ([], ["--json"]):
+            assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b"), *flags]) == 0
+        capsys.readouterr()
+
+    @PROPERTY_SETTINGS
+    @given(graph_pairs())
+    @example((TA, TB))
+    @example(_caterpillar_pair(8))
+    def test_synthesize_reads_only_kept_labels(self, pair):
+        # refine_to_difference's rounds and replay keep every level's labels,
+        # which synthesize reads, so none is read off the representatives.
+        with pytest.MonkeyPatch.context() as mp:
+            self._forbid(mp, (LabelTable, "_derive"))
+            try:
+                cert = synthesize(*pair)
+            except InconclusiveError:
+                return
+        assert verify(cert, *pair)
+
+    def test_wide_round_takes_the_tuple_branch(self, monkeypatch):
+        # A swap-sized G(n, p) against a permuted copy: level 1 has few
+        # classes and level 2 hundreds, so round 2 is packed and round 3,
+        # whose keys would be R * width bits wide, sorts tuples.
+        rng = random.Random(11)
+        g = Graph(400, [e for e in combinations(range(400), 2) if rng.random() < 8 / 399])
+        h = _shuffled(g, 12)
+        kinds = _key_kinds(monkeypatch)
+        table = joint_refine(g, h, max_level=3)
+        # level 1 is keyed by degree, level 2 packed, level 3 by label
+        assert kinds == [int, int, tuple]
+        width = max(map(len, g.adjacency)).bit_length()
+        assert table.levels[1].classes * width <= wl.PACKED_KEY_BITS
+        assert table.levels[2].classes * width > wl.PACKED_KEY_BITS
+        monkeypatch.undo()
+        assert [level.ranks for level in table.levels] == [
+            ranks for _, ranks in tuple_rounds(g, h, 3)]
