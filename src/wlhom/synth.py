@@ -9,54 +9,58 @@ argument behind the label test / homomorphism-count correspondence:
   vertex count, and level 0 differs exactly when the vertex counts do.
 
   level 1: stars. The rooted count of an n-leaf star at v is deg(v)^n, so
-  for every n the count is strictly increasing across level-1 ranks. The
-  count vector s_1 holds each level-1 rank's degree.
+  for every n the count is strictly increasing across level-1 classes. The
+  count vector s_1 holds each level-1 class's degree.
 
   level j -> j+1: the level-j tree is a root over copies of the level-(j-1)
   tree; with one copy its counts are s_j, with m copies s_j^m. One more
   root H_m above the m-copy tree has rooted count at v equal to the
   neighbor sum of those counts, which depends only on v's level-(j+1)
-  label, the multiset defs[rank] of its neighbors' level-j ranks:
-  h(H_m, rank) = sum over r in defs[rank], with repeats, of s_j[r]^m.
+  label, the multiset labels[c] of its neighbors' level-j classes:
+  h(H_m, c) = sum over r in labels[c], with repeats, of s_j[r]^m.
   Search m = 1, 2, ... on these sums until they are pairwise distinct over
-  the non-isolated level-(j+1) ranks; its sums are s_(j+1). Distinct values
-  are all the final step needs (the linear-algebra view of Dell, Grohe and
-  Rattan, "Lovasz meets Weisfeiler and Leman", ICALP 2018); no order is
-  sought. The defs name only non-isolated level-j ranks, whose s_j are
-  distinct and positive. Write t(r) for the number of distinct ranks in
-  defs[r]; two ranks r, r' then differ by a nonzero exponential sum in m of
-  at most t(r) + t(r') terms, which by the generalized Descartes rule of
-  signs (Polya-Szego, Problems and Theorems in Analysis II, Part V) has
-  fewer real zeros than terms. Summed over the pairs of a rank set S, some
-  m <= 1 + (|S| - 1) * sum over r in S of t(r) works.
+  the non-isolated level-(j+1) classes; its sums are s_(j+1). Distinct
+  values are all the final step needs (the linear-algebra view of Dell,
+  Grohe and Rattan, "Lovasz meets Weisfeiler and Leman", ICALP 2018); no
+  order is sought, so the classes may carry any names, and synthesize takes
+  the refinement driver's own (wl.refine_to_difference); wl's canonical
+  order is kept only for joint_refine and `wlhom labels`. The labels name
+  only non-isolated level-j classes, whose s_j are distinct and positive.
+  Write t(c) for the number of distinct classes in labels[c]; two classes
+  c, c' then differ by a nonzero exponential sum in m of at most
+  t(c) + t(c') terms, which by the generalized Descartes rule of signs
+  (Polya-Szego, Problems and Theorems in Analysis II, Part V) has fewer
+  real zeros than terms. Summed over the pairs of a class set S, some
+  m <= 1 + (|S| - 1) * sum over c in S of t(c) works.
 
-  final: with distinct positive bases s_k[r], the difference of the two
-  histogram-weighted sums is sum_r delta(r) * s_k[r]^n. If it vanished for
-  n = 1..|S_k| the Vandermonde system would force every delta(r) to zero,
+  final: with distinct positive bases s_k[c], the difference of the two
+  histogram-weighted sums is sum_c delta(c) * s_k[c]^n. If it vanished for
+  n = 1..|S_k| the Vandermonde system would force every delta(c) to zero,
   so the least separating n is found within |S_k| steps. The tree and its
-  two counts are the whole proof: no certificate byte names a rank.
+  two counts are the whole proof: no certificate byte names a class, and
+  every byte is the same under any renaming of the classes.
 
-So the search runs on one count vector per level, indexed by rank and read
-from the level definitions alone, and the emitted tree is a chain: a leaf
+So the search runs on one count vector per level, indexed by class id and
+read from the level's labels alone, and the emitted tree is a chain: a leaf
 under roots repeating their one child m_2, ..., m_k and n times, and a
 certificate is that chain with the tree and its two counts. One graph DP of
 it per graph cross-checks the last vector, distinct and positive as lift
-accepts it or as degrees are: every vertex must carry its level-k rank's
+accepts it or as degrees are: every vertex must carry its level-k class's
 count, or SynthesisInvariantError is raised and nothing is emitted. The
-vertex sums are then the histogram-weighted ones, as an isolated rank's count
-is an empty degree or sum, and 0 ** n is 0.
+vertex sums are then the histogram-weighted ones, as an isolated class's
+count is an empty degree or sum, and 0 ** n is 0.
 """
 
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Sequence
 
 from .graphs import Graph, gather, quote, too_long
 from .homs import hom_count, rooted_hom
 from .trees import TreeArena, parse_tree, serialize_tree
-from .wl import LabelTable, refine_to_difference, refine_verdict
+from .wl import refine_to_difference, refine_verdict
 
 MODES = ("tree", "single-node", "equivalent")
 
@@ -202,42 +206,43 @@ def _chain(mults: Sequence[int]) -> tuple[TreeArena, int]:
 
 
 def lift(
-    labels: LabelTable,
+    labels: Sequence[Sequence[int]],
     level: int,
     base: Sequence[int],
     S: list[int],
 ) -> tuple[int, tuple[int, ...]]:
     """Least m >= 1 making the counts over S distinct, with the counts.
 
-    `base` holds a count per level-(level-1) rank, S lists non-isolated
-    level-`level` ranks, and the count at rank r is the sum of base[r'] **
-    m over r' in the multiset defs_level[r]: the rooted count of one root
-    over m copies of a tree whose level-(level-1) counts are `base`. Each
-    candidate m sums one power vector base ** m over every label of the
-    level, read through one gather per label built once per call, and the
-    accepted sums are returned. By the Descartes bound in the module
-    docstring some m up to 1 + (|S| - 1) * sum over r in S of the number
-    t(r) of distinct ranks in defs_level[r] works when `base` is distinct
-    and positive on the ranks the defs refer to; past it,
-    SynthesisInvariantError. As t(r) >= 1 on S, the bound is at least
-    1 + (|S| - 1) * |S|, and it is computed only once m reaches that. On
-    return the sums over S are distinct and positive, so synthesize
-    takes the last lift's sums as its final bases unchecked.
+    labels[c] holds the level-(level-1) classes of the neighbors of a vertex
+    of level-`level` class c, with repeats, in any order; `base` holds a
+    count per level-(level-1) class, S lists non-isolated level-`level`
+    classes, and the count of class c is the sum of base[r] ** m over r in
+    labels[c]: the rooted count of one root over m copies of a tree whose
+    level-(level-1) counts are `base`. Each candidate m sums one power
+    vector base ** m over every label of the level, read through one gather
+    per label built once per call, and the accepted sums are returned. By
+    the Descartes bound in the module docstring some m up to
+    1 + (|S| - 1) * sum over c in S of the number t(c) of distinct classes
+    in labels[c] works when `base` is distinct and positive on the classes
+    the labels refer to; past it, SynthesisInvariantError. As t(c) >= 1 on
+    S, the bound is at least 1 + (|S| - 1) * |S|, and it is computed only
+    once m reaches that. On return the sums over S are distinct and
+    positive, so synthesize takes the last lift's sums as its final bases
+    unchecked.
     """
     if not S:
-        raise ValueError("rank set must be nonempty")
-    defs = labels.defs_at(level)
-    label_gathers = list(map(gather, defs))
+        raise ValueError("class set must be nonempty")
+    label_gathers = list(map(gather, labels))
     values = [sum(of_label(base)) for of_label in label_gathers]
-    if min(values[r] for r in S) < 1:
+    if min(values[c] for c in S) < 1:
         raise SynthesisInvariantError(
-            f"nonpositive count at a non-isolated level-{level} rank"
+            f"nonpositive count at a non-isolated level-{level} class"
         )
     # b ** m > 0 exactly when b > 0, so later values stay positive.
     m, powers, bound = 1, base, None
-    while len({values[r] for r in S}) < len(S):
+    while len({values[c] for c in S}) < len(S):
         if m > (len(S) - 1) * len(S):
-            bound = bound or 1 + (len(S) - 1) * sum(len(set(defs[r])) for r in S)
+            bound = bound or 1 + (len(S) - 1) * sum(len(set(labels[c])) for c in S)
             if m == bound:
                 raise SynthesisInvariantError(
                     f"no m <= {bound} makes the level-{level} counts distinct"
@@ -256,50 +261,48 @@ def synthesize(
     """Distinguishing chain, tree and counts, or Certificate() if equivalent.
 
     Refinement (refine_to_difference) runs refine_verdict's driver, so an
-    equivalent pair costs about what refine_verdict does, and builds
-    canonical ranks only up to k, the distinguishing level. Each graph's
-    level-k histogram over non-isolated ranks is read only to choose n; no
-    certificate byte depends on how ranks are named. If no level differs
-    up to stabilization, the graphs are equivalent; reaching max_level
-    first raises InconclusiveError. At k = 0 the vertex counts differ and
-    the empty chain, a lone leaf, distinguishes. Otherwise the construction
-    runs at level k; the chain is the m each lift chose, then n. The
-    emitted tree is counted once per graph, with one DP each, and checked
-    per vertex against the level-k counts.
+    equivalent pair costs about what refine_verdict does, and on a pair
+    first differing at level k hands over the driver's class ids and labels
+    at levels 1..k. Each graph's level-k histogram over non-isolated
+    classes is read only to choose n; no certificate byte depends on how
+    classes are named. If no level differs up to stabilization, the graphs
+    are equivalent; reaching max_level first raises InconclusiveError. At
+    k = 0 the vertex counts differ and the empty chain, a lone leaf,
+    distinguishes. Otherwise the construction runs at level k; the chain is
+    the m each lift chose, then n. The emitted tree is counted once per
+    graph, with one DP each, and checked per vertex against the level-k
+    counts.
     """
-    labels = refine_to_difference(g1, g2, max_level)
-    if not labels.distinguished:
-        if not labels.complete:
+    table, levels = refine_to_difference(g1, g2, max_level)
+    if not table.distinguished:
+        if not table.complete:
             raise InconclusiveError(f"inconclusive: no verdict by level {max_level}")
         return Certificate()
-    k = labels.distinguishing_level
+    k = table.distinguishing_level
     if k == 0:
         return Certificate((), serialize_tree(*_chain(())),
                            g1.vertex_count, g2.vertex_count)
+    # s_1: a one-leaf star counts neighbors, the degree each class defines.
+    counts = [len(label) for label in levels[0][1]]
+    lifts = []
+    for lvl, (_, labels) in enumerate(levels[1:], 2):
+        # A class is non-isolated exactly when its label is non-empty.
+        m, counts = lift(labels, lvl, counts, [c for c, label in enumerate(labels) if label])
+        lifts.append(m)
+
     # Histograms over non-isolated vertices: at levels >= 1 a vertex is
     # isolated exactly when its label is the empty multiset. The vertex
     # counts agree, and so do the isolated ones at every level >= 1, so
     # these differ at k; refinement that breaks this fails the n-search.
-    defs = labels.defs_at(k)
-    hist1, hist2 = (
-        {r: c for r, c in labels.histogram(which, k).items() if defs[r]}
-        for which in (0, 1)
-    )
-
-    # s_1: a one-leaf star counts neighbors, the degree each rank defines.
-    counts = [len(label) for label in labels.defs_at(1)]
-    lifts = []
-    for lvl in range(2, k + 1):
-        # Every rank is some vertex's, so the non-isolated ones are those
-        # with a non-empty definition.
-        s_lvl = [r for r, label in enumerate(labels.defs_at(lvl)) if label]
-        m, counts = lift(labels, lvl, counts, s_lvl)
-        lifts.append(m)
-
+    ids, labels = levels[-1]
+    n1 = g1.vertex_count
+    parts = (ids[:n1], ids[n1:])
+    hist1, hist2 = ({c: count for c, count in Counter(part).items() if labels[c]}
+                    for part in parts)
     s_k = hist1.keys() | hist2.keys()
     for n in range(1, len(s_k) + 1):
-        c1 = sum(c * counts[r] ** n for r, c in hist1.items())
-        c2 = sum(c * counts[r] ** n for r, c in hist2.items())
+        c1 = sum(count * counts[c] ** n for c, count in hist1.items())
+        c2 = sum(count * counts[c] ** n for c, count in hist2.items())
         if c1 != c2:
             break
     else:
@@ -309,11 +312,10 @@ def synthesize(
     chain = (*lifts, n)
     arena, t = _chain(chain)
     # The tree's count at a vertex is fixed by its level-k label, so each
-    # vertex must carry the count of its rank, in either graph.
+    # vertex must carry the count of its class, in either graph.
     expected = [c ** n for c in counts]
-    for which, graph in enumerate((g1, g2)):
-        if rooted_hom(arena, t, graph) != tuple(map(expected.__getitem__,
-                                                    labels.ranks_at(which, k))):
+    for which, (graph, part) in enumerate(zip((g1, g2), parts)):
+        if rooted_hom(arena, t, graph) != tuple(map(expected.__getitem__, part)):
             raise SynthesisInvariantError(
                 f"graph {which + 1} counts of the emitted tree disagree with "
                 f"the level-{k} counts"

@@ -15,9 +15,9 @@ order extended level by level: level-1 labels order by degree, and two
 multisets compare by the largest element they contain a different number of
 times (the one with more copies of it is larger). Rank 0 is the smallest
 label of its level; the empty multiset (isolated vertices) is always minimal.
-A label is written (LabelDef) as its neighbors' previous ranks, repeats
-included, sorted descending, on which plain tuple order is the label order.
-A canonical round need not build it. With w the bit length of the largest
+Written as its neighbors' previous ranks, repeats included, sorted
+descending, a label orders by plain tuple order. A canonical round need not
+build it. With w the bit length of the largest
 degree, no count of one rank among a vertex's neighbors reaches 2^w, so the
 sum over the neighbors of 2^(w * rank) is the label's count vector packed
 into one integer: its base-2^w digit r is the number of rank-r neighbors.
@@ -27,25 +27,22 @@ copies is larger. So integer order is the label order, the empty multiset
 is 0, and one sort of the distinct integers ranks the level. A key has at
 most R * w bits for R previous classes. Past PACKED_KEY_BITS, adding keys
 that wide costs more than sorting the ranks they encode, so the round keys
-each vertex by its label instead, which gives the same ranks.
+each vertex by its label instead, which gives the same ranks. This order is
+kept only for joint_refine, which serves `wlhom labels` and the tests'
+oracle, and for the dense rounds the verdict driver shares with it: no
+verdict and no certificate byte depends on how classes are named.
 
-A level is recorded as its ranks and its class count. A round keyed by
-labels keeps them. refine_to_difference keys every round by labels, since
-synthesize reads the labels of each of its levels. For any other level,
-LabelTable.defs_at reads the labels when asked, off one vertex per rank and
-the previous ranks, as all vertices of a rank share one label; the verdict
-paths never ask. A level-1 label is d copies of the one level-0 rank, whose
-key is d, so level 1 and its labels are read off the degrees and no round
-signs vertices at level 0. A canonical round reads a vertex's neighbors' values with its
-graph's gathers (graphs.gather), and the replay gathers them for one
-representative per class; the worklist reads no gather, only the adjacency
-of the pieces that moved.
+A level is recorded as its ranks and its class count; a table holds no
+labels. A level-1 label is d copies of the one level-0 rank, whose key is d,
+so level 1 is read off the degrees and no round signs vertices at level 0. A
+canonical round reads a vertex's neighbors' values with its graph's gathers
+(graphs.gather); the worklist reads no gather, only the adjacency of the
+pieces that moved.
 
 joint_refine records these ranks, and the verdict, on a LabelTable. Past
 stabilization the partition is fixed but its numbering can cycle, so the
 table steps on from its deepest level when asked for a deeper one.
 
-Ranks are read only where a certificate or `wlhom labels` reports them.
 The verdict (the first level whose histograms differ) and the
 stabilization round (the last before a round that splits no class) are
 facts about the joint partition at each level, whatever its classes are
@@ -82,25 +79,21 @@ the largest pieces share their next label, and no other vertex has it. The
 pieces are read off the joint ranks, since past the first difference a class
 can hold unequal numbers of the two graphs' vertices.
 
-synthesize reads canonical ranks only up to the first differing level, and
-refine_to_difference computes them only there. The driver's worklist rounds
-record only the pieces that moved. If one of them is unbalanced, the
-pieces are replayed onto the hand-over ids, and each level up to that one
-is interned from one representative per class: all of a class share one
-label over the previous canonical ranks, so the representatives give
-exactly the level's labels, which are kept, and sorting them gives the
-tuple order and ranks a canonical round gives. Otherwise no canonical level
-past the hand-over is computed.
+synthesize needs, at each level up to the first differing one, only values
+that are distinct over the level's classes, so any names for the classes
+serve, and refine_to_difference hands it the driver's own: the canonical
+ranks up to the hand-over, then the worklist's ids, each level's read by
+giving the pieces that moved in its round their ids on the level before.
+All vertices of a class share one neighbor multiset over the previous
+level's classes, so one representative's neighbors' previous ids, in
+adjacency order and unsorted, are the class's label.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
 
-from .graphs import Graph, gather
-
-# A label: its multiset of previous-level ranks, sorted descending.
-LabelDef = tuple[int, ...]
+from .graphs import Graph
 
 # The widest packed key, in bits, that a canonical round sums: the previous
 # level's class count times the bits of the largest degree. Past it the round
@@ -114,8 +107,7 @@ class LevelLabels(namedtuple("LevelLabels", "ranks classes")):
 
     ranks[v] is the rank of vertex v of G1 ⊔ G2, where vertex v of g2 is
     vertex |V1| + v, and the ranks are 0 .. classes - 1. Ranks follow the
-    label order of the module docstring; the labels themselves are
-    LabelTable.defs_at's.
+    label order of the module docstring.
     """
 
     __slots__ = ()
@@ -124,8 +116,7 @@ class LevelLabels(namedtuple("LevelLabels", "ranks classes")):
 class LabelTable:
     """Joint label levels for a pair of graphs, with the verdict they give."""
 
-    __slots__ = ("graphs", "levels", "stabilization_level", "distinguishing_level",
-                 "_defs")
+    __slots__ = ("graphs", "levels", "stabilization_level", "distinguishing_level")
 
     def __init__(self, graphs: tuple[Graph, Graph], levels=(),
                  stabilization_level: int | None = None,
@@ -133,7 +124,6 @@ class LabelTable:
         self.graphs, self.levels = graphs, list(levels)
         self.stabilization_level = stabilization_level
         self.distinguishing_level = distinguishing_level
-        self._defs: dict[int, tuple[LabelDef, ...]] = {}
 
     @property
     def max_recorded_level(self) -> int:
@@ -168,61 +158,36 @@ class LabelTable:
             )
         base, seen = self.max_recorded_level, [self.levels[-1]]
         while base + len(seen) <= level:  # seen[i] is level base + i
-            nxt = _next_level(self.graphs, seen[-1])[0]
+            nxt = _next_level(self.graphs, seen[-1])
             if nxt in seen:
                 start = seen.index(nxt)
                 return seen[start + (level - base - start) % (len(seen) - start)].ranks[cut]
             seen.append(nxt)
         return seen[-1].ranks[cut]
 
-    def defs_at(self, level: int) -> tuple[LabelDef, ...]:
-        """The labels of a recorded level by rank: those its round kept, or
-        else each read off one vertex of its rank and the previous level's
-        ranks, and kept."""
-        if not 0 <= level <= self.max_recorded_level:
-            raise ValueError(f"level {level} not recorded")
-        if level not in self._defs:
-            self._defs[level] = ((),) if level == 0 else self._derive(level)
-        return self._defs[level]
-
-    def _derive(self, level: int) -> tuple[LabelDef, ...]:
-        # All vertices of a rank share its label, so its last vertex will do.
-        (g1, g2), prev = self.graphs, self.levels[level - 1].ranks
-        ranks, n1 = self.levels[level].ranks, g1.vertex_count
-        last = dict(zip(ranks, range(len(ranks))))
-        of1, of2, cut1, cut2 = g1.gathers, g2.gathers, prev[:n1], prev[n1:]
-        return tuple(
-            tuple(sorted(of1[v](cut1) if v < n1 else of2[v - n1](cut2), reverse=True))
-            for v in map(last.__getitem__, range(self.levels[level].classes))
-        )
-
     def histogram(self, which: int, level: int) -> Counter:
         return Counter(self.ranks_at(which, level))
 
 
-def _intern(keys: list) -> tuple[LevelLabels, tuple]:
+def _intern(keys: list) -> LevelLabels:
     """The level whose vertices have these label keys, integers or tuples
-    whose order is the label order, and the sorted distinct keys, which
-    its ranks index."""
-    order = tuple(sorted(set(keys)))
-    rank_of = {key: r for r, key in enumerate(order)}
-    return LevelLabels(ranks=tuple(map(rank_of.__getitem__, keys)), classes=len(order)), order
+    whose order is the label order."""
+    rank_of = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return LevelLabels(ranks=tuple(map(rank_of.__getitem__, keys)), classes=len(rank_of))
 
 
-def _next_level(pair: tuple[Graph, Graph], prev: LevelLabels,
-                labeled: bool = False) -> tuple[LevelLabels, tuple[LabelDef, ...] | None]:
-    """The level after `prev`, and its labels if the round built them.
+def _next_level(pair: tuple[Graph, Graph], prev: LevelLabels) -> LevelLabels:
+    """The level after `prev`.
 
     The round keys each vertex by its label's count vector packed into one
     integer: a rank-r neighbor adds 2 ** (width * r), and no count reaches
-    2 ** width. If `labeled`, or if the keys could pass PACKED_KEY_BITS, it
-    keys each vertex by its label instead, its neighbors' ranks sorted
-    descending, and returns the labels. Each graph's gathers read its own
-    slice of the values.
+    2 ** width. If the keys could pass PACKED_KEY_BITS, it keys each vertex
+    by its label instead, its neighbors' ranks sorted descending. Each
+    graph's gathers read its own slice of the values.
     """
     n1 = pair[0].vertex_count
     width = max(max(map(len, g.adjacency), default=0) for g in pair).bit_length()
-    if labeled or prev.classes * width > PACKED_KEY_BITS:
+    if prev.classes * width > PACKED_KEY_BITS:
         ranks = prev.ranks
         return _intern([tuple(sorted(of_nbrs(part), reverse=True))
                         for g, part in zip(pair, (ranks[:n1], ranks[n1:]))
@@ -231,18 +196,16 @@ def _next_level(pair: tuple[Graph, Graph], prev: LevelLabels,
     values = list(map(weights.__getitem__, prev.ranks))
     return _intern([sum(of_nbrs(part))
                     for g, part in zip(pair, (values[:n1], values[n1:]))
-                    for of_nbrs in g.gathers])[0], None
+                    for of_nbrs in g.gathers])
 
 
-def _degree_level(pair: tuple[Graph, Graph]) -> tuple[LevelLabels, tuple[LabelDef, ...]]:
-    """Level 1, read off the degrees: the level after level 0, and its
-    labels, one per distinct degree.
+def _degree_level(pair: tuple[Graph, Graph]) -> LevelLabels:
+    """Level 1, read off the degrees: the level after level 0.
 
-    Each level-1 label is d copies of the one level-0 rank, (0,) * d, whose
-    packed key is d, so ranks index the sorted distinct degrees.
+    Each level-1 label is d copies of the one level-0 rank, whose packed
+    key is d, so ranks index the sorted distinct degrees.
     """
-    level, degrees = _intern([len(nbrs) for g in pair for nbrs in g.adjacency])
-    return level, tuple((0,) * d for d in degrees)
+    return _intern([len(nbrs) for g in pair for nbrs in g.adjacency])
 
 
 def _level_zero(g1: Graph, g2: Graph, max_level: int | None) -> tuple[LabelTable, int]:
@@ -261,16 +224,13 @@ def _level_zero(g1: Graph, g2: Graph, max_level: int | None) -> tuple[LabelTable
     return table, max_level
 
 
-def _append_level(table: LabelTable, labeled: bool = False) -> None:
-    """Record the next canonical level, its labels if the round built them
-    (always at level 1 or if `labeled`), and the verdict it gives."""
+def _append_level(table: LabelTable) -> None:
+    """Record the next canonical level and the verdict it gives."""
     prev = table.levels[-1]
-    level, defs = (_next_level(table.graphs, prev, labeled) if table.max_recorded_level
-                   else _degree_level(table.graphs))
+    level = (_next_level(table.graphs, prev) if table.max_recorded_level
+             else _degree_level(table.graphs))
     table.levels.append(level)
     k = table.max_recorded_level
-    if defs is not None:
-        table._defs[k] = defs
     if not table.distinguished and table.histogram(0, k) != table.histogram(1, k):
         table.distinguishing_level = k
     # Refinement is monotone (a level's label determines the previous
@@ -287,8 +247,8 @@ def joint_refine(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTab
     Default max_level is |V1|+|V2|, which always reaches stabilization.
     The table's distinguishing_level is the first recorded level whose
     histograms differ; None on a complete table means no level ever differs,
-    and on an incomplete one merely "none found". Ranks follow the tuple
-    order of the label definitions, which is the label order.
+    and on an incomplete one merely "none found". Ranks follow the label
+    order.
     """
     table, max_level = _level_zero(g1, g2, max_level)
     while not table.complete and table.max_recorded_level < max_level:
@@ -332,22 +292,32 @@ def _hand_over(table: LabelTable):
     return adjacency, color, members, moved
 
 
-def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: bool,
-            labeled: bool = False):
+def _moving_pieces(members: set[int], pieces: list[list[int]]) -> list[list[int]]:
+    """The pieces of a class that take new ids, given its vertex set and
+    its touched pieces: all of those and of its untouched rest but one
+    largest, which keeps the class's id."""
+    rest = len(members) - sum(map(len, pieces))
+    if rest < max(map(len, pieces)):
+        if rest:
+            pieces.append(list(members.difference(*pieces)))
+        pieces.sort(key=len)
+        pieces.pop()
+    return pieces
+
+
+def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: bool):
     """Canonical rounds while they are dense, then worklist rounds on joint
     class ids, up to max_level, stabilization or, if stop_at_difference,
-    the first difference. If `labeled`, the canonical rounds key vertices by
-    their labels and keep them.
+    the first difference.
 
-    Returns (table, adjacency, rounds): the canonical levels up to the
-    hand-over with the distinguishing and stabilization levels, the
-    worklist's included, and, if the worklist ran, the joint adjacency and
-    the pieces that took new ids in each of its rounds, by id ascending. A
-    round signs only the touched vertices, the neighbors of the pieces that
-    moved in the round before (at the hand-over, for the first), each by the
-    ids of its neighbors in those pieces, read before the round changes any
-    vertex set: the rest of a class share one next label, which no touched
-    vertex of the class has.
+    Returns (table, rounds): the canonical levels up to the hand-over with
+    the distinguishing and stabilization levels, the worklist's included,
+    and the pieces that took new ids in each of the worklist's rounds, by
+    id ascending. A round signs only the touched vertices, the neighbors of
+    the pieces that moved in the round before (at the hand-over, for the
+    first), each by the ids of its neighbors in those pieces, read before
+    the round changes any vertex set: the rest of a class share one next
+    label, which no touched vertex of the class has.
     """
     table, max_level = _level_zero(g1, g2, max_level)
     start = None
@@ -357,9 +327,9 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
             start = _hand_over(table)
             if start is not None:
                 break
-        _append_level(table, labeled)
+        _append_level(table)
     if start is None:
-        return table, None, []
+        return table, []
     adjacency, color, members, moved = start
     n1, level = g1.vertex_count, table.max_recorded_level
     rounds = []
@@ -378,14 +348,7 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
             by_class[color[v]].setdefault(tuple(ids), []).append(v)
         moved = {}
         for c, groups in by_class.items():
-            pieces = list(groups.values())
-            rest = len(members[c]) - sum(map(len, pieces))
-            if rest < max(map(len, pieces)):
-                if rest:
-                    pieces.append(list(members[c].difference(*pieces)))
-                pieces.sort(key=len)
-                pieces.pop()
-            for piece in pieces:
+            for piece in _moving_pieces(members[c], list(groups.values())):
                 members[c].difference_update(piece)
                 for v in piece:
                     color[v] = len(members)
@@ -399,7 +362,7 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
         if not table.distinguished and any(2 * sum(v < n1 for v in piece) != len(piece)
                                            for piece in moved.values()):
             table.distinguishing_level = level
-    return table, adjacency, rounds
+    return table, rounds
 
 
 def refine_verdict(
@@ -407,36 +370,38 @@ def refine_verdict(
 ) -> tuple[int | None, int | None]:
     """(distinguishing_level, stabilization_level), as distinguishing_level
     reports them for the same arguments, from the joint partition alone."""
-    table, _, _ = _refine(g1, g2, max_level, stop_at_difference)
+    table, _ = _refine(g1, g2, max_level, stop_at_difference)
     return table.distinguishing_level, table.stabilization_level
 
 
-def refine_to_difference(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTable:
-    """joint_refine's table cut at its distinguishing level d, with
-    canonical levels computed only up to d, each with its labels kept.
+def refine_to_difference(g1: Graph, g2: Graph,
+                         max_level: int | None = None) -> tuple[LabelTable, list]:
+    """The driver's table, stopped at the first difference k as
+    refine_verdict(..., stop_at_difference=True) is, and on a distinguished
+    pair its levels 1..k as (ids, labels); [] on any other.
 
-    The driver's table carries the verdict, joint_refine's. Only a
-    distinguished one gains levels past the hand-over, replayed up to d,
-    and it has no stabilization level.
+    ids[v] is the class id of vertex v of G1 ⊔ G2, g2's vertices after
+    g1's: its canonical rank up to the hand-over, then its worklist id, the
+    ids being 0 .. C - 1 for C classes. labels[c] is the previous level's
+    ids of the neighbors of one vertex of class c, in adjacency order; all
+    of the class share that multiset.
     """
-    table, adjacency, rounds = _refine(g1, g2, max_level, True, labeled=True)
+    table, rounds = _refine(g1, g2, max_level, True)
     if not table.distinguished:
-        return table
-    # Replay the moved pieces, with the worklist's ids, onto the hand-over
-    # ids. All of a class share one label over the previous canonical
-    # ranks, so one representative per class gives every label of the
-    # level, and they are kept, as in a labeled canonical round.
-    ranks = table.levels[-1].ranks
-    color = list(ranks)
+        return table, []
+    # Past the hand-over, each round's moved pieces take their new ids.
+    ids = [level.ranks for level in table.levels]
+    color = list(ids[-1])
     for moved in rounds:
         for q, piece in moved.items():
             for v in piece:
                 color[v] = q
-        rep_of = dict(zip(color, range(len(color))))
-        by_class, defs = _intern([tuple(sorted(gather(adjacency[v])(ranks), reverse=True))
-                                  for v in rep_of.values()])
-        rank_of_class = dict(zip(rep_of, by_class.ranks))
-        ranks = tuple(map(rank_of_class.__getitem__, color))
-        table.levels.append(LevelLabels(ranks=ranks, classes=by_class.classes))
-        table._defs[table.max_recorded_level] = defs
-    return table
+        ids.append(tuple(color))
+    n1, of_nbrs = g1.vertex_count, (*g1.gathers, *g2.gathers)
+    levels = []
+    for prev, cur in zip(ids, ids[1:]):
+        # g1's gathers index prev itself, g2's its tail.
+        parts, rep_of = (prev, prev[n1:]), dict(zip(cur, range(len(cur))))
+        levels.append((cur, [of_nbrs[v](parts[v >= n1])
+                             for v in map(rep_of.__getitem__, range(len(rep_of)))]))
+    return table, levels

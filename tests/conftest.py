@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import functools
+import random
 from itertools import combinations, permutations
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from wlhom import Graph, TreeArena, joint_refine, path_graph
+from wlhom import Graph, TreeArena, joint_refine, path_graph, permute
 from wlhom import synth
 from wlhom.wl import LabelTable, LevelLabels
 
@@ -57,6 +58,30 @@ TA = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
 TB = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)])
 
 
+def shuffled(g: Graph, seed) -> Graph:
+    """g with its vertices permuted by a shuffle drawn from the seed."""
+    perm = list(range(g.vertex_count))
+    random.Random(seed).shuffle(perm)
+    return permute(g, perm)
+
+
+def caterpillar(spine: int, pendant: int) -> Graph:
+    """A path on `spine` vertices with one leaf hung off position `pendant`."""
+    edges = [(i, i + 1) for i in range(spine - 1)] + [(pendant, spine)]
+    return Graph(spine + 1, edges)
+
+
+def caterpillar_pair(level: int) -> tuple[Graph, Graph]:
+    """Shuffled caterpillars with a pendant at p and at p + 1 on a long
+    spine, which first differ at level (p + 3) // 2 = `level`. Their round
+    1 moves only the leaves and the branch vertices, so the refinement
+    driver hands over to its worklist after level 1."""
+    p = 2 * level - 3
+    spine = 2 * p + 4 + level % 4
+    return (shuffled(caterpillar(spine, p), level),
+            shuffled(caterpillar(spine, p + 1), -level))
+
+
 def early_table(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTable:
     """joint_refine's table cut at its distinguishing level d: levels 0..d
     and no stabilization level. The whole table when no level differs."""
@@ -95,7 +120,7 @@ def tuple_rounds(g1: Graph, g2: Graph, levels: int) -> list:
     """(defs, ranks) of levels 0..levels, each round keyed by the neighbors'
     previous ranks sorted descending, on which tuple order is the label
     order; every round is generic, level 1 included. The oracle of wl's
-    rounds and of LabelTable.defs_at."""
+    rounds, and the labels every test reads."""
     pair, n1 = (g1, g2), g1.vertex_count
     ranks = (0,) * (n1 + g2.vertex_count)
     out = [(((),), ranks)]
@@ -112,26 +137,19 @@ def tuple_rounds(g1: Graph, g2: Graph, levels: int) -> list:
 
 
 def force_labels(monkeypatch, defs, ranks) -> None:
-    """Make synthesize read the given labels instead of refining.
+    """Make synthesize read the given levels instead of refining.
 
-    Level 0 is one rank; defs[i] and ranks[i] are the definitions and the
-    per-graph ranks (g1's, g2's) of level i + 1, joined into the one vector
-    of a table level, and the last level is reported as the first differing
-    one.
+    defs[i] and ranks[i] are the labels and the per-graph class ids (g1's,
+    g2's) of level i + 1, joined into the one id vector of a level of
+    wl.refine_to_difference, and the last level is reported as the first
+    differing one. The labels need not be any vertex's.
     """
 
     def fake_refine(g1, g2, *args, **kwargs):
-        table = LabelTable(
-            graphs=(g1, g2),
-            levels=[LevelLabels(ranks=(0,) * (g1.vertex_count + g2.vertex_count),
-                                classes=1)]
-            + [LevelLabels(ranks=(*r1, *r2), classes=len(d)) for d, (r1, r2) in zip(defs, ranks)],
-            distinguishing_level=len(defs),
-        )
-        # The given labels need not be any vertex's, so they are put in the
-        # table's label cache, not read off the graphs.
-        table._defs.update(enumerate(defs, 1))
-        return table
+        level0 = LevelLabels(ranks=(0,) * (g1.vertex_count + g2.vertex_count), classes=1)
+        table = LabelTable(graphs=(g1, g2), levels=[level0],
+                           distinguishing_level=len(defs))
+        return table, [((*r1, *r2), d) for d, (r1, r2) in zip(defs, ranks)]
 
     monkeypatch.setattr(synth, "refine_to_difference", fake_refine)
 

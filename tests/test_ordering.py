@@ -7,7 +7,8 @@ already increase with rank, so its count is a sum of m-th powers in which
 the largest rank two labels hold a different number of times dominates,
 which is the label order. synth.lift takes the other route, distinct values
 (Dell, Grohe and Rattan), which needs far smaller m; this module lifts the
-paper's way, on the canonical table, as a tests-only oracle.
+paper's way, on the canonical labels of conftest.tuple_rounds, as a
+tests-only oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from hypothesis import example, given
 from wlhom import Graph, hom_count, joint_refine
 from wlhom.synth import _chain, lift
 
-from .conftest import K13, P4, PROPERTY_SETTINGS, TA, TB, early_table, graphs
+from .conftest import K13, P4, PROPERTY_SETTINGS, TA, TB, early_table, graphs, tuple_rounds
 
 # Every pair of graphs on at most MAX_VERTICES vertices each reaches the
 # order by m = 268 at every level up to stabilization (an exhaustive scan
@@ -32,11 +33,10 @@ MAX_VERTICES = 5
 M_CAP = 300
 
 
-def ordering_lift(labels, level: int, base: list[int]) -> tuple[int, list[int]] | None:
-    """Least m <= M_CAP making the level's counts strictly increase with
+def ordering_lift(defs, base: list[int]) -> tuple[int, list[int]] | None:
+    """Least m <= M_CAP making a level's counts strictly increase with
     rank, and the counts: the count at rank r sums base[r'] ** m over r' in
-    the label of r, with repeats. None past M_CAP."""
-    defs = labels.defs_at(level)
+    defs[r], the label of r, with repeats. None past M_CAP."""
     for m in range(1, M_CAP + 1):
         powers = [b ** m for b in base]
         values = [sum(map(powers.__getitem__, label)) for label in defs]
@@ -45,10 +45,10 @@ def ordering_lift(labels, level: int, base: list[int]) -> tuple[int, list[int]] 
     return None
 
 
-def degree_counts(labels) -> list[int]:
-    """The level-1 counts, a one-leaf star's: each rank's degree, which
-    increases with rank."""
-    return [len(label) for label in labels.defs_at(1)]
+def degree_counts(defs) -> list[int]:
+    """The level-1 counts, a one-leaf star's, from the level-1 labels: each
+    rank's degree, which increases with rank."""
+    return [len(label) for label in defs]
 
 
 def ordering_chain(g1, g2) -> tuple[int, ...]:
@@ -58,9 +58,10 @@ def ordering_chain(g1, g2) -> tuple[int, ...]:
     k = labels.distinguishing_level
     if k == 0:
         return ()
-    counts, mults = degree_counts(labels), []
+    defs = [defs for defs, _ in tuple_rounds(g1, g2, k)]
+    counts, mults = degree_counts(defs[1]), []
     for level in range(2, k + 1):
-        m, counts = ordering_lift(labels, level, counts)
+        m, counts = ordering_lift(defs[level], counts)
         mults.append(m)
     hists = [labels.histogram(which, k) for which in (0, 1)]
     for n in range(1, len(counts) + 1):
@@ -84,10 +85,11 @@ class TestOrderingLemma:
         labels = joint_refine(g1, g2)
         if labels.max_recorded_level < 1:
             return
-        counts = degree_counts(labels)
+        defs = [defs for defs, _ in tuple_rounds(g1, g2, labels.max_recorded_level)]
+        counts = degree_counts(defs[1])
         assert counts == sorted(set(counts))
         for level in range(2, labels.max_recorded_level + 1):
-            found = ordering_lift(labels, level, counts)
+            found = ordering_lift(defs[level], counts)
             assert found is not None, level
             counts = found[1]
 
@@ -111,9 +113,10 @@ class TestOrderingLemma:
         labels = joint_refine(g1, g2, max_level=2)
         if labels.max_recorded_level < 2:
             return
-        S = [r for r, label in enumerate(labels.defs_at(2)) if label]
+        _, (defs1, _), (defs2, _) = tuple_rounds(g1, g2, 2)
+        S = [r for r, label in enumerate(defs2) if label]
         if not S:
             return
-        m_order, _ = ordering_lift(labels, 2, degree_counts(labels))
-        m_lift, _ = lift(labels, 2, degree_counts(labels), S)
+        m_order, _ = ordering_lift(defs2, degree_counts(defs1))
+        m_lift, _ = lift(defs2, 2, degree_counts(defs1), S)
         assert m_order >= m_lift

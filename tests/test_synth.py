@@ -7,7 +7,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from wlhom import (
@@ -35,7 +35,7 @@ from wlhom import (
 )
 from wlhom import synth as synth_module
 from wlhom.cli import main
-from wlhom.wl import LabelTable, LevelLabels
+from wlhom import wl
 
 from .conftest import (
     C3,
@@ -49,11 +49,13 @@ from .conftest import (
     TWO_C3,
     cycle_graph,
     disjoint_union,
+    caterpillar_pair,
     early_table,
     force_labels,
     graphs,
     isolated_vertices,
     star_graph,
+    tuple_rounds,
 )
 
 
@@ -106,6 +108,11 @@ def _chain_counts(labels, level, mults):
     return _joint_counts(arena, _chain(arena, mults), labels, level)
 
 
+def _labels(table, level):
+    """The oracle's labels of a level of the table's pair, by rank."""
+    return tuple_rounds(*table.graphs, level)[level][0]
+
+
 def _degrees(labels):
     """Level-1 counts of the one-leaf star, indexed by rank."""
     by_rank = _chain_counts(labels, 1, (1,))
@@ -118,7 +125,7 @@ class TestLift:
         # joint K1,3 / P4 labeling distinct; frozen after exact
         # computation: m = 2
         table = joint_refine(K13, P4)
-        m, counts = lift(table, 2, _degrees(table), _nonisolated_ranks(table, 2))
+        m, counts = lift(_labels(table, 2), 2, _degrees(table), _nonisolated_ranks(table, 2))
         assert m == 2
         assert dict(enumerate(counts)) == _chain_counts(table, 2, (2, 1))
 
@@ -129,7 +136,7 @@ class TestLift:
         table = joint_refine(g, g)
         s = _nonisolated_ranks(table, 2)
         assert len(s) == 1
-        m, _ = lift(table, 2, _degrees(table), s)
+        m, _ = lift(_labels(table, 2), 2, _degrees(table), s)
         assert m == 1
 
     def test_multiplicity_only_pair_separates_at_m1(self):
@@ -138,30 +145,25 @@ class TestLift:
         # (neighbor-degree multisets {2,1,1} vs {2,2,1}) already have
         # distinct counts under H_1
         table = joint_refine(TA, TB)
-        defs = table.defs_at(2)
+        defs = _labels(table, 2)
         pair = [r for r in _nonisolated_ranks(table, 2)
                 if defs[r].count(1) in (1, 2) and len(defs[r]) == 3]
         assert len(pair) == 2
-        m, _ = lift(table, 2, _degrees(table), pair)
+        m, _ = lift(defs, 2, _degrees(table), pair)
         assert m == 1
 
     def test_rejects_empty_rank_set(self):
         table = joint_refine(K13, P4)
         with pytest.raises(ValueError):
-            lift(table, 2, _degrees(table), [])
+            lift(_labels(table, 2), 2, _degrees(table), [])
 
     def test_shared_definition_stops_at_the_descartes_bound(self):
         # ranks 0 and 1 share a definition, so their counts agree at every
         # m; the search gives up at 1 + (|S| - 1) * the sum over S of the
         # distinct ranks in defs[r] = 1 + 2 * (3 + 3 + 1) = 15 candidates
         label = (2, 2, 2, 1, 1, 0)
-        level0 = LevelLabels(ranks=(0, 0, 0, 0), classes=1)
-        level2 = LevelLabels(ranks=(0, 1, 0, 2), classes=3)
-        table = LabelTable(graphs=(K2, K2), levels=[level0, level0, level2])
-        # no K2 vertex has these labels, so they go in the label cache
-        table._defs[2] = (label, label, (0,) * 5)
         with pytest.raises(SynthesisInvariantError, match="^no m <= 15 "):
-            lift(table, 2, [1, 2, 3], [0, 1, 2])
+            lift((label, label, (0,) * 5), 2, [1, 2, 3], [0, 1, 2])
 
     def test_isolated_rank_trips_invariant(self):
         g = disjoint_union(cycle_graph(3), empty_graph(1))
@@ -169,7 +171,7 @@ class TestLift:
         ranks = sorted(set(table.ranks_at(0, 2)))  # includes the empty label
         assert len(ranks) == 2
         with pytest.raises(SynthesisInvariantError):
-            lift(table, 2, _degrees(table), ranks)
+            lift(_labels(table, 2), 2, _degrees(table), ranks)
 
 
 def _reference_lift(labels, level, S, lower):
@@ -212,10 +214,11 @@ def _first_nonisolated_difference(g1, g2):
     differ; the ranks are None when no level differs.
     """
     labels = early_table(g1, g2)
+    oracle = tuple_rounds(g1, g2, labels.distinguishing_level or 0)
     ranks = {}
     for level in range(1, (labels.distinguishing_level or 0) + 1):
         hists = [{r: c for r, c in labels.histogram(which, level).items()
-                  if labels.defs_at(level)[r]} for which in (0, 1)]
+                  if oracle[level][0][r]} for which in (0, 1)]
         ranks[level] = sorted(set(hists[0]) | set(hists[1]))
         if hists[0] != hists[1]:
             return labels, ranks
@@ -231,8 +234,9 @@ class TestLiftSearch:
         labels, ranks = _first_nonisolated_difference(*pair)
         assume(ranks is not None and len(ranks) >= 2)
         counts, lower = _degrees(labels), ()
+        oracle = tuple_rounds(*pair, len(ranks))
         for level in range(2, len(ranks) + 1):
-            m, counts = lift(labels, level, counts, ranks[level])
+            m, counts = lift(oracle[level][0], level, counts, ranks[level])
             ref_m, ref_counts = _reference_lift(labels, level, ranks[level], lower)
             assert m == ref_m
             assert dict(enumerate(counts)) == ref_counts
@@ -677,13 +681,13 @@ class TestQuotient:
            st.lists(st.integers(1, 3), min_size=1, max_size=3))
     def test_matches_graph_dp_by_rank(self, g1, g2, mults):
         table = joint_refine(g1, g2)
+        defs = [defs for defs, _ in tuple_rounds(g1, g2, table.max_recorded_level)]
         arena = TreeArena()
         t = _chain(arena, mults)
         for level in range(len(mults), table.max_recorded_level + 1):
-            counts = [1] * len(table.defs_at(level - len(mults)))
+            counts = [1] * len(defs[level - len(mults)])
             for j, mult in enumerate(mults, level - len(mults) + 1):
-                counts = [sum(counts[r] for r in label) ** mult
-                          for label in table.defs_at(j)]
+                counts = [sum(counts[r] for r in label) ** mult for label in defs[j]]
             by_rank = _joint_counts(arena, t, table, level)
             # every rank is some vertex's rank, unless both graphs are empty
             expected = dict(enumerate(counts))
@@ -749,5 +753,96 @@ class TestQuotient:
         a.write_text(serialize_graph(g1), encoding="utf-8")
         b.write_text(serialize_graph(g2), encoding="utf-8")
         assert main(["synthesize", str(a), str(b), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+class TestNamingInvariance:
+    """No certificate byte depends on how classes are named: synthesize fed
+    the canonical levels of the tuple oracle emits what it emits on the
+    refinement driver's own ids."""
+
+    @staticmethod
+    def _same_certificate(g1, g2):
+        plain = synthesize(g1, g2)
+        if not plain.chain:
+            return plain
+        rounds = tuple_rounds(g1, g2, plain.level)[1:]
+        n1 = g1.vertex_count
+        with pytest.MonkeyPatch.context() as mp:
+            force_labels(mp, [defs for defs, _ in rounds],
+                         [(ranks[:n1], ranks[n1:]) for _, ranks in rounds])
+            forced = synthesize(g1, g2)
+        assert certificate_to_json(forced) == certificate_to_json(plain)
+        return plain
+
+    @PROPERTY_SETTINGS
+    @given(st.one_of(st.tuples(graphs(max_vertices=8), graphs(max_vertices=8)),
+                     swapped_pairs()))
+    def test_drawn_pairs(self, pair):
+        self._same_certificate(*pair)
+
+    @pytest.mark.parametrize("level", [5, 8])
+    def test_caterpillar_pairs(self, level):
+        # Past the hand-over the driver's ids are not the canonical ranks.
+        g1, g2 = caterpillar_pair(level)
+        ids, _ = wl.refine_to_difference(g1, g2)[1][-1]
+        assert ids != tuple_rounds(g1, g2, level)[level][1]
+        assert self._same_certificate(g1, g2).level == level
+
+
+def _lose_one_piece(mp, split: int) -> None:
+    """Make the worklist's `split`-th class split that moves pieces keep one
+    of them in its class: that round loses one moved piece, so its
+    partition is too coarse."""
+    moving_pieces, splits = wl._moving_pieces, []
+
+    def lossy(members, pieces):
+        moving = moving_pieces(members, pieces)
+        if moving:
+            splits.append(moving)
+            if len(splits) == split:
+                moving.pop()
+        return moving
+
+    mp.setattr(wl, "_moving_pieces", lossy)
+
+
+class TestDriverFault:
+    """A refinement driver whose partition is too coarse makes synthesize
+    raise, never emit a wrong distinguishing claim. A wrong claim of
+    equivalence is out of synthesize's reach: it holds no partition to
+    check it against, and verify re-runs the driver."""
+
+    @PROPERTY_SETTINGS
+    @given(st.one_of(st.tuples(graphs(max_vertices=8), graphs(max_vertices=8)),
+                     swapped_pairs()),
+           st.integers(1, 3))
+    @example(caterpillar_pair(5), 1)
+    @example(caterpillar_pair(8), 3)
+    def test_no_wrong_distinguishing_claim(self, pair, split):
+        with pytest.MonkeyPatch.context() as mp:
+            _lose_one_piece(mp, split)
+            try:
+                cert = synthesize(*pair)
+            except SynthesisInvariantError:
+                return
+        if cert.chain is not None:
+            assert verify(cert, *pair)
+
+    @pytest.mark.parametrize("split", [1, 2, 3])
+    @pytest.mark.parametrize("level", [5, 8])
+    def test_caterpillar_pair_raises(self, tmp_path, capsys, level, split):
+        g1, g2 = caterpillar_pair(level)
+        with pytest.MonkeyPatch.context() as mp:
+            _lose_one_piece(mp, split)
+            with pytest.raises(SynthesisInvariantError):
+                synthesize(g1, g2)
+        a, b, out = tmp_path / "a", tmp_path / "b", tmp_path / "cert.json"
+        a.write_text(serialize_graph(g1), encoding="utf-8")
+        b.write_text(serialize_graph(g2), encoding="utf-8")
+        with pytest.MonkeyPatch.context() as mp:
+            _lose_one_piece(mp, split)
+            assert main(["synthesize", str(a), str(b), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()

@@ -20,15 +20,16 @@ from wlhom import (
     distinguishing_level,
     joint_refine,
     empty_graph,
+    lift,
     path_graph,
     permute,
     refine_verdict,
     synthesize,
     verify,
 )
-from wlhom import wl
+from wlhom import synth, wl
 from wlhom.cli import main
-from wlhom.wl import LabelTable, refine_to_difference
+from wlhom.wl import refine_to_difference
 
 from .conftest import (
     C6,
@@ -38,12 +39,15 @@ from .conftest import (
     TA,
     TB,
     TWO_C3,
+    caterpillar,
+    caterpillar_pair,
     cycle_graph,
     degree,
     disjoint_union,
     early_table,
     graphs,
     label_defs,
+    shuffled,
     star_graph,
     tuple_rounds,
 )
@@ -162,7 +166,7 @@ def _stepped_ranks(g, levels):
 class TestJointRefine:
     def test_level0_single_label(self):
         table = joint_refine(K13, P4)
-        assert table.defs_at(0) == ((),)
+        assert table.levels[0].classes == 1
         assert set(table.ranks_at(0, 0)) == {0}
         assert set(table.ranks_at(1, 0)) == {0}
 
@@ -185,11 +189,14 @@ class TestJointRefine:
     @example(C6, empty_graph(6))
     def test_degree_level_is_the_round_after_level_zero(self, g1, g2):
         # Every table's level 1 comes from _degree_level, so it is checked
-        # here against the generic round, which no longer builds level 1.
+        # here against the generic round, which no longer builds level 1,
+        # keyed by labels (bound 0) and packed (bound 10 ** 9).
         pair = (g1, g2)
         level0 = joint_refine(g1, g2, max_level=0).levels[0]
-        assert wl._degree_level(pair) == wl._next_level(pair, level0, labeled=True)
-        assert wl._degree_level(pair)[0] == wl._next_level(pair, level0)[0]
+        for bound in (0, 10 ** 9):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(wl, "PACKED_KEY_BITS", bound)
+                assert wl._degree_level(pair) == wl._next_level(pair, level0)
 
     def test_k13_p4_level1_histograms(self):
         table = joint_refine(K13, P4)
@@ -211,9 +218,10 @@ class TestJointRefine:
     def test_isolated_keeps_empty_minimal_label(self):
         g = empty_graph(2)
         table = joint_refine(g, star_graph(2))
+        oracle = tuple_rounds(g, star_graph(2), table.max_recorded_level)
         for level in range(1, table.max_recorded_level + 1):
             assert table.ranks_at(0, level) == (0, 0)
-            assert table.defs_at(level)[0] == ()
+            assert oracle[level][0][0] == ()
 
     def test_empty_pair(self):
         table = joint_refine(empty_graph(), empty_graph())
@@ -228,8 +236,6 @@ class TestJointRefine:
             table.ranks_at(0, 1)
         with pytest.raises(ValueError):
             table.ranks_at(0, -1)
-        with pytest.raises(ValueError):
-            table.defs_at(1)
 
     def test_deep_query_answered_after_stabilization(self):
         # K1,3's numbering alternates past level 1: the center is rank 3 at
@@ -280,8 +286,9 @@ class TestJointRefine:
     @given(graphs(max_vertices=6), graphs(max_vertices=6))
     def test_defs_decode_neighbor_multisets(self, g1, g2):
         table = joint_refine(g1, g2)
+        oracle = tuple_rounds(g1, g2, table.max_recorded_level)
         for level in range(1, table.max_recorded_level + 1):
-            defs = table.defs_at(level)
+            defs = oracle[level][0]
             for which, g in ((0, g1), (1, g2)):
                 prev = table.ranks_at(which, level - 1)
                 cur = table.ranks_at(which, level)
@@ -393,16 +400,14 @@ class TestEarlyExit:
         else:
             g2 = data.draw(graphs(max_vertices=8))
         full = distinguishing_level(g1, g2)
-        early = refine_to_difference(g1, g2)
+        early, levels = refine_to_difference(g1, g2)
         assert early.distinguishing_level == full.distinguishing_level
-        levels = early.levels
-        assert levels == full.levels[: len(levels)]
-        if early.distinguished:
-            assert levels == full.levels[: early.distinguishing_level + 1]
-        for level in range(full.max_recorded_level + 1):
+        assert early.levels == full.levels[: len(early.levels)]
+        _matches_contract(g1, g2, early, levels)
+        for defs, _ in tuple_rounds(g1, g2, full.max_recorded_level):
             # the oracle reads the (rank, mult) pairs of each label
             pairs = [tuple((r, len(list(run))) for r, run in groupby(label))
-                     for label in full.defs_at(level)]
+                     for label in defs]
             assert pairs == sorted(
                 set(pairs), key=functools.cmp_to_key(compare_labels)
             )
@@ -411,9 +416,9 @@ class TestEarlyExit:
         # the full run takes 300 rounds to stabilize (see test_cli)
         g1 = path_graph(600)
         g2 = disjoint_union(path_graph(300), path_graph(300))
-        early = refine_to_difference(g1, g2)
+        early, levels = refine_to_difference(g1, g2)
         assert early.distinguishing_level == 1
-        assert len(early.levels) <= 2
+        assert len(early.levels) <= 2 and len(levels) == 1
         assert early.stabilization_level is None
 
 
@@ -446,34 +451,38 @@ def _agrees_with_oracle(g1, g2, max_levels=(None, 0, 1, 2, 3)):
                 g1, g2, max_level, stop
             ), (stop, max_level)
     # synthesize's entry: refine_verdict's verdict after as many canonical
-    # levels, one hand-over rule serving both, and on a distinguished pair
-    # the canonical levels of the early-stopping table.
+    # levels, one hand-over rule serving both, the canonical levels of the
+    # early-stopping table up to the hand-over, and on a distinguished pair
+    # levels up to the difference that meet the contract.
     for max_level in max_levels:
         with pytest.MonkeyPatch.context() as mp:
             appended = _count_canonical_rounds(mp)
-            table = refine_to_difference(g1, g2, max_level)
+            table, levels = refine_to_difference(g1, g2, max_level)
             to_difference = len(appended)
             verdict = refine_verdict(g1, g2, max_level, True)
         assert len(appended) == 2 * to_difference, max_level
         assert verdict == (table.distinguishing_level,
                            table.stabilization_level), max_level
-        levels = early_table(g1, g2, max_level).levels
-        if table.distinguished:
-            assert table.levels == levels, max_level
-        else:
-            assert table.levels == levels[: len(table.levels)], max_level
+        canonical = early_table(g1, g2, max_level).levels
+        assert table.levels == canonical[: len(table.levels)], max_level
+        _matches_contract(g1, g2, table, levels)
 
 
-def _shuffled(g, seed):
-    perm = list(range(g.vertex_count))
-    random.Random(seed).shuffle(perm)
-    return permute(g, perm)
-
-
-def _caterpillar(spine, pendant):
-    """A path on `spine` vertices with one leaf hung off position `pendant`."""
-    edges = [(i, i + 1) for i in range(spine - 1)] + [(pendant, spine)]
-    return Graph(spine + 1, edges)
+def _matches_contract(g1, g2, table, levels):
+    """refine_to_difference's return against the tuple oracle: levels 1..k
+    on a pair first differing at k, else none; at each, the ids induce the
+    oracle's partition, and each class's label, renamed through the level
+    before's bijection and sorted descending, is the oracle's label."""
+    k = table.distinguishing_level
+    assert len(levels) == (k or 0)
+    rank_of = {0: 0}
+    for (ids, labels), (defs, ranks) in zip(levels, tuple_rounds(g1, g2, k or 0)[1:]):
+        prev, rank_of = rank_of, dict(zip(ids, ranks))
+        assert tuple(map(rank_of.__getitem__, ids)) == ranks
+        assert sorted(rank_of) == list(range(len(labels)))
+        assert len(set(rank_of.values())) == len(labels) == len(defs)
+        for c, label in enumerate(labels):
+            assert tuple(sorted(map(prev.__getitem__, label), reverse=True)) == defs[rank_of[c]]
 
 
 def _with_hub(g):
@@ -512,7 +521,7 @@ def _one_swap(g, rng):
         if len({a, b, c, d}) == 4 and not present.intersection(new):
             swapped = [e for e in edges if e not in ((a, b), (c, d))] + new
             break
-    return _shuffled(Graph(g.vertex_count, swapped), rng.random())
+    return shuffled(Graph(g.vertex_count, swapped), rng.random())
 
 
 @st.composite
@@ -550,22 +559,19 @@ class TestRefineVerdict:
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 121])
     def test_path_vs_permuted_copy(self, n):
         g = path_graph(n)
-        _agrees_with_oracle(g, _shuffled(g, n), (None, 0, 1, 3, n // 2))
-        assert refine_verdict(g, _shuffled(g, n)) == (None, (n - 1) // 2)
+        _agrees_with_oracle(g, shuffled(g, n), (None, 0, 1, 3, n // 2))
+        assert refine_verdict(g, shuffled(g, n)) == (None, (n - 1) // 2)
 
     @pytest.mark.parametrize("n", [4, 9, 40, 121])
     def test_path_vs_half_paths(self, n):
         g1 = path_graph(n)
-        g2 = _shuffled(disjoint_union(path_graph(n // 2), path_graph(n - n // 2)), n)
+        g2 = shuffled(disjoint_union(path_graph(n // 2), path_graph(n - n // 2)), n)
         _agrees_with_oracle(g1, g2, (None, 0, 1, 3, n // 2))
 
     @pytest.mark.parametrize("level", range(5, 12))
     def test_caterpillar_pendant_moved_by_one(self, level):
         # a pendant at p vs p + 1 on a long spine first differs at (p + 3) // 2
-        p = 2 * level - 3
-        spine = 2 * p + 4 + level % 4
-        g1 = _shuffled(_caterpillar(spine, p), level)
-        g2 = _shuffled(_caterpillar(spine, p + 1), -level)
+        g1, g2 = caterpillar_pair(level)
         _agrees_with_oracle(g1, g2, (None, 0, level - 1, level, level + 1))
         assert refine_verdict(g1, g2, stop_at_difference=True) == (level, None)
 
@@ -576,7 +582,7 @@ class TestRefineVerdict:
     def test_worklist_builds_no_gathers(self):
         # Level 1 moves only the path ends, so the first hand-over is sparse
         # and no canonical round reads a gather.
-        g1, g2 = path_graph(40), _shuffled(path_graph(40), 40)
+        g1, g2 = path_graph(40), shuffled(path_graph(40), 40)
         assert refine_verdict(g1, g2) == (None, 19)
         assert g1._gathers is None and g2._gathers is None
 
@@ -584,11 +590,20 @@ class TestRefineVerdict:
         # The canonical engine re-signs all 4000 vertices in each of the
         # 1000 rounds; this pair must not take seconds.
         g = path_graph(2000)
-        h = _shuffled(g, 2000)
+        h = shuffled(g, 2000)
         start = time.perf_counter()
         assert refine_verdict(g, h) == (None, 999)
         assert verify(Certificate(), g, h)
         assert time.perf_counter() - start < 2.0
+
+
+# Fans, wheels and stars of paths: shapes with a hub.
+HUB_SHAPES = [
+    *(pytest.param(_fan(n), id=f"fan-{n}") for n in (5, 40, 121)),
+    *(pytest.param(_wheel(n), id=f"wheel-{n}") for n in (5, 40, 121)),
+    *(pytest.param(_star_of_paths(legs, length), id=f"star-{legs}x{length}")
+      for legs, length in ((3, 13), (5, 20), (2, 40))),
+]
 
 
 class TestHubs:
@@ -596,15 +611,10 @@ class TestHubs:
     signature counts only moved neighbors and so rests on each class's
     shared neighbor multiset."""
 
-    @pytest.mark.parametrize("g", [
-        *(pytest.param(_fan(n), id=f"fan-{n}") for n in (5, 40, 121)),
-        *(pytest.param(_wheel(n), id=f"wheel-{n}") for n in (5, 40, 121)),
-        *(pytest.param(_star_of_paths(legs, length), id=f"star-{legs}x{length}")
-          for legs, length in ((3, 13), (5, 20), (2, 40))),
-    ])
+    @pytest.mark.parametrize("g", HUB_SHAPES)
     def test_against_permuted_and_swapped_copies(self, g):
         levels = (None, 0, 1, 2, 3, g.vertex_count // 4)
-        _agrees_with_oracle(g, _shuffled(g, g.vertex_count), levels)
+        _agrees_with_oracle(g, shuffled(g, g.vertex_count), levels)
         _agrees_with_oracle(g, _one_swap(g, random.Random(g.vertex_count)), levels)
 
     @PROPERTY_SETTINGS
@@ -615,9 +625,9 @@ class TestHubs:
     def test_distinguished_hub_pair_certificate(self, canonical_rounds):
         # Caterpillars with a pendant at 9 and at 10 on a 26-vertex spine,
         # each with a hub: the worklist runs from level 1 to the first
-        # difference, and the certificate's levels are replayed from it.
-        g1 = _shuffled(_with_hub(_caterpillar(26, 9)), 1)
-        g2 = _shuffled(_with_hub(_caterpillar(26, 10)), 2)
+        # difference, and the certificate's levels are read from it.
+        g1 = shuffled(_with_hub(caterpillar(26, 9)), 1)
+        g2 = shuffled(_with_hub(caterpillar(26, 10)), 2)
         cert = synthesize(g1, g2)
         assert len(canonical_rounds) == 1
         assert cert.mode == "tree"
@@ -653,7 +663,7 @@ class TestHubs:
 
         monkeypatch.setattr(wl, "_hand_over", counted)
         g = _fan(2000)
-        assert refine_verdict(g, _shuffled(g, 2000)) == (None, 999)
+        assert refine_verdict(g, shuffled(g, 2000)) == (None, 999)
         vertices, edges = 2 * g.vertex_count, 2 * g.edge_count
         assert 0 < reads[0] <= 2 * (vertices + edges) * math.log2(vertices)
 
@@ -670,16 +680,14 @@ class TestRefineToDifference:
 
     @pytest.mark.parametrize("level", range(5, 12))
     def test_caterpillar_relabels_after_hand_over(self, level, canonical_rounds):
-        p = 2 * level - 3
-        spine = 2 * p + 4 + level % 4
-        g1 = _shuffled(_caterpillar(spine, p), level)
-        g2 = _shuffled(_caterpillar(spine, p + 1), -level)
-        table = refine_to_difference(g1, g2)
+        g1, g2 = caterpillar_pair(level)
+        table, levels = refine_to_difference(g1, g2)
         # Round 1 moves only the leaves and the branch vertices, so levels
         # 2..level come from the worklist and one representative per class.
         assert len(canonical_rounds) == 1
         assert table.distinguishing_level == level
-        assert table.levels == early_table(g1, g2).levels
+        assert table.levels == early_table(g1, g2).levels[:2]
+        _matches_contract(g1, g2, table, levels)
 
     def test_negative_max_level(self):
         with pytest.raises(ValueError):
@@ -688,7 +696,7 @@ class TestRefineToDifference:
     def test_capped_synthesize_after_hand_over(self, canonical_rounds):
         g = path_graph(40)
         with pytest.raises(InconclusiveError):
-            synthesize(g, _shuffled(g, 40), max_level=5)
+            synthesize(g, shuffled(g, 40), max_level=5)
         assert len(canonical_rounds) == 1
 
     def test_long_path_vs_permuted_copy_synthesizes_in_few_rounds(
@@ -696,7 +704,7 @@ class TestRefineToDifference:
     ):
         # Canonical rounds to stabilization would make about 1000 calls.
         g = path_graph(2000)
-        h = _shuffled(g, 2000)
+        h = shuffled(g, 2000)
         cert = synthesize(g, h)
         assert len(canonical_rounds) <= 2
         assert cert == Certificate()
@@ -753,8 +761,9 @@ def _star_order(a, b):
     prev = wl.LevelLabels(ranks=(0, 0, *leaves[0], *leaves[1]), classes=len(a))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wl, "PACKED_KEY_BITS", 10 ** 9)
-        level, defs = wl._next_level((g, empty_graph()), prev)
-    assert defs is None
+        kinds = _key_kinds(mp)
+        level = wl._next_level((g, empty_graph()), prev)
+    assert kinds == [int]
     ka, kb = level.ranks[:2]
     return ka < kb, ka == kb
 
@@ -777,33 +786,24 @@ def _key_kinds(mp):
     return kinds
 
 
-def _caterpillar_pair(level):
-    """A caterpillar pair first differing at `level`, whose levels past the
-    first are replayed from the worklist (see TestRefineToDifference)."""
-    p = 2 * level - 3
-    spine = 2 * p + 4 + level % 4
-    return (_shuffled(_caterpillar(spine, p), level),
-            _shuffled(_caterpillar(spine, p + 1), -level))
-
-
 class TestPackedRounds:
     """A canonical round keys a vertex by its count vector packed into one
-    integer, or by its label past PACKED_KEY_BITS or when the labels will
-    be read; a level records its ranks and class count, and labels no round
-    kept are read off one vertex per rank when asked."""
+    integer, or by its label past PACKED_KEY_BITS; a level records its
+    ranks and class count. refine_to_difference reads each level's labels
+    off one vertex per class, whatever the canonical rounds keyed by."""
 
     @staticmethod
     def _matches_oracle(g1, g2, bound):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(wl, "PACKED_KEY_BITS", bound)
-            tables = (joint_refine(g1, g2), refine_to_difference(g1, g2),
-                      wl._refine(g1, g2, None, False)[0])
+            early, levels = refine_to_difference(g1, g2)
+            tables = (joint_refine(g1, g2), early, wl._refine(g1, g2, None, False)[0])
         oracle = tuple_rounds(g1, g2, tables[0].max_recorded_level)
         for table in tables:
             for level, (defs, ranks) in enumerate(oracle[: len(table.levels)]):
                 assert table.levels[level].ranks == ranks, level
                 assert table.levels[level].classes == len(defs), level
-                assert table.defs_at(level) == defs, level
+        _matches_contract(g1, g2, early, levels)
 
     # 0 sends every unlabeled round with an edge to the tuple branch,
     # 10 ** 9 every one to the packed branch.
@@ -819,7 +819,13 @@ class TestPackedRounds:
     @pytest.mark.parametrize("bound", [0, 10 ** 9])
     @pytest.mark.parametrize("level", [5, 8])
     def test_replayed_levels_match_the_tuple_oracle(self, bound, level):
-        self._matches_oracle(*_caterpillar_pair(level), bound)
+        self._matches_oracle(*caterpillar_pair(level), bound)
+
+    @pytest.mark.parametrize("bound", [0, 10 ** 9])
+    @pytest.mark.parametrize("g", HUB_SHAPES)
+    def test_hub_levels_match_the_tuple_oracle(self, bound, g):
+        self._matches_oracle(g, shuffled(g, g.vertex_count), bound)
+        self._matches_oracle(g, _one_swap(g, random.Random(g.vertex_count)), bound)
 
     @PROPERTY_SETTINGS
     @given(st.data())
@@ -855,12 +861,11 @@ class TestPackedRounds:
     @PROPERTY_SETTINGS
     @given(graph_pairs())
     @example((TA, TB))
-    @example(_caterpillar_pair(5))
+    @example(caterpillar_pair(5))
     def test_refine_verdict_builds_no_label(self, pair):
         # Keys of graphs this small fit the bound, so every round packs, and
         # no label is read off the representatives.
         with pytest.MonkeyPatch.context() as mp:
-            self._forbid(mp, (LabelTable, "_derive"))
             kinds = _key_kinds(mp)
             for stop in (False, True):
                 refine_verdict(*pair, stop_at_difference=stop)
@@ -874,7 +879,9 @@ class TestPackedRounds:
             (tmp_path / name).write_text(
                 f"{g.vertex_count} {g.edge_count}\n"
                 + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)), encoding="utf-8")
-        self._forbid(monkeypatch, (LabelTable, "_derive"), (LabelTable, "defs_at"))
+        # refine_to_difference is the one reader of labels
+        self._forbid(monkeypatch, (wl, "refine_to_difference"),
+                     (synth, "refine_to_difference"))
         for flags in ([], ["--json"]):
             assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b"), *flags]) == 0
         capsys.readouterr()
@@ -882,16 +889,28 @@ class TestPackedRounds:
     @PROPERTY_SETTINGS
     @given(graph_pairs())
     @example((TA, TB))
-    @example(_caterpillar_pair(8))
+    @example(caterpillar_pair(8))
     def test_synthesize_reads_only_kept_labels(self, pair):
-        # refine_to_difference's rounds and replay keep every level's labels,
-        # which synthesize reads, so none is read off the representatives.
+        # synthesize lifts on exactly the labels refine_to_difference hands
+        # over, and no round it runs is keyed by labels.
+        handed, lifted = [], []
+
+        def recorded_refine(*args):
+            table, levels = refine_to_difference(*args)
+            handed.extend(labels for _, labels in levels)
+            return table, levels
+
+        def recorded_lift(labels, *args):
+            lifted.append(labels)
+            return lift(labels, *args)
+
         with pytest.MonkeyPatch.context() as mp:
-            self._forbid(mp, (LabelTable, "_derive"))
-            try:
-                cert = synthesize(*pair)
-            except InconclusiveError:
-                return
+            mp.setattr(synth, "refine_to_difference", recorded_refine)
+            mp.setattr(synth, "lift", recorded_lift)
+            kinds = _key_kinds(mp)
+            cert = synthesize(*pair)
+        assert lifted == handed[1:]
+        assert tuple not in kinds
         assert verify(cert, *pair)
 
     def test_wide_round_takes_the_tuple_branch(self, monkeypatch):
@@ -900,7 +919,7 @@ class TestPackedRounds:
         # whose keys would be R * width bits wide, sorts tuples.
         rng = random.Random(11)
         g = Graph(400, [e for e in combinations(range(400), 2) if rng.random() < 8 / 399])
-        h = _shuffled(g, 12)
+        h = shuffled(g, 12)
         kinds = _key_kinds(monkeypatch)
         table = joint_refine(g, h, max_level=3)
         # level 1 is keyed by degree, level 2 packed, level 3 by label
