@@ -8,12 +8,13 @@ at t that send its root to v. A leaf contributes 1 everywhere; otherwise
 
 and the unrooted count is the sum of entry(t, v) over all v. The DP runs on
 the succinct DAG directly: a child repeated with multiplicity m costs one
-exponentiation, never m subtree copies. `rooted_hom` is the only DP. It
-computes one vector per reachable node, a whole vector at a time: a
-child's neighbor sums over all vertices at once, then one elementwise
-power and product per child. A vertex's neighbor sum is read through the
-graph's gather (graphs.gather), which the graph builds on first use and
-keeps; no count is kept from one call to the next.
+exponentiation, never m subtree copies. `rooted_hom` is the DP of any
+tree, and synth.lift runs the same neighbor sums on a chain, one level at
+a time. `rooted_hom` computes one vector per reachable node, a whole
+vector at a time: a child's neighbor sums over all vertices at once, then
+one elementwise power and product per child. A vertex's neighbor sum is
+read through the graph's gather (graphs.gather), which the graph builds on
+first use and keeps; no count is kept from one call to the next.
 """
 
 from __future__ import annotations

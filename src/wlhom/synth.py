@@ -8,47 +8,50 @@ argument behind the label test / homomorphism-count correspondence:
   level 0: a lone leaf, the empty chain. Its count in a graph is the
   vertex count, and level 0 differs exactly when the vertex counts do.
 
-  level 1: stars. The rooted count of an n-leaf star at v is deg(v)^n, so
-  for every n the count is strictly increasing across level-1 classes. The
-  count vector s_1 holds each level-1 class's degree.
-
   level j -> j+1: the level-j tree is a root over copies of the level-(j-1)
-  tree; with one copy its counts are s_j, with m copies s_j^m. One more
-  root H_m above the m-copy tree has rooted count at v equal to the
-  neighbor sum of those counts, which depends only on v's level-(j+1)
-  label, the multiset labels[c] of its neighbors' level-j classes:
-  h(H_m, c) = sum over r in labels[c], with repeats, of s_j[r]^m.
-  Search m = 1, 2, ... on these sums until they are pairwise distinct over
-  the non-isolated level-(j+1) classes; its sums are s_(j+1). Distinct
-  values are all the final step needs (the linear-algebra view of Dell,
-  Grohe and Rattan, "Lovasz meets Weisfeiler and Leman", ICALP 2018); no
-  order is sought, so the classes may carry any names, and synthesize takes
-  the refinement driver's own (wl.refine_to_difference); wl's canonical
-  order is kept only for joint_refine and `wlhom labels`. The labels name
-  only non-isolated level-j classes, whose s_j are distinct and positive.
-  Write t(c) for the number of distinct classes in labels[c]; two classes
-  c, c' then differ by a nonzero exponential sum in m of at most
+  tree; with one copy its rooted count at a vertex v is s_j(v), with m
+  copies s_j(v)^m, and the leaf's is s_0 = 1. One more root above the
+  m-copy tree has rooted count s_(j+1)(v) = sum over neighbors w of v of
+  s_j(w)^m, the counting DP one level at a time, and lift computes it at
+  every vertex through the graphs' gathers. If s_j is constant on each
+  level-j class, s_(j+1)(v) is fixed by v's level-(j+1) label, the
+  multiset of its neighbors' level-j classes. So each candidate m = 1, 2,
+  ... is tried at one vertex of each level-(j+1) class only, until those
+  values are pairwise distinct over the non-isolated classes; an isolated
+  vertex counts 0, and every other vertex at least 1. Level 1 is the
+  degrees, s_1, the count of one root over one leaf, and the chain starts
+  at m_2. Distinct values are all the final step needs (the linear-algebra
+  view of Dell, Grohe and Rattan, "Lovasz meets Weisfeiler and Leman",
+  ICALP 2018); no order is sought, so the classes may carry any names, and
+  synthesize takes the refinement driver's own (wl.refine_to_difference);
+  wl's canonical order is kept only for joint_refine and `wlhom labels`.
+  Write t(c) for the number of distinct values s_j(w) over the neighbors w
+  of class c's vertex; when s_j is distinct over the level-j classes, two
+  classes c, c' then differ by a nonzero exponential sum in m of at most
   t(c) + t(c') terms, which by the generalized Descartes rule of signs
   (Polya-Szego, Problems and Theorems in Analysis II, Part V) has fewer
   real zeros than terms. Summed over the pairs of a class set S, some
   m <= 1 + (|S| - 1) * sum over c in S of t(c) works.
 
-  final: with distinct positive bases s_k[c], the difference of the two
-  histogram-weighted sums is sum_c delta(c) * s_k[c]^n. If it vanished for
-  n = 1..|S_k| the Vandermonde system would force every delta(c) to zero,
-  so the least separating n is found within |S_k| steps. The tree and its
-  two counts are the whole proof: no certificate byte names a class, and
-  every byte is the same under any renaming of the classes.
+  final: the chain's count in a graph is the sum over its vertices of
+  s_k(v)^n, so the two counts differ by sum_b delta(b) * b^n over the set
+  S_k of nonzero values b of s_k, where delta(b) is how many more vertices
+  of g1 than of g2 have s_k(v) = b. If it vanished for n = 1..|S_k| the
+  Vandermonde system would force every delta(b) to zero, so the least
+  separating n is found within |S_k| steps.
+  The tree and its two counts are the whole proof: no certificate byte
+  names a class, and every byte is the same under any renaming of the
+  classes.
 
-So the search runs on one count vector per level, indexed by class id and
-read from the level's labels alone, and the emitted tree is a chain: a leaf
-under roots repeating their one child m_2, ..., m_k and n times, and a
-certificate is that chain with the tree and its two counts. One graph DP of
-it per graph cross-checks the last vector, distinct and positive as lift
-accepts it or as degrees are: every vertex must carry its level-k class's
-count, or SynthesisInvariantError is raised and nothing is emitted. The
-vertex sums are then the histogram-weighted ones, as an isolated class's
-count is an empty degree or sum, and 0 ** n is 0.
+So the emitted tree is a chain: a leaf under roots repeating their one
+child m_2, ..., m_k and n times, and a certificate is that chain with the
+tree and its two counts. The counts are the tree's own, from the DP, so
+they hold by construction. What is checked, once per level, is the one
+fact the search relies on: the level's counts are constant on each of the
+driver's classes and distinct across them, which every true level-j
+partition gives. A driver whose partition is too coarse or too fine fails
+it, or the search, and SynthesisInvariantError is raised before anything
+is emitted.
 """
 
 from __future__ import annotations
@@ -56,9 +59,10 @@ from __future__ import annotations
 import json
 from collections import Counter, namedtuple
 from collections.abc import Sequence
+from itertools import repeat
 
-from .graphs import Graph, gather, quote, too_long
-from .homs import hom_count, rooted_hom
+from .graphs import Graph, quote, too_long
+from .homs import hom_count
 from .trees import TreeArena, parse_tree, serialize_tree
 from .wl import refine_to_difference, refine_verdict
 
@@ -206,51 +210,64 @@ def _chain(mults: Sequence[int]) -> tuple[TreeArena, int]:
 
 
 def lift(
-    labels: Sequence[Sequence[int]],
+    pair: tuple[Graph, Graph],
+    ids: Sequence[int],
     level: int,
     base: Sequence[int],
-    S: list[int],
-) -> tuple[int, tuple[int, ...]]:
-    """Least m >= 1 making the counts over S distinct, with the counts.
+) -> tuple[int, list[int]]:
+    """Least m >= 1 making the level's counts distinct over its classes, and
+    the counts at every vertex.
 
-    labels[c] holds the level-(level-1) classes of the neighbors of a vertex
-    of level-`level` class c, with repeats, in any order; `base` holds a
-    count per level-(level-1) class, S lists non-isolated level-`level`
-    classes, and the count of class c is the sum of base[r] ** m over r in
-    labels[c]: the rooted count of one root over m copies of a tree whose
-    level-(level-1) counts are `base`. Each candidate m sums one power
-    vector base ** m over every label of the level, read through one gather
-    per label built once per call, and the accepted sums are returned. By
-    the Descartes bound in the module docstring some m up to
-    1 + (|S| - 1) * sum over c in S of the number t(c) of distinct classes
-    in labels[c] works when `base` is distinct and positive on the classes
-    the labels refer to; past it, SynthesisInvariantError. As t(c) >= 1 on
-    S, the bound is at least 1 + (|S| - 1) * |S|, and it is computed only
-    once m reaches that. On return the sums over S are distinct and
-    positive, so synthesize takes the last lift's sums as its final bases
-    unchecked.
+    ids[v] is the level-`level` class of vertex v of G1 ⊔ G2, g2's vertices
+    after g1's, and base[v] the rooted count at v of a tree T, constant on
+    the level-(level-1) classes. The count at v is the sum of base[w] ** m
+    over the neighbors w of v: the rooted count of one root over m copies
+    of T. Each candidate m is tried at one vertex of each non-isolated class,
+    and the first whose values there are distinct is taken. By the
+    Descartes bound in the module docstring some m up to
+    1 + (|S| - 1) * sum over c in S of t(c) works for the non-isolated
+    classes S when `base` is distinct over the previous level's classes,
+    t(c) being the number of distinct base values among the neighbors of
+    c's vertex; past it, SynthesisInvariantError. As t(c) >= 1 on S, the
+    bound is at least 1 + (|S| - 1) * |S|, and it is computed only once m
+    reaches that. The taken m's counts are then computed at every vertex,
+    through each graph's gathers, and they must be constant on each class
+    and distinct across classes, or SynthesisInvariantError.
     """
+    g1, g2 = pair
+    n1, of_nbrs = g1.vertex_count, (*g1.gathers, *g2.gathers)
+    adjacency, rep_of = (*g1.adjacency, *g2.adjacency), dict(zip(ids, range(len(ids))))
+    S = [v for v in rep_of.values() if adjacency[v]]
     if not S:
-        raise ValueError("class set must be nonempty")
-    label_gathers = list(map(gather, labels))
-    values = [sum(of_label(base)) for of_label in label_gathers]
-    if min(values[c] for c in S) < 1:
-        raise SynthesisInvariantError(
-            f"nonpositive count at a non-isolated level-{level} class"
-        )
-    # b ** m > 0 exactly when b > 0, so later values stay positive.
-    m, powers, bound = 1, base, None
-    while len({values[c] for c in S}) < len(S):
+        raise ValueError("the level has no non-isolated class")
+    # g1's gathers index a vector over G1 ⊔ G2 itself, g2's its tail.
+    m, parts, bound = 1, (base, base[n1:]), None
+    while len({sum(of_nbrs[v](parts[v >= n1])) for v in S}) < len(S):
         if m > (len(S) - 1) * len(S):
-            bound = bound or 1 + (len(S) - 1) * sum(len(set(labels[c])) for c in S)
+            bound = bound or 1 + (len(S) - 1) * sum(
+                len(set(of_nbrs[v](parts[v >= n1]))) for v in S)
             if m == bound:
                 raise SynthesisInvariantError(
                     f"no m <= {bound} makes the level-{level} counts distinct"
                 )
         m += 1
-        powers = [p * b for p, b in zip(powers, base)]
-        values = [sum(of_label(powers)) for of_label in label_gathers]
-    return m, tuple(values)
+        powers = list(map(pow, base, repeat(m)))
+        parts = (powers, powers[n1:])
+    counts = [sum(of(parts[0])) for of in g1.gathers]
+    counts += [sum(of(parts[1])) for of in g2.gathers]
+    _one_per_class(ids, counts, level)
+    return m, counts
+
+
+def _one_per_class(ids: Sequence[int], counts: list[int], level: int) -> None:
+    """Raise SynthesisInvariantError unless the counts are constant on each
+    level-`level` class of ids and distinct across classes."""
+    count_of = dict(zip(ids, counts))
+    if (list(map(count_of.__getitem__, ids)) != counts
+            or len(set(count_of.values())) < len(count_of)):
+        raise SynthesisInvariantError(
+            f"the level-{level} counts are not one per class"
+        )
 
 
 def synthesize(
@@ -262,47 +279,39 @@ def synthesize(
 
     Refinement (refine_to_difference) runs refine_verdict's driver, so an
     equivalent pair costs about what refine_verdict does, and on a pair
-    first differing at level k hands over the driver's class ids and labels
-    at levels 1..k. Each graph's level-k histogram over non-isolated
-    classes is read only to choose n; no certificate byte depends on how
-    classes are named. If no level differs up to stabilization, the graphs
-    are equivalent; reaching max_level first raises InconclusiveError. At
+    first differing at level k hands over the driver's class ids at levels
+    1..k. If no level differs up to stabilization, the graphs are
+    equivalent; reaching max_level first raises InconclusiveError. At
     k = 0 the vertex counts differ and the empty chain, a lone leaf,
-    distinguishes. Otherwise the construction runs at level k; the chain is
-    the m each lift chose, then n. The emitted tree is counted once per
-    graph, with one DP each, and checked per vertex against the level-k
-    counts.
+    distinguishes. Otherwise level 1's counts are the degrees, one lift per
+    level from 2 on computes that level's counts at every vertex, and each
+    level's counts are checked against its classes; the chain is the m
+    each lift chose, then the least n whose powers of the level-k counts
+    sum differently over the two graphs. Those sums are the tree's counts,
+    and no certificate byte depends on how classes are named.
     """
     table, levels = refine_to_difference(g1, g2, max_level)
     if not table.distinguished:
         if not table.complete:
             raise InconclusiveError(f"inconclusive: no verdict by level {max_level}")
         return Certificate()
-    k = table.distinguishing_level
-    if k == 0:
-        return Certificate((), serialize_tree(*_chain(())),
-                           g1.vertex_count, g2.vertex_count)
-    # s_1: a one-leaf star counts neighbors, the degree each class defines.
-    counts = [len(label) for label in levels[0][1]]
+    n1 = g1.vertex_count
+    if table.distinguishing_level == 0:
+        return Certificate((), serialize_tree(*_chain(())), n1, g2.vertex_count)
+    # s_1, the count of a root over one leaf, is the degree.
+    counts = [len(nbrs) for g in (g1, g2) for nbrs in g.adjacency]
+    _one_per_class(levels[0], counts, 1)
     lifts = []
-    for lvl, (_, labels) in enumerate(levels[1:], 2):
-        # A class is non-isolated exactly when its label is non-empty.
-        m, counts = lift(labels, lvl, counts, [c for c, label in enumerate(labels) if label])
+    for level, ids in enumerate(levels[1:], 2):
+        m, counts = lift((g1, g2), ids, level, counts)
         lifts.append(m)
 
-    # Histograms over non-isolated vertices: at levels >= 1 a vertex is
-    # isolated exactly when its label is the empty multiset. The vertex
-    # counts agree, and so do the isolated ones at every level >= 1, so
-    # these differ at k; refinement that breaks this fails the n-search.
-    ids, labels = levels[-1]
-    n1 = g1.vertex_count
-    parts = (ids[:n1], ids[n1:])
-    hist1, hist2 = ({c: count for c, count in Counter(part).items() if labels[c]}
-                    for part in parts)
+    # The chain's rooted count at v is s_k(v) ** n, 0 at an isolated vertex.
+    hist1, hist2 = (Counter(filter(None, part)) for part in (counts[:n1], counts[n1:]))
     s_k = hist1.keys() | hist2.keys()
     for n in range(1, len(s_k) + 1):
-        c1 = sum(count * counts[c] ** n for c, count in hist1.items())
-        c2 = sum(count * counts[c] ** n for c, count in hist2.items())
+        c1 = sum(count * b ** n for b, count in hist1.items())
+        c2 = sum(count * b ** n for b, count in hist2.items())
         if c1 != c2:
             break
     else:
@@ -310,17 +319,7 @@ def synthesize(
             f"no separating n within |S_k| = {len(s_k)} steps"
         )
     chain = (*lifts, n)
-    arena, t = _chain(chain)
-    # The tree's count at a vertex is fixed by its level-k label, so each
-    # vertex must carry the count of its class, in either graph.
-    expected = [c ** n for c in counts]
-    for which, (graph, part) in enumerate(zip((g1, g2), parts)):
-        if rooted_hom(arena, t, graph) != tuple(map(expected.__getitem__, part)):
-            raise SynthesisInvariantError(
-                f"graph {which + 1} counts of the emitted tree disagree with "
-                f"the level-{k} counts"
-            )
-    return Certificate(chain, serialize_tree(arena, t), c1, c2)
+    return Certificate(chain, serialize_tree(*_chain(chain)), c1, c2)
 
 
 def verify(cert: Certificate, g1: Graph, g2: Graph) -> bool:

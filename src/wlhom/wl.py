@@ -79,14 +79,13 @@ the largest pieces share their next label, and no other vertex has it. The
 pieces are read off the joint ranks, since past the first difference a class
 can hold unequal numbers of the two graphs' vertices.
 
-synthesize needs, at each level up to the first differing one, only values
+synthesize needs, at each level up to the first differing one, only counts
 that are distinct over the level's classes, so any names for the classes
 serve, and refine_to_difference hands it the driver's own: the canonical
 ranks up to the hand-over, then the worklist's ids, each level's read by
 giving the pieces that moved in its round their ids on the level before.
-All vertices of a class share one neighbor multiset over the previous
-level's classes, so one representative's neighbors' previous ids, in
-adjacency order and unsorted, are the class's label.
+It hands over no label: synthesize computes each level's counts at every
+vertex, with synth.lift from level 2 on, and checks them against these ids.
 """
 
 from __future__ import annotations
@@ -378,30 +377,21 @@ def refine_to_difference(g1: Graph, g2: Graph,
                          max_level: int | None = None) -> tuple[LabelTable, list]:
     """The driver's table, stopped at the first difference k as
     refine_verdict(..., stop_at_difference=True) is, and on a distinguished
-    pair its levels 1..k as (ids, labels); [] on any other.
+    pair the class ids of its levels 1..k; [] on any other.
 
     ids[v] is the class id of vertex v of G1 ⊔ G2, g2's vertices after
     g1's: its canonical rank up to the hand-over, then its worklist id, the
-    ids being 0 .. C - 1 for C classes. labels[c] is the previous level's
-    ids of the neighbors of one vertex of class c, in adjacency order; all
-    of the class share that multiset.
+    ids being 0 .. C - 1 for C classes.
     """
     table, rounds = _refine(g1, g2, max_level, True)
     if not table.distinguished:
         return table, []
     # Past the hand-over, each round's moved pieces take their new ids.
-    ids = [level.ranks for level in table.levels]
-    color = list(ids[-1])
+    levels = [level.ranks for level in table.levels[1:]]
+    color = list(table.levels[-1].ranks)
     for moved in rounds:
         for q, piece in moved.items():
             for v in piece:
                 color[v] = q
-        ids.append(tuple(color))
-    n1, of_nbrs = g1.vertex_count, (*g1.gathers, *g2.gathers)
-    levels = []
-    for prev, cur in zip(ids, ids[1:]):
-        # g1's gathers index prev itself, g2's its tail.
-        parts, rep_of = (prev, prev[n1:]), dict(zip(cur, range(len(cur))))
-        levels.append((cur, [of_nbrs[v](parts[v >= n1])
-                             for v in map(rep_of.__getitem__, range(len(rep_of)))]))
+        levels.append(tuple(color))
     return table, levels

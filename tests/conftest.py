@@ -136,20 +136,20 @@ def tuple_rounds(g1: Graph, g2: Graph, levels: int) -> list:
     return out
 
 
-def force_labels(monkeypatch, defs, ranks) -> None:
+def force_ids(monkeypatch, ids) -> None:
     """Make synthesize read the given levels instead of refining.
 
-    defs[i] and ranks[i] are the labels and the per-graph class ids (g1's,
-    g2's) of level i + 1, joined into the one id vector of a level of
-    wl.refine_to_difference, and the last level is reported as the first
-    differing one. The labels need not be any vertex's.
+    ids[i] holds the class ids of level i + 1 per graph (g1's, g2's),
+    joined into the one id vector of a level of wl.refine_to_difference,
+    and the last level is reported as the first differing one. The ids
+    need not be any true partition's.
     """
 
     def fake_refine(g1, g2, *args, **kwargs):
         level0 = LevelLabels(ranks=(0,) * (g1.vertex_count + g2.vertex_count), classes=1)
         table = LabelTable(graphs=(g1, g2), levels=[level0],
-                           distinguishing_level=len(defs))
-        return table, [((*r1, *r2), d) for d, (r1, r2) in zip(defs, ranks)]
+                           distinguishing_level=len(ids))
+        return table, [(*r1, *r2) for r1, r2 in ids]
 
     monkeypatch.setattr(synth, "refine_to_difference", fake_refine)
 

@@ -43,7 +43,7 @@ from .conftest import (
     Graph,
     build_shape,
     enumerate_graphs,
-    force_labels,
+    force_ids,
     rooted_tree_shapes,
     shape_depth,
     star_graph,
@@ -213,11 +213,11 @@ def test_criterion_08_level2_pair():
 
 @criterion(9, "structural identities hold on a corpus and trip when forced")
 def test_criterion_09_invariants():
-    # the positivity, distinctness and n-within-|S_k| checks and the
-    # end-of-run graph DP (every vertex's count in either graph equal to
-    # its level-k rank's count, which makes the whole-graph counts the
-    # certificate's, as an isolated rank counts 0) run inside synthesize;
-    # completing without SynthesisInvariantError means they all held
+    # the per-level partition check (each lift's counts, computed at every
+    # vertex of both graphs, are constant on each of the level's classes
+    # and distinct across them), the Descartes bound of the m-search and
+    # the n-within-|S_k| check run inside synthesize; completing without
+    # SynthesisInvariantError means they all held
     rnd = random.Random(9)
     runs = 0
     for _ in range(80):
@@ -229,10 +229,10 @@ def test_criterion_09_invariants():
         runs += 1
     assert runs == 83
 
-    # forcing a violation: labels that claim one joint rank across graphs
+    # forcing a violation: ids that claim one joint class across graphs
     # with different counts must abort synthesize
     with pytest.MonkeyPatch.context() as mp:
-        force_labels(mp, [((0,),)], [((0, 0), (0, 0, 0))])
+        force_ids(mp, [((0, 0), (0, 0, 0))])
         with pytest.raises(SynthesisInvariantError):
             synthesize(K2, C3)
 

@@ -113,10 +113,10 @@ class TestOrderingLemma:
         labels = joint_refine(g1, g2, max_level=2)
         if labels.max_recorded_level < 2:
             return
-        _, (defs1, _), (defs2, _) = tuple_rounds(g1, g2, 2)
-        S = [r for r, label in enumerate(defs2) if label]
-        if not S:
+        _, (defs1, _), (defs2, ranks2) = tuple_rounds(g1, g2, 2)
+        if not any(defs2):
             return
         m_order, _ = ordering_lift(defs2, degree_counts(defs1))
-        m_lift, _ = lift(defs2, 2, degree_counts(defs1), S)
+        degrees = [len(nbrs) for g in (g1, g2) for nbrs in g.adjacency]
+        m_lift, _ = lift((g1, g2), ranks2, 2, degrees)
         assert m_order >= m_lift

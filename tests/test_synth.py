@@ -33,9 +33,12 @@ from wlhom import (
     synthesize,
     verify,
 )
+from wlhom import graphs as graphs_module
+from wlhom import homs as homs_module
 from wlhom import synth as synth_module
 from wlhom.cli import main
 from wlhom import wl
+from wlhom.graphs import gather
 
 from .conftest import (
     C3,
@@ -51,7 +54,7 @@ from .conftest import (
     disjoint_union,
     caterpillar_pair,
     early_table,
-    force_labels,
+    force_ids,
     graphs,
     isolated_vertices,
     star_graph,
@@ -102,90 +105,92 @@ def _joint_counts(arena, t, labels, level):
     return merged
 
 
-def _chain_counts(labels, level, mults):
-    """Rooted counts by level-`level` rank of the chain, from the graph DP."""
+def _vertex_counts(pair, mults):
+    """Rooted counts of the chain at every vertex of G1 ⊔ G2, g2's vertices
+    after g1's, from the graph DP."""
     arena = TreeArena()
-    return _joint_counts(arena, _chain(arena, mults), labels, level)
+    t = _chain(arena, mults)
+    return [count for g in pair for count in rooted_hom(arena, t, g)]
 
 
-def _labels(table, level):
-    """The oracle's labels of a level of the table's pair, by rank."""
-    return tuple_rounds(*table.graphs, level)[level][0]
-
-
-def _degrees(labels):
-    """Level-1 counts of the one-leaf star, indexed by rank."""
-    by_rank = _chain_counts(labels, 1, (1,))
-    return [by_rank[r] for r in range(len(by_rank))]
+def _degrees(pair):
+    """Level-1 counts of the one-leaf star at every vertex."""
+    return _vertex_counts(pair, (1,))
 
 
 class TestLift:
     def test_k13_p4_level2(self):
-        # least m making the counts of all non-isolated level-2 ranks of the
-        # joint K1,3 / P4 labeling distinct; frozen after exact
+        # least m making the counts of all non-isolated level-2 classes of
+        # the joint K1,3 / P4 labeling distinct; frozen after exact
         # computation: m = 2
-        table = joint_refine(K13, P4)
-        m, counts = lift(_labels(table, 2), 2, _degrees(table), _nonisolated_ranks(table, 2))
+        pair = (K13, P4)
+        m, counts = lift(pair, joint_refine(*pair).levels[2].ranks, 2, _degrees(pair))
         assert m == 2
-        assert dict(enumerate(counts)) == _chain_counts(table, 2, (2, 1))
+        assert counts == _vertex_counts(pair, (2, 1))
 
     def test_single_rank_vacuous(self):
-        # one non-isolated rank at level 2: its count is trivially
+        # one non-isolated class at level 2: its count is trivially
         # distinct, so m = 1
         g = disjoint_union(cycle_graph(3), empty_graph(1))
         table = joint_refine(g, g)
-        s = _nonisolated_ranks(table, 2)
-        assert len(s) == 1
-        m, _ = lift(_labels(table, 2), 2, _degrees(table), s)
+        assert len(_nonisolated_ranks(table, 2)) == 1
+        m, _ = lift((g, g), table.levels[2].ranks, 2, _degrees((g, g)))
         assert m == 1
 
     def test_multiplicity_only_pair_separates_at_m1(self):
-        # within the T_A / T_B joint labels, the two level-2 labels whose
-        # defs differ only in the multiplicity of the top level-1 rank
-        # (neighbor-degree multisets {2,1,1} vs {2,2,1}) already have
-        # distinct counts under H_1
-        table = joint_refine(TA, TB)
-        defs = _labels(table, 2)
-        pair = [r for r in _nonisolated_ranks(table, 2)
-                if defs[r].count(1) in (1, 2) and len(defs[r]) == 3]
-        assert len(pair) == 2
-        m, _ = lift(defs, 2, _degrees(table), pair)
+        # Vertices 0 and 4 have degree 3 and neighbors of degrees {2, 1, 1}
+        # and {2, 2, 1}, labels that differ only in the multiplicity of the
+        # top level-1 class. With counts 10, 2 and 1 on the degree-3, -2
+        # and -1 classes, their sums 4 and 5 already differ under H_1, as
+        # do all of the level's six classes.
+        g = Graph(8, [(0, 1), (0, 2), (0, 3), (1, 4), (4, 5), (4, 6), (5, 7)])
+        pair = (g, empty_graph())
+        ids = joint_refine(*pair, max_level=2).levels[2].ranks
+        base = [{3: 10, 2: 2, 1: 1}[degree] for degree in _degrees(pair)]
+        m, counts = lift(pair, ids, 2, base)
         assert m == 1
+        assert (counts[0], counts[4], len(set(ids))) == (4, 5, 6)
 
     def test_rejects_empty_rank_set(self):
-        table = joint_refine(K13, P4)
+        pair = (empty_graph(2), empty_graph(2))
         with pytest.raises(ValueError):
-            lift(_labels(table, 2), 2, _degrees(table), [])
+            lift(pair, (0,) * 4, 1, (1,) * 4)
 
     def test_shared_definition_stops_at_the_descartes_bound(self):
-        # ranks 0 and 1 share a definition, so their counts agree at every
-        # m; the search gives up at 1 + (|S| - 1) * the sum over S of the
-        # distinct ranks in defs[r] = 1 + 2 * (3 + 3 + 1) = 15 candidates
-        label = (2, 2, 2, 1, 1, 0)
+        # Classes 0 and 1, vertices 0 and 1, share their neighbors 3..8, so
+        # their counts agree at every m: a partition too fine. Class 2 holds
+        # every other vertex, each with neighbors of one count. The search
+        # gives up at 1 + (|S| - 1) * the sum over S of the distinct
+        # neighbor counts = 1 + 2 * (3 + 3 + 1) = 15 candidates.
+        shared = [(u, w) for u in (0, 1) for w in range(3, 9)]
+        g = Graph(14, shared + [(2, w) for w in range(9, 14)])
+        base = (1, 1, 1, 3, 3, 3, 2, 2, 1, 1, 1, 1, 1, 1)
         with pytest.raises(SynthesisInvariantError, match="^no m <= 15 "):
-            lift((label, label, (0,) * 5), 2, [1, 2, 3], [0, 1, 2])
+            lift((g, empty_graph()), (0, 1) + (2,) * 12, 2, base)
 
     def test_isolated_rank_trips_invariant(self):
+        # one class for every vertex, the isolated one included: its count
+        # is 0 where the others' are 2
         g = disjoint_union(cycle_graph(3), empty_graph(1))
-        table = joint_refine(g, cycle_graph(3))
-        ranks = sorted(set(table.ranks_at(0, 2)))  # includes the empty label
-        assert len(ranks) == 2
-        with pytest.raises(SynthesisInvariantError):
-            lift(_labels(table, 2), 2, _degrees(table), ranks)
+        pair = (g, cycle_graph(3))
+        with pytest.raises(SynthesisInvariantError, match="not one per class"):
+            lift(pair, (0,) * 7, 1, (1,) * 7)
 
 
-def _reference_lift(labels, level, S, lower):
+def _reference_lift(pair, ids, S, lower):
     """The m-search by definition: build every H_m, count it on the graphs.
 
     H_m is one root over m copies of the chain `lower` chose at the levels
-    below; returns m and the graph DP's counts of H_m by level-`level` rank.
+    below; returns m and the graph DP's counts of H_m by class of `ids`,
+    the level's class at every vertex, once the counts over the
+    non-isolated classes S are distinct.
     """
     for m in range(1, 10_001):
-        by_rank = _chain_counts(labels, level, (*lower, m, 1))
-        values = [by_rank[rank] for rank in S]
+        by_class = dict(zip(ids, _vertex_counts(pair, (*lower, m, 1))))
+        values = [by_class[c] for c in S]
         assert min(values) >= 1
         if len(set(values)) == len(values):
-            return m, by_rank
+            return m, by_class
     raise AssertionError("no m <= 10000 makes the counts distinct")
 
 
@@ -233,13 +238,13 @@ class TestLiftSearch:
     def test_matches_reference_search(self, pair):
         labels, ranks = _first_nonisolated_difference(*pair)
         assume(ranks is not None and len(ranks) >= 2)
-        counts, lower = _degrees(labels), ()
-        oracle = tuple_rounds(*pair, len(ranks))
+        counts, lower = _degrees(pair), ()
         for level in range(2, len(ranks) + 1):
-            m, counts = lift(oracle[level][0], level, counts, ranks[level])
-            ref_m, ref_counts = _reference_lift(labels, level, ranks[level], lower)
+            ids = labels.levels[level].ranks
+            m, counts = lift(pair, ids, level, counts)
+            ref_m, ref_counts = _reference_lift(pair, ids, ranks[level], lower)
             assert m == ref_m
-            assert dict(enumerate(counts)) == ref_counts
+            assert counts == list(map(ref_counts.__getitem__, ids))
             lower += (m,)
 
     def test_rejected_candidates_build_nothing(self, monkeypatch):
@@ -671,8 +676,9 @@ class TestInvariantMachinery:
 
 
 class TestQuotient:
-    # The count vectors synthesize keeps per level: for a chain with
-    # multiplicities (a_1, ..., a_d) above a leaf, entry(rank) at level L is
+    # The count vectors of a chain by class, read off the canonical labels
+    # alone: for a chain with multiplicities (a_1, ..., a_d) above a leaf,
+    # entry(rank) at level L is
     # (sum over r in defs_L[rank], with repeats, of entry(r) at level L-1)
     # ** a_d,
     # down to 1 at every level-(L-d) rank.
@@ -699,54 +705,51 @@ class TestQuotient:
     @pytest.mark.parametrize("g1, g2, m_per_level", [(TA, TB, (3,)), (K13, P4, ())])
     def test_graph_dp_covers_only_the_emitted_tree(self, monkeypatch, g1, g2,
                                                    m_per_level):
-        calls = []
+        # The lifts are the emitted tree's DP, one level at a time, so
+        # synthesize runs no rooted_hom, and on fresh copies of the graphs
+        # it builds no gather but the graphs' own, one per vertex, and
+        # those only when a lift runs, from level 2 on.
+        g1, g2 = (Graph(g.vertex_count, g.edges) for g in (g1, g2))
+        dp_calls, gathered = [], []
 
-        def counting_rooted_hom(arena, t, graph):
-            calls.append((serialize_tree(arena, t), graph))
-            return rooted_hom(arena, t, graph)
+        def counting_rooted_hom(*args):
+            dp_calls.append(args)
+            return rooted_hom(*args)
 
-        monkeypatch.setattr(synth_module, "rooted_hom", counting_rooted_hom)
+        def counting_gather(idx):
+            gathered.append(idx)
+            return gather(idx)
+
+        monkeypatch.setattr(homs_module, "rooted_hom", counting_rooted_hom)
+        monkeypatch.setattr(graphs_module, "gather", counting_gather)
         cert = synthesize(g1, g2)
+        monkeypatch.undo()
         assert cert.chain[:-1] == m_per_level
-        assert [graph for _, graph in calls] == [g1, g2]
-        assert all(text == cert.tree_text for text, _ in calls)
+        assert dp_calls == []
+        assert gathered == ([*g1.adjacency, *g2.adjacency] if m_per_level else [])
+        assert verify(cert, g1, g2)
 
-    @pytest.mark.parametrize("defs, ranks", [
-        # Each case gives the definitions and the ranks of every level from
-        # 1 up; the pair is P4 / K1,3 for 4-vertex ranks, else T_A / T_B.
-        # Level 1: rank 1 says degree 2 but also holds K1,3's center, of
-        # degree 3.
-        ((((0,), (0, 0)),), (((0, 1, 1, 0), (1, 0, 0, 0)),)),
-        # Level 1: a truthful partition whose rank-2 definition claims
-        # degree 4.
-        ((((0,), (0, 0), (0, 0, 0, 0)),),
-         (((0, 1, 1, 0), (2, 0, 0, 0)),)),
-        # Level 2, first differing there: the top rank, T_B's vertex 2,
-        # claims two neighbors of degree 2 where it has one. Its count stays
-        # apart from the other ranks', so the lift still succeeds.
-        ((((0,), (0, 0), (0, 0, 0)),
-          ((1,), (1, 0), (1, 0, 0), (1, 1, 0), (2,), (2, 0), (2, 1, 1))),
-         (((0, 1, 2, 1, 0, 0), (0, 1, 1, 2, 0, 0)),
-          ((0, 5, 3, 5, 0, 4), (0, 1, 6, 2, 4, 4)))),
-        # Level 1, K2 / C3: one joint rank claims degree 1 for all five
-        # vertices, true in K2 but not in C3.
-        ((((0,),),), (((0, 0), (0, 0, 0)),)),
-        # Level 1, K2 / C3: the joint rank 0 again claims degree 1 for a C3
-        # vertex, and the other two claim degrees 2 and 3, so both graphs'
-        # totals are right and only the per-vertex check sees it.
-        ((((0,), (0, 0), (0, 0, 0)),), (((0, 0), (0, 1, 2)),)),
-        # Level 1, P4 / K1,3, reported first differing with equal
-        # non-isolated histograms: no n separates the pair.
-        ((((0,), (0, 0)),), (((0, 1, 1, 0), (0, 1, 1, 0)),)),
-        # Level 1, P4 / K1,3: ranks 0 and 1 both claim degree 1, and rank 1
-        # holds P4's middle vertices, of degree 2. The bases repeat, which
-        # no true table gives; the per-vertex check refuses the claim.
-        ((((0,), (0,), (0, 0, 0)),), (((0, 1, 1, 0), (2, 0, 0, 0)),)),
-    ])
-    def test_end_of_run_check_is_live(self, monkeypatch, tmp_path, capsys,
-                                      defs, ranks):
-        g1, g2 = {2: (K2, C3), 4: (P4, K13)}.get(len(ranks[0][0]), (TA, TB))
-        force_labels(monkeypatch, defs, ranks)
+    @pytest.mark.parametrize("ids", [
+        # Each case gives the class ids per graph of every level from 1 up,
+        # on K2 / C3 for 2-vertex ids, else on P4 / K1,3.
+        # Class 1 holds P4's middle vertices, of degree 2, and K1,3's
+        # center, of degree 3.
+        (((0, 1, 1, 0), (1, 0, 0, 0)),),
+        # One class for all five vertices, of degrees 1 and 2.
+        (((0, 0), (0, 0, 0)),),
+        # Class 0 holds K2's vertices, of degree 1, and one C3 vertex, and
+        # C3's other two, of degree 2 as well, are split apart.
+        (((0, 0), (0, 1, 2)),),
+        # Reported first differing: K1,3's center shares class 0 with a leaf
+        # and P4's ends, and class 1 holds the other leaves and P4's middle.
+        (((0, 1, 1, 0), (0, 1, 1, 0)),),
+        # Too fine: C3's vertices, all of degree 2, in two classes.
+        (((0, 0), (1, 1, 2)),),
+    ], ids=["coarse", "one-class", "coarse-and-fine", "center-with-leaves",
+            "too-fine"])
+    def test_partition_check_is_live(self, monkeypatch, tmp_path, capsys, ids):
+        g1, g2 = {2: (K2, C3), 4: (P4, K13)}[len(ids[0][0])]
+        force_ids(monkeypatch, ids)
         with pytest.raises(SynthesisInvariantError):
             synthesize(g1, g2)
         a, b, out = tmp_path / "a", tmp_path / "b", tmp_path / "cert.json"
@@ -770,8 +773,7 @@ class TestNamingInvariance:
         rounds = tuple_rounds(g1, g2, plain.level)[1:]
         n1 = g1.vertex_count
         with pytest.MonkeyPatch.context() as mp:
-            force_labels(mp, [defs for defs, _ in rounds],
-                         [(ranks[:n1], ranks[n1:]) for _, ranks in rounds])
+            force_ids(mp, [(ranks[:n1], ranks[n1:]) for _, ranks in rounds])
             forced = synthesize(g1, g2)
         assert certificate_to_json(forced) == certificate_to_json(plain)
         return plain
@@ -786,7 +788,7 @@ class TestNamingInvariance:
     def test_caterpillar_pairs(self, level):
         # Past the hand-over the driver's ids are not the canonical ranks.
         g1, g2 = caterpillar_pair(level)
-        ids, _ = wl.refine_to_difference(g1, g2)[1][-1]
+        ids = wl.refine_to_difference(g1, g2)[1][-1]
         assert ids != tuple_rounds(g1, g2, level)[level][1]
         assert self._same_certificate(g1, g2).level == level
 
@@ -843,6 +845,64 @@ class TestDriverFault:
         b.write_text(serialize_graph(g2), encoding="utf-8")
         with pytest.MonkeyPatch.context() as mp:
             _lose_one_piece(mp, split)
+            assert main(["synthesize", str(a), str(b), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+def _split_one_vertex(mp, split: int) -> None:
+    """Make the worklist's `split`-th class split that moves pieces also
+    move one vertex of the class's kept part, alone: that round's partition
+    is too fine."""
+    moving_pieces, splits = wl._moving_pieces, []
+
+    def splitting(members, pieces):
+        moving = moving_pieces(members, pieces)
+        if moving:
+            splits.append(moving)
+            if len(splits) == split:
+                moving.append([min(members.difference(*moving))])
+        return moving
+
+    mp.setattr(wl, "_moving_pieces", splitting)
+
+
+class TestTooFinePartition:
+    """A refinement driver whose partition is too fine makes synthesize
+    raise, never emit a wrong distinguishing claim."""
+
+    @PROPERTY_SETTINGS
+    @given(st.one_of(st.tuples(graphs(max_vertices=8), graphs(max_vertices=8)),
+                     swapped_pairs()),
+           st.integers(1, 3))
+    @example(caterpillar_pair(5), 1)
+    @example(caterpillar_pair(8), 3)
+    def test_no_wrong_distinguishing_claim(self, pair, split):
+        with pytest.MonkeyPatch.context() as mp:
+            _split_one_vertex(mp, split)
+            try:
+                cert = synthesize(*pair)
+            except SynthesisInvariantError:
+                return
+        if cert.chain is not None:
+            assert verify(cert, *pair)
+
+    @pytest.mark.parametrize("split", [1, 2, 3])
+    @pytest.mark.parametrize("level", [5, 8])
+    def test_caterpillar_pair_raises(self, tmp_path, capsys, level, split):
+        # Frozen after exact computation: no m separates the split vertex's
+        # class from the rest of its old one.
+        g1, g2 = caterpillar_pair(level)
+        with pytest.MonkeyPatch.context() as mp:
+            _split_one_vertex(mp, split)
+            with pytest.raises(SynthesisInvariantError,
+                               match=f"^no m <= {113 if split == 3 else 61} "):
+                synthesize(g1, g2)
+        a, b, out = tmp_path / "a", tmp_path / "b", tmp_path / "cert.json"
+        a.write_text(serialize_graph(g1), encoding="utf-8")
+        b.write_text(serialize_graph(g2), encoding="utf-8")
+        with pytest.MonkeyPatch.context() as mp:
+            _split_one_vertex(mp, split)
             assert main(["synthesize", str(a), str(b), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()

@@ -470,19 +470,15 @@ def _agrees_with_oracle(g1, g2, max_levels=(None, 0, 1, 2, 3)):
 
 def _matches_contract(g1, g2, table, levels):
     """refine_to_difference's return against the tuple oracle: levels 1..k
-    on a pair first differing at k, else none; at each, the ids induce the
-    oracle's partition, and each class's label, renamed through the level
-    before's bijection and sorted descending, is the oracle's label."""
+    on a pair first differing at k, else none; at each, the ids, 0 .. C - 1
+    for C classes, induce the oracle's partition."""
     k = table.distinguishing_level
     assert len(levels) == (k or 0)
-    rank_of = {0: 0}
-    for (ids, labels), (defs, ranks) in zip(levels, tuple_rounds(g1, g2, k or 0)[1:]):
-        prev, rank_of = rank_of, dict(zip(ids, ranks))
+    for ids, (defs, ranks) in zip(levels, tuple_rounds(g1, g2, k or 0)[1:]):
+        rank_of = dict(zip(ids, ranks))
         assert tuple(map(rank_of.__getitem__, ids)) == ranks
-        assert sorted(rank_of) == list(range(len(labels)))
-        assert len(set(rank_of.values())) == len(labels) == len(defs)
-        for c, label in enumerate(labels):
-            assert tuple(sorted(map(prev.__getitem__, label), reverse=True)) == defs[rank_of[c]]
+        assert sorted(rank_of) == list(range(len(defs)))
+        assert len(set(rank_of.values())) == len(defs)
 
 
 def _with_hub(g):
@@ -682,8 +678,8 @@ class TestRefineToDifference:
     def test_caterpillar_relabels_after_hand_over(self, level, canonical_rounds):
         g1, g2 = caterpillar_pair(level)
         table, levels = refine_to_difference(g1, g2)
-        # Round 1 moves only the leaves and the branch vertices, so levels
-        # 2..level come from the worklist and one representative per class.
+        # Round 1 moves only the leaves and the branch vertices, so the ids
+        # of levels 2..level are the worklist's.
         assert len(canonical_rounds) == 1
         assert table.distinguishing_level == level
         assert table.levels == early_table(g1, g2).levels[:2]
@@ -789,8 +785,8 @@ def _key_kinds(mp):
 class TestPackedRounds:
     """A canonical round keys a vertex by its count vector packed into one
     integer, or by its label past PACKED_KEY_BITS; a level records its
-    ranks and class count. refine_to_difference reads each level's labels
-    off one vertex per class, whatever the canonical rounds keyed by."""
+    ranks and class count. refine_to_difference's ids induce each level's
+    partition, whatever the canonical rounds keyed by."""
 
     @staticmethod
     def _matches_oracle(g1, g2, bound):
@@ -864,7 +860,7 @@ class TestPackedRounds:
     @example(caterpillar_pair(5))
     def test_refine_verdict_builds_no_label(self, pair):
         # Keys of graphs this small fit the bound, so every round packs, and
-        # no label is read off the representatives.
+        # none is keyed by labels.
         with pytest.MonkeyPatch.context() as mp:
             kinds = _key_kinds(mp)
             for stop in (False, True):
@@ -879,7 +875,8 @@ class TestPackedRounds:
             (tmp_path / name).write_text(
                 f"{g.vertex_count} {g.edge_count}\n"
                 + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)), encoding="utf-8")
-        # refine_to_difference is the one reader of labels
+        # compare refines with refine_verdict alone, never with
+        # synthesize's refine_to_difference
         self._forbid(monkeypatch, (wl, "refine_to_difference"),
                      (synth, "refine_to_difference"))
         for flags in ([], ["--json"]):
@@ -891,18 +888,19 @@ class TestPackedRounds:
     @example((TA, TB))
     @example(caterpillar_pair(8))
     def test_synthesize_reads_only_kept_labels(self, pair):
-        # synthesize lifts on exactly the labels refine_to_difference hands
-        # over, and no round it runs is keyed by labels.
+        # synthesize lifts on exactly the class ids refine_to_difference
+        # hands over past level 1, whose counts are the degrees, and no
+        # round it runs is keyed by labels.
         handed, lifted = [], []
 
         def recorded_refine(*args):
             table, levels = refine_to_difference(*args)
-            handed.extend(labels for _, labels in levels)
+            handed.extend(levels)
             return table, levels
 
-        def recorded_lift(labels, *args):
-            lifted.append(labels)
-            return lift(labels, *args)
+        def recorded_lift(pair, ids, *args):
+            lifted.append(ids)
+            return lift(pair, ids, *args)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(synth, "refine_to_difference", recorded_refine)
