@@ -23,8 +23,10 @@ argument behind the label test / homomorphism-count correspondence:
   at m_2. Distinct values are all the final step needs (the linear-algebra
   view of Dell, Grohe and Rattan, "Lovasz meets Weisfeiler and Leman",
   ICALP 2018); no order is sought, so the classes may carry any names, and
-  synthesize takes the refinement driver's own (wl.refine_to_difference);
-  wl's canonical order is kept only for joint_refine and `wlhom labels`.
+  synthesize takes the refinement driver's own (wl.refine_to_difference),
+  with its distinguishing and stabilization levels as plain integers and
+  no table; wl's canonical order is kept only for joint_refine and
+  `wlhom labels`.
   Write t(c) for the number of distinct values s_j(w) over the neighbors w
   of class c's vertex; when s_j is distinct over the level-j classes, two
   classes c, c' then differ by a nonzero exponential sum in m of at most
@@ -38,7 +40,10 @@ argument behind the label test / homomorphism-count correspondence:
   S_k of nonzero values b of s_k, where delta(b) is how many more vertices
   of g1 than of g2 have s_k(v) = b. If it vanished for n = 1..|S_k| the
   Vandermonde system would force every delta(b) to zero, so the least
-  separating n is found within |S_k| steps.
+  separating n is found within |S_k| steps. The two histograms are
+  subtracted once and each step sums over the nonzero delta(b) only; the
+  count in g1 is summed once, at the n found, and the count in g2 is it
+  minus that step's sum.
   The tree and its two counts are the whole proof: no certificate byte
   names a class, and every byte is the same under any renaming of the
   classes.
@@ -278,25 +283,27 @@ def synthesize(
     """Distinguishing chain, tree and counts, or Certificate() if equivalent.
 
     Refinement (refine_to_difference) runs refine_verdict's driver, so an
-    equivalent pair costs about what refine_verdict does, and on a pair
-    first differing at level k hands over the driver's class ids at levels
-    1..k. If no level differs up to stabilization, the graphs are
-    equivalent; reaching max_level first raises InconclusiveError. At
-    k = 0 the vertex counts differ and the empty chain, a lone leaf,
-    distinguishes. Otherwise level 1's counts are the degrees, one lift per
-    level from 2 on computes that level's counts at every vertex, and each
-    level's counts are checked against its classes; the chain is the m
-    each lift chose, then the least n whose powers of the level-k counts
-    sum differently over the two graphs. Those sums are the tree's counts,
-    and no certificate byte depends on how classes are named.
+    equivalent pair costs about what refine_verdict does. It returns the
+    distinguishing and stabilization levels and, on a pair first differing
+    at level k, the driver's class ids at levels 1..k. If no level differs
+    up to stabilization, the graphs are equivalent; reaching max_level
+    first raises InconclusiveError. At k = 0 the vertex counts differ and
+    the empty chain, a lone leaf, distinguishes. Otherwise level 1's counts
+    are the degrees, one lift per level from 2 on computes that level's
+    counts at every vertex, and each level's counts are checked against its
+    classes; the chain is the m each lift chose, then the least n whose
+    powers of the level-k counts sum differently over the two graphs,
+    searched over the nonzero differences of the two graphs' histograms of
+    those counts. Those sums are the tree's counts, and no certificate byte
+    depends on how classes are named.
     """
-    table, levels = refine_to_difference(g1, g2, max_level)
-    if not table.distinguished:
-        if not table.complete:
+    distinguishing, stabilization, levels = refine_to_difference(g1, g2, max_level)
+    if distinguishing is None:
+        if stabilization is None:
             raise InconclusiveError(f"inconclusive: no verdict by level {max_level}")
         return Certificate()
     n1 = g1.vertex_count
-    if table.distinguishing_level == 0:
+    if distinguishing == 0:
         return Certificate((), serialize_tree(*_chain(())), n1, g2.vertex_count)
     # s_1, the count of a root over one leaf, is the degree.
     counts = [len(nbrs) for g in (g1, g2) for nbrs in g.adjacency]
@@ -306,20 +313,21 @@ def synthesize(
         m, counts = lift((g1, g2), ids, level, counts)
         lifts.append(m)
 
-    # The chain's rooted count at v is s_k(v) ** n, 0 at an isolated vertex.
+    # The chain's rooted count at v is s_k(v) ** n, 0 at an isolated vertex,
+    # so c1 - c2 is the sum over b in S_k of delta(b) * b ** n.
     hist1, hist2 = (Counter(filter(None, part)) for part in (counts[:n1], counts[n1:]))
     s_k = hist1.keys() | hist2.keys()
+    delta = [(b, d) for b in s_k if (d := hist1[b] - hist2[b])]
     for n in range(1, len(s_k) + 1):
-        c1 = sum(count * b ** n for b, count in hist1.items())
-        c2 = sum(count * b ** n for b, count in hist2.items())
-        if c1 != c2:
+        if gap := sum(d * b ** n for b, d in delta):
             break
     else:
         raise SynthesisInvariantError(
             f"no separating n within |S_k| = {len(s_k)} steps"
         )
+    c1 = sum(count * b ** n for b, count in hist1.items())
     chain = (*lifts, n)
-    return Certificate(chain, serialize_tree(*_chain(chain)), c1, c2)
+    return Certificate(chain, serialize_tree(*_chain(chain)), c1, c1 - gap)
 
 
 def verify(cert: Certificate, g1: Graph, g2: Graph) -> bool:

@@ -1,4 +1,4 @@
-"""Iterated neighbor-multiset labels for pairs of graphs, with a total order.
+"""Iterated neighbor-multiset labels for pairs of graphs.
 
 This is the 1-dimensional Weisfeiler-Leman test in its neighbor-only form:
 every vertex starts with the same level-0 label, and the level-(k+1) label of
@@ -7,57 +7,43 @@ previous label is NOT part of the next one, which is the difference from
 classic color refinement; partitions still refine level by level because the
 level-(k+1) label determines the level-k label.
 
-Labels are interned per level into integer ranks over the disjoint union
-G1 ⊔ G2, so ranks are directly comparable across the two graphs: each level
-is one rank vector, g2's vertices numbered after g1's, and
-LabelTable.ranks_at cuts it at |V1|. Ranks respect a total
-order extended level by level: level-1 labels order by degree, and two
-multisets compare by the largest element they contain a different number of
-times (the one with more copies of it is larger). Rank 0 is the smallest
-label of its level; the empty multiset (isolated vertices) is always minimal.
-Written as its neighbors' previous ranks, repeats included, sorted
-descending, a label orders by plain tuple order. A canonical round need not
-build it. With w the bit length of the largest
-degree, no count of one rank among a vertex's neighbors reaches 2^w, so the
-sum over the neighbors of 2^(w * rank) is the label's count vector packed
-into one integer: its base-2^w digit r is the number of rank-r neighbors.
-Two such integers compare at their highest differing digit, the largest rank
-the two labels hold a different number of times, and the one holding more
-copies is larger. So integer order is the label order, the empty multiset
-is 0, and one sort of the distinct integers ranks the level. A key has at
-most R * w bits for R previous classes. Past PACKED_KEY_BITS, adding keys
-that wide costs more than sorting the ranks they encode, so the round keys
-each vertex by its label instead, which gives the same ranks. This order is
-kept only for joint_refine, which serves `wlhom labels` and the tests'
-oracle, and for the dense rounds the verdict driver shares with it: no
-verdict and no certificate byte depends on how classes are named.
-
-A level is recorded as its ranks and its class count; a table holds no
-labels. A level-1 label is d copies of the one level-0 rank, whose key is d,
-so level 1 is read off the degrees and no round signs vertices at level 0. A
-canonical round reads a vertex's neighbors' values with its graph's gathers
-(graphs.gather); the worklist reads no gather, only the adjacency of the
-pieces that moved.
-
-joint_refine records these ranks, and the verdict, on a LabelTable. Past
-stabilization the partition is fixed but its numbering can cycle, so the
-table steps on from its deepest level when asked for a deeper one.
-
 The verdict (the first level whose histograms differ) and the
 stabilization round (the last before a round that splits no class) are
 facts about the joint partition at each level, whatever its classes are
-called, so refine_verdict keeps joint but non-canonical class ids. Each
-round splits classes into pieces. The largest piece of a class keeps its
-id, as in Hopcroft's partition refinement, and the others, the pieces that
-moved, take new ids. The vertices of one class had equal neighbor
-multisets over the classes of the round before, and a split class's count
-is the sum of its pieces' counts, one of them kept. So two vertices of one
-class get equal next labels exactly when they have equal counts into each
-moved piece, and a vertex is signed by the ids of its neighbors in the
-moved pieces only. The signatures are built by scanning the moved pieces'
+called. So the verdict engine, _refine, is a partition refiner on plain
+class ids over the disjoint union G1 ⊔ G2, g2's vertices numbered after
+g1's: a level is one list of ids 0 .. C - 1 for its C classes, and no
+order of labels is sought. Level 1 is read off the degrees, as a level-1
+label is d copies of the one level-0 label. A later level keys each vertex
+by its label. With w the bit length of the largest degree, no count of one
+id among a vertex's neighbors reaches 2^w, so the sum over the neighbors
+of 2^(w * id) is the label's count vector packed into one integer: its
+base-2^w digit r is the number of id-r neighbors. A key has at most C * w
+bits. Past PACKED_KEY_BITS, adding keys that wide costs more than sorting
+the ids they encode, so the round keys each vertex by its neighbors' ids
+sorted descending instead. Either key determines the label, and the
+level numbers the distinct keys by first occurrence, with no sort. A round
+reads a vertex's neighbors' ids with its graph's gathers (graphs.gather).
+The verdict compares the two graphs' id histograms, and as refinement is
+monotone, an unchanged class count means an unchanged partition.
+
+Such a round signs every vertex. While each round moves more than half of
+the vertices, a vertex having moved when it lies outside the largest piece
+of its previous class, re-signing every vertex costs no more than a
+worklist would; these rounds are dense. After the first round that moves
+fewer, one hand-over gives the last level's ids to the worklist, which
+reads no gather, only the adjacency of the pieces that moved. Each round
+splits classes into pieces. The largest piece of a class keeps its id, as
+in Hopcroft's partition refinement, and the others, the pieces that moved,
+take new ids. The vertices of one class had equal neighbor multisets over
+the classes of the round before, and a split class's count is the sum of
+its pieces' counts, one of them kept. So two vertices of one class get
+equal next labels exactly when they have equal counts into each moved
+piece, and a vertex is signed by the ids of its neighbors in the moved
+pieces only. The signatures are built by scanning the moved pieces'
 adjacency, so a round costs the degree sum of the vertices that moved, not
-of the vertices it signs. Each class the moved pieces touch splits into its
-untouched rest and one piece per signature. A vertex moves only into a
+of the vertices it signs. Each class the moved pieces touch splits into
+its untouched rest and one piece per signature. A vertex moves only into a
 piece at most half its class's size, so O(log V) times, and a whole
 refinement costs O((V + E) log V), the bound of Cardon and Crochemore
 (1982) and of Paige and Tarjan (1987), which Berkholz, Bonsma and Grohe
@@ -65,44 +51,50 @@ refinement costs O((V + E) log V), the bound of Cardon and Crochemore
 a class holding equally many vertices of each graph splits into pieces
 whose imbalances sum to zero, so the histograms first differ at the first
 level where a piece that moved holds unequal numbers, and as classes only
-split they differ at every later level.
+split they differ at every later level. The pieces are read off the joint
+ids, since past the first difference a class can hold unequal numbers of
+the two graphs' vertices.
 
-One driver serves both verdict paths and writes the verdict on its table, all
-that refine_verdict reads. It runs canonical rounds while they are dense:
-while each round moves more than half of the vertices, a vertex having moved
-when it lies outside the largest piece of its previous class, re-signing
-every vertex costs no more than the worklist would. After the first round
-that moves fewer, one hand-over hands the canonical ranks, already joint
-class ids, to the worklist, whose first round signs the neighbors of the
-vertices that moved: in a class, the vertices whose neighbors all stayed in
-the largest pieces share their next label, and no other vertex has it. The
-pieces are read off the joint ranks, since past the first difference a class
-can hold unequal numbers of the two graphs' vertices.
+refine_verdict returns the verdict and the stabilization round, all that
+compare and verify read. synthesize needs, at each level up to the first
+differing one, only counts that are distinct over the level's classes, so
+any names for the classes serve, and refine_to_difference hands it the
+engine's own: the dense levels' ids, then the worklist's, each level's
+read by giving the pieces that moved in its round their ids on the level
+before.
 
-synthesize needs, at each level up to the first differing one, only counts
-that are distinct over the level's classes, so any names for the classes
-serve, and refine_to_difference hands it the driver's own: the canonical
-ranks up to the hand-over, then the worklist's ids, each level's read by
-giving the pieces that moved in its round their ids on the level before.
-It hands over no label: synthesize computes each level's counts at every
-vertex, with synth.lift from level 2 on, and checks them against these ids.
+joint_refine, which serves `wlhom labels` and the tests' oracle, is the one
+place that orders labels. Its levels are LevelLabels, whose ranks respect
+a total order extended level by level: level-1 labels order by degree, and
+two multisets compare by the largest element they contain a different
+number of times (the one with more copies of it is larger). Rank 0 is the
+smallest label of its level; the empty multiset (isolated vertices) is
+always minimal. On previous ranks both keys order as the labels do: a
+descending tuple by plain tuple order, and a packed integer at its highest
+differing digit, the largest rank the two labels hold a different number
+of times, the one holding more copies being larger. So one sort of a
+level's distinct keys ranks it (_intern), and level 1, whose keys are the
+degrees, is _degree_level. Past stabilization the partition is fixed but
+its numbering can cycle, so the table steps on from its deepest level when
+asked for a deeper one.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
+from itertools import count
 
 from .graphs import Graph
 
-# The widest packed key, in bits, that a canonical round sums: the previous
-# level's class count times the bits of the largest degree. Past it the round
-# keys each vertex by its label: on G(n, p) pairs a packed round broke even
-# with a label-keyed one near 500 bits and took twice as long near 3500.
+# The widest packed key, in bits, that a round sums: the previous level's
+# class count times the bits of the largest degree. Past it the round keys
+# each vertex by its neighbors' ids: on G(n, p) pairs a packed round broke
+# even with a tuple-keyed one near 500 bits and took twice as long near 3500.
 PACKED_KEY_BITS = 384
 
 
 class LevelLabels(namedtuple("LevelLabels", "ranks classes")):
-    """One refinement level, an immutable value record.
+    """One canonical refinement level, an immutable value record.
 
     ranks[v] is the rank of vertex v of G1 ⊔ G2, where vertex v of g2 is
     vertex |V1| + v, and the ranks are 0 .. classes - 1. Ranks follow the
@@ -157,7 +149,7 @@ class LabelTable:
             )
         base, seen = self.max_recorded_level, [self.levels[-1]]
         while base + len(seen) <= level:  # seen[i] is level base + i
-            nxt = _next_level(self.graphs, seen[-1])
+            nxt = _intern(_keys(self.graphs, *seen[-1]))
             if nxt in seen:
                 start = seen.index(nxt)
                 return seen[start + (level - base - start) % (len(seen) - start)].ranks[cut]
@@ -169,37 +161,35 @@ class LabelTable:
 
 
 def _intern(keys: list) -> LevelLabels:
-    """The level whose vertices have these label keys, integers or tuples
-    whose order is the label order."""
+    """The canonical level whose vertices have these label keys, integers
+    or tuples whose order is the label order."""
     rank_of = {key: r for r, key in enumerate(sorted(set(keys)))}
     return LevelLabels(ranks=tuple(map(rank_of.__getitem__, keys)), classes=len(rank_of))
 
 
-def _next_level(pair: tuple[Graph, Graph], prev: LevelLabels) -> LevelLabels:
-    """The level after `prev`.
+def _keys(pair: tuple[Graph, Graph], ids, classes: int) -> list:
+    """Each vertex's label key for the level after the one whose class ids,
+    0 .. classes - 1, these are.
 
-    The round keys each vertex by its label's count vector packed into one
-    integer: a rank-r neighbor adds 2 ** (width * r), and no count reaches
-    2 ** width. If the keys could pass PACKED_KEY_BITS, it keys each vertex
-    by its label instead, its neighbors' ranks sorted descending. Each
-    graph's gathers read its own slice of the values.
+    The key is the label's count vector packed into one integer: an id-r
+    neighbor adds 2 ** (width * r), and no count reaches 2 ** width. If the
+    keys could pass PACKED_KEY_BITS, the key is the label itself, its
+    neighbors' ids sorted descending. Each graph's gathers read its own
+    slice of the values.
     """
     n1 = pair[0].vertex_count
     width = max(max(map(len, g.adjacency), default=0) for g in pair).bit_length()
-    if prev.classes * width > PACKED_KEY_BITS:
-        ranks = prev.ranks
-        return _intern([tuple(sorted(of_nbrs(part), reverse=True))
-                        for g, part in zip(pair, (ranks[:n1], ranks[n1:]))
-                        for of_nbrs in g.gathers])
-    weights = [1 << width * r for r in range(prev.classes)]
-    values = list(map(weights.__getitem__, prev.ranks))
-    return _intern([sum(of_nbrs(part))
-                    for g, part in zip(pair, (values[:n1], values[n1:]))
-                    for of_nbrs in g.gathers])
+    packed = classes * width <= PACKED_KEY_BITS
+    if packed:
+        weights = [1 << width * r for r in range(classes)]
+        ids = list(map(weights.__getitem__, ids))
+    key = sum if packed else (lambda nbr_ids: tuple(sorted(nbr_ids, reverse=True)))
+    return [key(of_nbrs(part)) for g, part in zip(pair, (ids[:n1], ids[n1:]))
+            for of_nbrs in g.gathers]
 
 
 def _degree_level(pair: tuple[Graph, Graph]) -> LevelLabels:
-    """Level 1, read off the degrees: the level after level 0.
+    """Canonical level 1, read off the degrees: the level after level 0.
 
     Each level-1 label is d copies of the one level-0 rank, whose packed
     key is d, so ranks index the sorted distinct degrees.
@@ -207,35 +197,16 @@ def _degree_level(pair: tuple[Graph, Graph]) -> LevelLabels:
     return _intern([len(nbrs) for g in pair for nbrs in g.adjacency])
 
 
-def _level_zero(g1: Graph, g2: Graph, max_level: int | None) -> tuple[LabelTable, int]:
-    """A table holding level 0 and its verdict, and max_level, checked; by
-    default |V1|+|V2|, which reaches stabilization."""
+def _level_zero(g1: Graph, g2: Graph, max_level: int | None) -> tuple:
+    """(max_level, stabilization level, distinguishing level): max_level
+    checked, by default |V1|+|V2|, which reaches stabilization, and the
+    levels as level 0 gives them, 0 or None."""
+    n = g1.vertex_count + g2.vertex_count
     if max_level is None:
-        max_level = g1.vertex_count + g2.vertex_count
+        max_level = n
     elif max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
-    level0 = LevelLabels(ranks=(0,) * (g1.vertex_count + g2.vertex_count), classes=1)
-    table = LabelTable(graphs=(g1, g2), levels=[level0])
-    if g1.vertex_count != g2.vertex_count:
-        table.distinguishing_level = 0
-    if g1.vertex_count + g2.vertex_count == 0:
-        table.stabilization_level = 0
-    return table, max_level
-
-
-def _append_level(table: LabelTable) -> None:
-    """Record the next canonical level and the verdict it gives."""
-    prev = table.levels[-1]
-    level = (_next_level(table.graphs, prev) if table.max_recorded_level
-             else _degree_level(table.graphs))
-    table.levels.append(level)
-    k = table.max_recorded_level
-    if not table.distinguished and table.histogram(0, k) != table.histogram(1, k):
-        table.distinguishing_level = k
-    # Refinement is monotone (a level's label determines the previous
-    # one), so an unchanged class count means an unchanged partition.
-    if level.classes == prev.classes:
-        table.stabilization_level = table.max_recorded_level - 1
+    return max_level, 0 if n == 0 else None, 0 if g1.vertex_count != g2.vertex_count else None
 
 
 def joint_refine(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTable:
@@ -249,9 +220,19 @@ def joint_refine(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTab
     and on an incomplete one merely "none found". Ranks follow the label
     order.
     """
-    table, max_level = _level_zero(g1, g2, max_level)
+    max_level, *verdict = _level_zero(g1, g2, max_level)
+    level0 = LevelLabels(ranks=(0,) * (g1.vertex_count + g2.vertex_count), classes=1)
+    table = LabelTable((g1, g2), [level0], *verdict)
     while not table.complete and table.max_recorded_level < max_level:
-        _append_level(table)
+        prev = table.levels[-1]
+        level = (_intern(_keys(table.graphs, *prev)) if table.max_recorded_level
+                 else _degree_level(table.graphs))
+        table.levels.append(level)
+        k = table.max_recorded_level
+        if not table.distinguished and table.histogram(0, k) != table.histogram(1, k):
+            table.distinguishing_level = k
+        if level.classes == prev.classes:
+            table.stabilization_level = k - 1
     return table
 
 
@@ -262,33 +243,30 @@ def joint_refine(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTab
 distinguishing_level = joint_refine
 
 
-def _hand_over(table: LabelTable):
-    """The worklist's start from the last two canonical levels, or None
-    while the last round moved more than half of the vertices (the rounds
-    are dense).
+def _hand_over(pair: tuple[Graph, Graph], prev, ids, classes: int):
+    """The worklist's start from the last two dense levels' class ids, or
+    None while the last round moved more than half of the vertices.
 
     A vertex moved when it lies outside the largest piece of its previous
     class. The start is (adjacency, color, members, moved): the adjacency
-    of the disjoint union, g2's vertices following g1's, the joint ranks as
-    class ids, each class's vertex set, and the vertex set of each class
-    outside the kept largest pieces, the pieces that moved, by id ascending.
+    of the disjoint union, g2's vertices following g1's, a copy of the ids,
+    each class's vertex set, and the vertex set of each class outside the
+    kept largest pieces, the pieces that moved, by id ascending.
     """
-    prev, color = table.levels[-2].ranks, list(table.levels[-1].ranks)
-    parent = dict(zip(color, prev))
+    parent = dict(zip(ids, prev))
     largest = {}
-    for q, size in Counter(color).items():
+    for q, size in Counter(ids).items():
         largest[parent[q]] = max(largest.get(parent[q], (0, 0)), (size, q))
-    if 2 * sum(size for size, _ in largest.values()) < len(color):
+    if 2 * sum(size for size, _ in largest.values()) < len(ids):
         return None
-    g1, g2 = table.graphs
-    n1 = g1.vertex_count
-    adjacency = [*g1.adjacency, *([w + n1 for w in nbrs] for nbrs in g2.adjacency)]
-    members = [set() for _ in range(table.levels[-1].classes)]
-    for v, q in enumerate(color):
+    n1 = pair[0].vertex_count
+    adjacency = [*pair[0].adjacency, *([w + n1 for w in nbrs] for nbrs in pair[1].adjacency)]
+    members = [set() for _ in range(classes)]
+    for v, q in enumerate(ids):
         members[q].add(v)
     kept = {q for _, q in largest.values()}
     moved = {q: piece for q, piece in enumerate(members) if q not in kept}
-    return adjacency, color, members, moved
+    return adjacency, list(ids), members, moved
 
 
 def _moving_pieces(members: set[int], pieces: list[list[int]]) -> list[list[int]]:
@@ -305,34 +283,42 @@ def _moving_pieces(members: set[int], pieces: list[list[int]]) -> list[list[int]
 
 
 def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: bool):
-    """Canonical rounds while they are dense, then worklist rounds on joint
-    class ids, up to max_level, stabilization or, if stop_at_difference,
-    the first difference.
+    """Dense rounds while they move more than half of the vertices, then
+    worklist rounds, up to max_level, stabilization or, if
+    stop_at_difference, the first difference.
 
-    Returns (table, rounds): the canonical levels up to the hand-over with
-    the distinguishing and stabilization levels, the worklist's included,
-    and the pieces that took new ids in each of the worklist's rounds, by
-    id ascending. A round signs only the touched vertices, the neighbors of
-    the pieces that moved in the round before (at the hand-over, for the
-    first), each by the ids of its neighbors in those pieces, read before
-    the round changes any vertex set: the rest of a class share one next
-    label, which no touched vertex of the class has.
+    Returns (distinguishing level, stabilization level, dense levels,
+    rounds): the two levels, the worklist's included, each None if not
+    reached; the class ids of levels 1 .. h up to the hand-over; and the
+    pieces that took new ids in each of the worklist's rounds, by id
+    ascending. A worklist round signs only the touched vertices, the
+    neighbors of the pieces that moved in the round before (at the
+    hand-over, for the first), each by the ids of its neighbors in those
+    pieces, read before the round changes any vertex set: the rest of a
+    class share one next label, which no touched vertex of the class has.
     """
-    table, max_level = _level_zero(g1, g2, max_level)
-    start = None
-    while not (table.complete or table.max_recorded_level == max_level
-               or stop_at_difference and table.distinguished):
-        if table.max_recorded_level:
-            start = _hand_over(table)
-            if start is not None:
-                break
-        _append_level(table)
+    pair, n1 = (g1, g2), g1.vertex_count
+    max_level, stabilization, distinguishing = _level_zero(g1, g2, max_level)
+    levels, classes, start = [[0] * (n1 + g2.vertex_count)], 1, None
+    while not (stabilization is not None or len(levels) > max_level
+               or stop_at_difference and distinguishing is not None):
+        if len(levels) > 1 and (start := _hand_over(pair, *levels[-2:], classes)):
+            break
+        keys = (_keys(pair, levels[-1], classes) if len(levels) > 1
+                else [len(nbrs) for g in pair for nbrs in g.adjacency])
+        id_of = dict(zip(dict.fromkeys(keys), count()))
+        ids = list(map(id_of.__getitem__, keys))
+        if distinguishing is None and Counter(ids[:n1]) != Counter(ids[n1:]):
+            distinguishing = len(levels)
+        if len(id_of) == classes:
+            stabilization = len(levels) - 1
+        levels.append(ids)
+        classes = len(id_of)
     if start is None:
-        return table, []
+        return distinguishing, stabilization, levels[1:], []
     adjacency, color, members, moved = start
-    n1, level = g1.vertex_count, table.max_recorded_level
-    rounds = []
-    while level < max_level and not (stop_at_difference and table.distinguished):
+    level, rounds = len(levels) - 1, []
+    while level < max_level and not (stop_at_difference and distinguishing is not None):
         # The touched vertices, the neighbors of the last moved pieces, each
         # with the ids of its neighbors among them, ascending as the pieces
         # are listed, and keyed by class id and then those ids; the rest of
@@ -355,13 +341,13 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
                 members.append(set(piece))
         level += 1
         if not moved:
-            table.stabilization_level = level - 1
+            stabilization = level - 1
             break
         rounds.append(moved)
-        if not table.distinguished and any(2 * sum(v < n1 for v in piece) != len(piece)
-                                           for piece in moved.values()):
-            table.distinguishing_level = level
-    return table, rounds
+        if distinguishing is None and any(2 * sum(v < n1 for v in piece) != len(piece)
+                                          for piece in moved.values()):
+            distinguishing = level
+    return distinguishing, stabilization, levels[1:], rounds
 
 
 def refine_verdict(
@@ -369,29 +355,28 @@ def refine_verdict(
 ) -> tuple[int | None, int | None]:
     """(distinguishing_level, stabilization_level), as distinguishing_level
     reports them for the same arguments, from the joint partition alone."""
-    table, _ = _refine(g1, g2, max_level, stop_at_difference)
-    return table.distinguishing_level, table.stabilization_level
+    return _refine(g1, g2, max_level, stop_at_difference)[:2]
 
 
-def refine_to_difference(g1: Graph, g2: Graph,
-                         max_level: int | None = None) -> tuple[LabelTable, list]:
-    """The driver's table, stopped at the first difference k as
-    refine_verdict(..., stop_at_difference=True) is, and on a distinguished
-    pair the class ids of its levels 1..k; [] on any other.
+def refine_to_difference(g1: Graph, g2: Graph, max_level: int | None = None
+                         ) -> tuple[int | None, int | None, list]:
+    """(distinguishing_level, stabilization_level, levels), stopped at the
+    first difference k as refine_verdict(..., stop_at_difference=True) is;
+    levels holds, on a distinguished pair, the class ids of its levels
+    1..k, and is [] on any other.
 
     ids[v] is the class id of vertex v of G1 ⊔ G2, g2's vertices after
-    g1's: its canonical rank up to the hand-over, then its worklist id, the
-    ids being 0 .. C - 1 for C classes.
+    g1's: its dense level's id up to the hand-over, then its worklist id,
+    the ids being 0 .. C - 1 for C classes.
     """
-    table, rounds = _refine(g1, g2, max_level, True)
-    if not table.distinguished:
-        return table, []
+    distinguishing, stabilization, levels, rounds = _refine(g1, g2, max_level, True)
+    if distinguishing is None:
+        return distinguishing, stabilization, []
     # Past the hand-over, each round's moved pieces take their new ids.
-    levels = [level.ranks for level in table.levels[1:]]
-    color = list(table.levels[-1].ranks)
     for moved in rounds:
+        color = list(levels[-1])
         for q, piece in moved.items():
             for v in piece:
                 color[v] = q
-        levels.append(tuple(color))
-    return table, levels
+        levels.append(color)
+    return distinguishing, stabilization, levels

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wlhom import Graph, TreeArena, joint_refine, path_graph, permute
 from wlhom import synth
-from wlhom.wl import LabelTable, LevelLabels
+from wlhom.wl import LabelTable
 
 PROPERTY_SETTINGS = settings(
     max_examples=120,
@@ -146,10 +146,7 @@ def force_ids(monkeypatch, ids) -> None:
     """
 
     def fake_refine(g1, g2, *args, **kwargs):
-        level0 = LevelLabels(ranks=(0,) * (g1.vertex_count + g2.vertex_count), classes=1)
-        table = LabelTable(graphs=(g1, g2), levels=[level0],
-                           distinguishing_level=len(ids))
-        return table, [(*r1, *r2) for r1, r2 in ids]
+        return len(ids), None, [(*r1, *r2) for r1, r2 in ids]
 
     monkeypatch.setattr(synth, "refine_to_difference", fake_refine)
 

@@ -17,6 +17,7 @@ from wlhom import (
     Certificate,
     Graph,
     InconclusiveError,
+    certificate_to_json,
     distinguishing_level,
     joint_refine,
     empty_graph,
@@ -24,6 +25,7 @@ from wlhom import (
     path_graph,
     permute,
     refine_verdict,
+    serialize_graph,
     synthesize,
     verify,
 )
@@ -196,7 +198,7 @@ class TestJointRefine:
         for bound in (0, 10 ** 9):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(wl, "PACKED_KEY_BITS", bound)
-                assert wl._degree_level(pair) == wl._next_level(pair, level0)
+                assert wl._degree_level(pair) == wl._intern(wl._keys(pair, *level0))
 
     def test_k13_p4_level1_histograms(self):
         table = joint_refine(K13, P4)
@@ -400,10 +402,12 @@ class TestEarlyExit:
         else:
             g2 = data.draw(graphs(max_vertices=8))
         full = distinguishing_level(g1, g2)
-        early, levels = refine_to_difference(g1, g2)
-        assert early.distinguishing_level == full.distinguishing_level
-        assert early.levels == full.levels[: len(early.levels)]
-        _matches_contract(g1, g2, early, levels)
+        with pytest.MonkeyPatch.context() as mp:
+            dense = _count_dense_rounds(mp)
+            k, _, levels = refine_to_difference(g1, g2)
+        assert k == full.distinguishing_level
+        _induce_canonical_partitions(dense, full)
+        _matches_contract(g1, g2, k, levels)
         for defs, _ in tuple_rounds(g1, g2, full.max_recorded_level):
             # the oracle reads the (rank, mult) pairs of each label
             pairs = [tuple((r, len(list(run))) for r, run in groupby(label))
@@ -416,10 +420,12 @@ class TestEarlyExit:
         # the full run takes 300 rounds to stabilize (see test_cli)
         g1 = path_graph(600)
         g2 = disjoint_union(path_graph(300), path_graph(300))
-        early, levels = refine_to_difference(g1, g2)
-        assert early.distinguishing_level == 1
-        assert len(early.levels) <= 2 and len(levels) == 1
-        assert early.stabilization_level is None
+        with pytest.MonkeyPatch.context() as mp:
+            dense = _count_dense_rounds(mp)
+            k, stable, levels = refine_to_difference(g1, g2)
+        assert k == 1
+        assert len(dense) <= 1 and len(levels) == 1
+        assert stable is None
 
 
 def _oracle(g1, g2, max_level, stop_at_difference):
@@ -430,18 +436,19 @@ def _oracle(g1, g2, max_level, stop_at_difference):
     return comp.distinguishing_level, comp.stabilization_level
 
 
-def _count_canonical_rounds(mp):
-    """Calls of wl._append_level, one per canonical level appended, while
-    `mp` (a pytest MonkeyPatch) holds its patch."""
-    calls = []
-    append_level = wl._append_level
+def _count_dense_rounds(mp):
+    """The class ids of each level a dense round of wl._refine computes,
+    one per round, while `mp` (a pytest MonkeyPatch) holds its patch."""
+    dense = []
+    refine = wl._refine
 
     def counted(*args):
-        calls.append(args)
-        return append_level(*args)
+        out = refine(*args)
+        dense.extend(out[2])
+        return out
 
-    mp.setattr(wl, "_append_level", counted)
-    return calls
+    mp.setattr(wl, "_refine", counted)
+    return dense
 
 
 def _agrees_with_oracle(g1, g2, max_levels=(None, 0, 1, 2, 3)):
@@ -450,35 +457,45 @@ def _agrees_with_oracle(g1, g2, max_levels=(None, 0, 1, 2, 3)):
             assert refine_verdict(g1, g2, max_level, stop) == _oracle(
                 g1, g2, max_level, stop
             ), (stop, max_level)
-    # synthesize's entry: refine_verdict's verdict after as many canonical
-    # levels, one hand-over rule serving both, the canonical levels of the
-    # early-stopping table up to the hand-over, and on a distinguished pair
-    # levels up to the difference that meet the contract.
+    # synthesize's entry: refine_verdict's verdict after as many dense
+    # levels, one hand-over rule serving both, dense levels that induce the
+    # partitions of the early-stopping table up to the hand-over, and on a
+    # distinguished pair levels up to the difference that meet the contract.
     for max_level in max_levels:
         with pytest.MonkeyPatch.context() as mp:
-            appended = _count_canonical_rounds(mp)
-            table, levels = refine_to_difference(g1, g2, max_level)
-            to_difference = len(appended)
+            dense = _count_dense_rounds(mp)
+            k, stable, levels = refine_to_difference(g1, g2, max_level)
+            to_difference = len(dense)
             verdict = refine_verdict(g1, g2, max_level, True)
-        assert len(appended) == 2 * to_difference, max_level
-        assert verdict == (table.distinguishing_level,
-                           table.stabilization_level), max_level
-        canonical = early_table(g1, g2, max_level).levels
-        assert table.levels == canonical[: len(table.levels)], max_level
-        _matches_contract(g1, g2, table, levels)
+        assert len(dense) == 2 * to_difference, max_level
+        assert verdict == (k, stable), max_level
+        _induce_canonical_partitions(dense[:to_difference],
+                                     early_table(g1, g2, max_level))
+        _matches_contract(g1, g2, k, levels)
 
 
-def _matches_contract(g1, g2, table, levels):
-    """refine_to_difference's return against the tuple oracle: levels 1..k
+def _same_partition(ids, ranks):
+    """The ids, 0 .. C - 1 for C classes, induce the partition of ranks."""
+    rank_of = dict(zip(ids, ranks))
+    assert tuple(map(rank_of.__getitem__, ids)) == tuple(ranks)
+    assert sorted(rank_of) == list(range(len(set(ranks))))
+    assert len(set(rank_of.values())) == len(rank_of)
+
+
+def _induce_canonical_partitions(dense, table):
+    """Dense levels 1, 2, ... induce the partitions of the table's."""
+    assert len(dense) <= table.max_recorded_level
+    for ids, level in zip(dense, table.levels[1:]):
+        _same_partition(ids, level.ranks)
+
+
+def _matches_contract(g1, g2, k, levels):
+    """refine_to_difference's levels against the tuple oracle: levels 1..k
     on a pair first differing at k, else none; at each, the ids, 0 .. C - 1
     for C classes, induce the oracle's partition."""
-    k = table.distinguishing_level
     assert len(levels) == (k or 0)
-    for ids, (defs, ranks) in zip(levels, tuple_rounds(g1, g2, k or 0)[1:]):
-        rank_of = dict(zip(ids, ranks))
-        assert tuple(map(rank_of.__getitem__, ids)) == ranks
-        assert sorted(rank_of) == list(range(len(defs)))
-        assert len(set(rank_of.values())) == len(defs)
+    for ids, (_, ranks) in zip(levels, tuple_rounds(g1, g2, k or 0)[1:]):
+        _same_partition(ids, ranks)
 
 
 def _with_hub(g):
@@ -618,14 +635,14 @@ class TestHubs:
     def test_universal_vertex_added(self, pair):
         _agrees_with_oracle(*map(_with_hub, pair))
 
-    def test_distinguished_hub_pair_certificate(self, canonical_rounds):
+    def test_distinguished_hub_pair_certificate(self, dense_rounds):
         # Caterpillars with a pendant at 9 and at 10 on a 26-vertex spine,
         # each with a hub: the worklist runs from level 1 to the first
         # difference, and the certificate's levels are read from it.
         g1 = shuffled(_with_hub(caterpillar(26, 9)), 1)
         g2 = shuffled(_with_hub(caterpillar(26, 10)), 2)
         cert = synthesize(g1, g2)
-        assert len(canonical_rounds) == 1
+        assert len(dense_rounds) == 1
         assert cert.mode == "tree"
         assert cert.level == distinguishing_level(g1, g2).distinguishing_level > 2
         assert verify(cert, g1, g2)
@@ -650,8 +667,8 @@ class TestHubs:
 
         hand_over = wl._hand_over
 
-        def counted(table):
-            start = hand_over(table)
+        def counted(*args):
+            start = hand_over(*args)
             if start is not None:
                 adjacency, color, *rest = start
                 start = (Adjacency(adjacency), Color(color), *rest)
@@ -665,44 +682,44 @@ class TestHubs:
 
 
 @pytest.fixture
-def canonical_rounds(monkeypatch):
-    """Calls of wl._append_level, one per canonical level appended, from
-    here on."""
-    return _count_canonical_rounds(monkeypatch)
+def dense_rounds(monkeypatch):
+    """The class ids of each level a dense round computes, from here on."""
+    return _count_dense_rounds(monkeypatch)
 
 
 class TestRefineToDifference:
-    """Canonical rounds while they are dense, then the worklist."""
+    """Dense rounds while they move more than half of the vertices, then
+    the worklist."""
 
     @pytest.mark.parametrize("level", range(5, 12))
-    def test_caterpillar_relabels_after_hand_over(self, level, canonical_rounds):
+    def test_caterpillar_relabels_after_hand_over(self, level, dense_rounds):
         g1, g2 = caterpillar_pair(level)
-        table, levels = refine_to_difference(g1, g2)
+        k, _, levels = refine_to_difference(g1, g2)
         # Round 1 moves only the leaves and the branch vertices, so the ids
         # of levels 2..level are the worklist's.
-        assert len(canonical_rounds) == 1
-        assert table.distinguishing_level == level
-        assert table.levels == early_table(g1, g2).levels[:2]
-        _matches_contract(g1, g2, table, levels)
+        assert len(dense_rounds) == 1
+        assert k == level
+        _induce_canonical_partitions(dense_rounds, early_table(g1, g2))
+        _matches_contract(g1, g2, k, levels)
 
     def test_negative_max_level(self):
         with pytest.raises(ValueError):
             refine_to_difference(K13, P4, max_level=-1)
 
-    def test_capped_synthesize_after_hand_over(self, canonical_rounds):
+    def test_capped_synthesize_after_hand_over(self, dense_rounds):
         g = path_graph(40)
         with pytest.raises(InconclusiveError):
             synthesize(g, shuffled(g, 40), max_level=5)
-        assert len(canonical_rounds) == 1
+        assert len(dense_rounds) == 1
 
     def test_long_path_vs_permuted_copy_synthesizes_in_few_rounds(
-        self, canonical_rounds
+        self, dense_rounds
     ):
-        # Canonical rounds to stabilization would make about 1000 calls.
+        # Dense rounds to stabilization would make about 1000 levels.
         g = path_graph(2000)
         h = shuffled(g, 2000)
         cert = synthesize(g, h)
-        assert len(canonical_rounds) <= 2
+        assert len(dense_rounds) <= 2
         assert cert == Certificate()
         assert verify(cert, g, h)
 
@@ -728,7 +745,7 @@ def dense_pairs(draw):
 
 
 class TestDenseRounds:
-    """Both verdict paths lead with canonical rounds while they are dense."""
+    """Both verdict paths lead with dense rounds."""
 
     @PROPERTY_SETTINGS
     @given(dense_pairs())
@@ -736,12 +753,12 @@ class TestDenseRounds:
         _agrees_with_oracle(*pair)
 
     @pytest.mark.parametrize("stop", [True, False])
-    def test_swap_pair_takes_two_canonical_levels(self, stop, canonical_rounds):
+    def test_swap_pair_takes_two_canonical_levels(self, stop, dense_rounds):
         # Degrees of G(40, 0.3) spread over many classes, so rounds 1 and 2
         # each move more than half of the vertices.
         g1, g2 = _gnp_and_swap(40, 0.3, random.Random(3))
         verdict = refine_verdict(g1, g2, stop_at_difference=stop)
-        assert len(canonical_rounds) >= 2
+        assert len(dense_rounds) >= 2
         assert verdict == _oracle(g1, g2, None, stop)
 
 
@@ -754,11 +771,11 @@ def _star_order(a, b):
     edges = [(0, 2 + i) for i in range(len(leaves[0]))]
     edges += [(1, 2 + len(leaves[0]) + i) for i in range(len(leaves[1]))]
     g = Graph(2 + len(edges), edges)
-    prev = wl.LevelLabels(ranks=(0, 0, *leaves[0], *leaves[1]), classes=len(a))
+    prev = (0, 0, *leaves[0], *leaves[1])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wl, "PACKED_KEY_BITS", 10 ** 9)
         kinds = _key_kinds(mp)
-        level = wl._next_level((g, empty_graph()), prev)
+        level = wl._intern(wl._keys((g, empty_graph()), prev, len(a)))
     assert kinds == [int]
     ka, kb = level.ranks[:2]
     return ka < kb, ka == kb
@@ -769,37 +786,40 @@ def _descending_label(counts):
 
 
 def _key_kinds(mp):
-    """The type of the first key of each _intern call while `mp` holds its
-    patch: int for a packed round, tuple for a round keyed by labels."""
+    """The type of the first key each _keys call returns while `mp` holds
+    its patch: int for a packed round, tuple for a round keyed by labels.
+    Level 1 is read off the degrees and calls no _keys."""
     kinds = []
-    intern = wl._intern
+    keys_of = wl._keys
 
-    def recorded(keys):
+    def recorded(*args):
+        keys = keys_of(*args)
         kinds.extend(type(key) for key in keys[:1])
-        return intern(keys)
+        return keys
 
-    mp.setattr(wl, "_intern", recorded)
+    mp.setattr(wl, "_keys", recorded)
     return kinds
 
 
 class TestPackedRounds:
-    """A canonical round keys a vertex by its count vector packed into one
-    integer, or by its label past PACKED_KEY_BITS; a level records its
-    ranks and class count. refine_to_difference's ids induce each level's
-    partition, whatever the canonical rounds keyed by."""
+    """A round keys a vertex by its count vector packed into one integer,
+    or by its label past PACKED_KEY_BITS; a canonical level records its
+    ranks and class count. The dense levels and refine_to_difference's ids
+    induce each level's partition, whatever the rounds keyed by."""
 
     @staticmethod
     def _matches_oracle(g1, g2, bound):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(wl, "PACKED_KEY_BITS", bound)
-            early, levels = refine_to_difference(g1, g2)
-            tables = (joint_refine(g1, g2), early, wl._refine(g1, g2, None, False)[0])
-        oracle = tuple_rounds(g1, g2, tables[0].max_recorded_level)
-        for table in tables:
-            for level, (defs, ranks) in enumerate(oracle[: len(table.levels)]):
-                assert table.levels[level].ranks == ranks, level
-                assert table.levels[level].classes == len(defs), level
-        _matches_contract(g1, g2, early, levels)
+            k, _, levels = refine_to_difference(g1, g2)
+            table = joint_refine(g1, g2)
+            dense = wl._refine(g1, g2, None, False)[2]
+        oracle = tuple_rounds(g1, g2, table.max_recorded_level)
+        for level, (defs, ranks) in enumerate(oracle):
+            assert table.levels[level].ranks == ranks, level
+            assert table.levels[level].classes == len(defs), level
+        _induce_canonical_partitions(dense, table)
+        _matches_contract(g1, g2, k, levels)
 
     # 0 sends every unlabeled round with an edge to the tuple branch,
     # 10 ** 9 every one to the packed branch.
@@ -894,9 +914,9 @@ class TestPackedRounds:
         handed, lifted = [], []
 
         def recorded_refine(*args):
-            table, levels = refine_to_difference(*args)
-            handed.extend(levels)
-            return table, levels
+            out = refine_to_difference(*args)
+            handed.extend(out[2])
+            return out
 
         def recorded_lift(pair, ids, *args):
             lifted.append(ids)
@@ -920,11 +940,64 @@ class TestPackedRounds:
         h = shuffled(g, 12)
         kinds = _key_kinds(monkeypatch)
         table = joint_refine(g, h, max_level=3)
-        # level 1 is keyed by degree, level 2 packed, level 3 by label
-        assert kinds == [int, int, tuple]
+        # level 1 is read off the degrees, level 2 packed, level 3 by label
+        assert kinds == [int, tuple]
         width = max(map(len, g.adjacency)).bit_length()
         assert table.levels[1].classes * width <= wl.PACKED_KEY_BITS
         assert table.levels[2].classes * width > wl.PACKED_KEY_BITS
         monkeypatch.undo()
         assert [level.ranks for level in table.levels] == [
             ranks for _, ranks in tuple_rounds(g, h, 3)]
+
+
+def _canonical_order_used(*args, **kwargs):
+    raise AssertionError("the canonical order was used")
+
+
+class TestVerdictBoundary:
+    """The canonical order serves joint_refine and `wlhom labels` alone:
+    with LabelTable, LevelLabels and _intern made to raise, every verdict
+    path gives the answers it gives with them."""
+
+    @pytest.mark.parametrize("pair", [
+        pytest.param((K13, P4), id="k13-p4"),
+        pytest.param((TA, TB), id="ta-tb"),
+        pytest.param(caterpillar_pair(8), id="caterpillar-8"),
+        pytest.param(_gnp_and_swap(40, 0.3, random.Random(3)), id="gnp-40-swap"),
+    ])
+    def test_verdict_paths_build_no_canonical_level(self, pair, tmp_path, capsys):
+        g1, g2 = pair
+        paths = []
+        for name, g in zip("ab", pair):
+            (tmp_path / name).write_text(serialize_graph(g), encoding="utf-8")
+            paths.append(str(tmp_path / name))
+
+        def answers():
+            verdicts = [refine_verdict(g1, g2, max_level, stop)
+                        for max_level in (None, 0, 1, 2, 3) for stop in (False, True)]
+            to_difference = refine_to_difference(g1, g2)
+            cert = synthesize(g1, g2)
+            equivalent = verify(Certificate(), g1, g2)
+            compared = []
+            for flags in ([], ["--json"]):
+                status = main(["compare", *paths, *flags])
+                compared.append((status, capsys.readouterr().out))
+            return verdicts, to_difference, certificate_to_json(cert), equivalent, compared
+
+        expected = answers()
+        oracle = [_oracle(g1, g2, max_level, stop)
+                  for max_level in (None, 0, 1, 2, 3) for stop in (False, True)]
+        assert expected[0] == oracle
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("LabelTable", "LevelLabels", "_intern"):
+                mp.setattr(wl, name, _canonical_order_used)
+            got = answers()
+            with pytest.raises(AssertionError, match="canonical order"):
+                joint_refine(g1, g2)
+            with pytest.raises(AssertionError, match="canonical order"):
+                main(["labels", paths[0]])
+        assert got == expected
+        k, _, levels = got[1]
+        _matches_contract(g1, g2, k, levels)
+        assert verify(synthesize(g1, g2), g1, g2) and not got[3]
+        assert got[4][0] == (0, f"distinguished at level {k}\n")
