@@ -3,7 +3,8 @@
 Exit codes follow one contract everywhere: 0 for a positive verdict
 (distinguished, verified, or plain output produced), 1 for a negative
 verdict (equivalent, verification failed), 2 for usage, parse, or limit
-errors, and for a failed internal check of synthesize
+errors, for running out of memory (a graph header may announce more
+vertices than memory holds), and for a failed internal check of synthesize
 (SynthesisInvariantError), which writes no output. Output is
 byte-deterministic for fixed inputs and flags. The argument parser is built
 once, at import; `main` keeps no state between calls, so it may be called
@@ -179,6 +180,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, SynthesisInvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -18,15 +18,17 @@ argument behind the label test / homomorphism-count correspondence:
   multiset of its neighbors' level-j classes. So each candidate m = 1, 2,
   ... is tried at one vertex of each level-(j+1) class only, until those
   values are pairwise distinct over the non-isolated classes; an isolated
-  vertex counts 0, and every other vertex at least 1. Level 1 is the
-  degrees, s_1, the count of one root over one leaf, and the chain starts
-  at m_2. Distinct values are all the final step needs (the linear-algebra
-  view of Dell, Grohe and Rattan, "Lovasz meets Weisfeiler and Leman",
-  ICALP 2018); no order is sought, so the classes may carry any names, and
-  synthesize takes the refinement driver's own (wl.refine_to_difference),
-  with its distinguishing and stabilization levels as plain integers and
-  no table; wl's canonical order is kept only for joint_refine and
-  `wlhom labels`.
+  vertex counts 0, and every other vertex at least 1. A candidate is
+  rejected at the first two of those values that collide, and that pair
+  is tried first at the next m, so a rejection costs one collision, not
+  one value per class. Level 1 is the degrees, s_1, the count of one root
+  over one leaf, and the chain starts at m_2. Distinct values are all the
+  final step needs (the linear-algebra view of Dell, Grohe and Rattan,
+  "Lovasz meets Weisfeiler and Leman", ICALP 2018); no order is sought, so
+  the classes may carry any names, and synthesize takes the refinement
+  driver's own (wl.refine_to_difference), with its distinguishing and
+  stabilization levels as plain integers and no table; wl's canonical
+  order is kept only for joint_refine and `wlhom labels`.
   Write t(c) for the number of distinct values s_j(w) over the neighbors w
   of class c's vertex; when s_j is distinct over the level-j classes, two
   classes c, c' then differ by a nonzero exponential sum in m of at most
@@ -64,9 +66,8 @@ from __future__ import annotations
 import json
 from collections import Counter, namedtuple
 from collections.abc import Sequence
-from itertools import repeat
 
-from .graphs import Graph, quote, too_long
+from .graphs import Graph, gather, quote, too_long
 from .homs import hom_count
 from .trees import TreeArena, parse_tree, serialize_tree
 from .wl import refine_to_difference, refine_verdict
@@ -228,8 +229,13 @@ def lift(
     the level-(level-1) classes. The count at v is the sum of base[w] ** m
     over the neighbors w of v: the rooted count of one root over m copies
     of T. Each candidate m is tried at one vertex of each non-isolated class,
-    and the first whose values there are distinct is taken. By the
-    Descartes bound in the module docstring some m up to
+    those classes' representatives, and the first whose values there are
+    distinct is taken. A candidate is rejected at its first collision: the
+    representatives' values go into a dict in order until one repeats, and
+    the colliding pair is tried first at the next m, so a pair that still
+    collides rejects it after two reads. From the second candidate on, the
+    powers base[w] ** m are read from one table over the distinct values of
+    `base`. By the Descartes bound in the module docstring some m up to
     1 + (|S| - 1) * sum over c in S of t(c) works for the non-isolated
     classes S when `base` is distinct over the previous level's classes,
     t(c) being the number of distinct base values among the neighbors of
@@ -245,9 +251,20 @@ def lift(
     S = [v for v in rep_of.values() if adjacency[v]]
     if not S:
         raise ValueError("the level has no non-isolated class")
-    # g1's gathers index a vector over G1 ⊔ G2 itself, g2's its tail.
-    m, parts, bound = 1, (base, base[n1:]), None
-    while len({sum(of_nbrs[v](parts[v >= n1])) for v in S}) < len(S):
+    # g1's gathers read parts[0] and g2's parts[1]: at m = 1 the vector over
+    # G1 ⊔ G2 and its tail, then each graph's powers, spread from the table.
+    m, parts, bound, spread = 1, (base, base[n1:]), None, None
+
+    def first_collision(kept: tuple[int, ...]) -> tuple[int, int] | None:
+        """The first two vertices with equal values, reading kept's then S's."""
+        seen = {}
+        for v in (*kept, *S):
+            if (u := seen.setdefault(sum(of_nbrs[v](parts[v >= n1])), v)) != v:
+                return u, v
+        return None
+
+    collision = first_collision(())
+    while collision:
         if m > (len(S) - 1) * len(S):
             bound = bound or 1 + (len(S) - 1) * sum(
                 len(set(of_nbrs[v](parts[v >= n1]))) for v in S)
@@ -256,8 +273,13 @@ def lift(
                     f"no m <= {bound} makes the level-{level} counts distinct"
                 )
         m += 1
-        powers = list(map(pow, base, repeat(m)))
-        parts = (powers, powers[n1:])
+        if spread is None:
+            slot = {b: i for i, b in enumerate(dict.fromkeys(base))}
+            slots = list(map(slot.__getitem__, base))
+            spread = gather(slots[:n1]), gather(slots[n1:])
+        powers = [b ** m for b in slot]
+        parts = spread[0](powers), spread[1](powers)
+        collision = first_collision(collision)
     counts = [sum(of(parts[0])) for of in g1.gathers]
     counts += [sum(of(parts[1])) for of in g2.gathers]
     _one_per_class(ids, counts, level)

@@ -15,6 +15,7 @@ from wlhom import (
     serialize_graph,
     synthesize,
 )
+from wlhom import cli as cli_module
 from wlhom.cli import main
 
 from .conftest import C6, K13, P4, TA, TB, TWO_C3, disjoint_union
@@ -411,6 +412,26 @@ def test_certificate_with_histogram_rows_refused(command, gfile, tmp_path, capsy
     assert capsys.readouterr() == ("", (
         "error: mode tree certificate must have exactly the fields ['count_g1', "
         "'count_g2', 'level', 'm_per_level', 'mode', 'n_final', 'tree']\n"))
+
+
+@pytest.mark.parametrize("command", ["compare", "synthesize", "verify"])
+def test_out_of_memory_is_an_error(command, gfile, tmp_path, monkeypatch, capsys):
+    # a graph header can announce more vertices than memory holds; running
+    # out is an error, exit 2, never the verdict code 1 or a traceback
+    a, b = gfile("a", TA), gfile("b", TB)
+    cert, out = tmp_path / "cert.json", tmp_path / "out.json"
+    assert main(["synthesize", a, b, "--out", str(cert)]) == 0
+
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_module, "parse_graph", exhausted)
+    argv = {"compare": ["compare", a, b],
+            "synthesize": ["synthesize", a, b, "--out", str(out)],
+            "verify": ["verify", str(cert), a, b]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+    assert not out.exists()
 
 
 def test_import_is_lean():

@@ -276,6 +276,77 @@ class TestLiftSearch:
         bound = len(arena.reachable(root)) + 4 * len(cert.chain[:-1])
         assert len(attaches) <= bound
 
+    def test_rejected_candidates_stop_at_a_collision(self):
+        # The pair of test_rejected_candidates_build_nothing, whose level-2
+        # search rejects m = 1 and m = 2 and takes m = 3. The accepted
+        # candidate reads every representative at least once, so the rest
+        # of the search's reads bound what the two rejected candidates
+        # read: fewer than |S| per candidate, where a full scan reads |S|.
+        pair = _wheel_pair()
+        ids = wl.refine_to_difference(*pair)[2][1]
+        reads = _count_reads(pair)
+        m, _ = lift(pair, ids, 2, _degrees(pair))
+        assert m == 3
+        S = _nonisolated_classes(pair, ids)
+        search = len(reads) - len(ids)  # the final pass reads every vertex
+        assert search - len(S) < (m - 1) * len(S)
+
+    def test_kept_pair_rejects_the_next_candidate(self):
+        # Vertices 0 and 1 have degree 3 and neighbors of degrees {1, 5, 6}
+        # and {2, 3, 7}, each neighbor's other neighbors leaves. Their sums
+        # agree at m = 1 (12 = 12) and at m = 2 (62 = 62), so the pair kept
+        # from m = 1 rejects m = 2 at once. At m = 3 they read 342 and 378,
+        # and all of the level's classes are distinct. Frozen after exact
+        # computation.
+        edges, n = [], 2
+        for center, degrees in ((0, (1, 5, 6)), (1, (2, 3, 7))):
+            for degree in degrees:
+                edges += [(center, n)] + [(n, n + i) for i in range(1, degree)]
+                n += degree
+        pair = (Graph(n, edges), empty_graph())
+        ids = joint_refine(*pair, max_level=2).levels[2].ranks
+        reads = _count_reads(pair)
+        m, counts = lift(pair, ids, 2, _degrees(pair))
+        assert (m, counts[0], counts[1]) == (3, 342, 378)
+        S = _nonisolated_classes(pair, ids)
+        # m = 1 collides at the first two representatives, m = 2 on
+        # re-reading them, and m = 3 re-reads them before its full scan
+        assert reads[:-len(ids) - len(S)] == [0, 1] * 3
+        ref_m, ref_counts = _reference_lift(pair, ids, S, ())
+        assert m == ref_m
+        assert counts == list(map(ref_counts.__getitem__, ids))
+
+
+def _wheel_pair():
+    """A wheel over the cube and a K1,5 beside T_A / T_B: a pair first
+    differing at level 2 whose level-2 search takes m = 3."""
+    cube = [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit]
+    wheel = Graph(9, cube + [(u, 8) for u in range(8)])
+    return tuple(disjoint_union(disjoint_union(wheel, star_graph(5)), t)
+                 for t in (TA, TB))
+
+
+def _nonisolated_classes(pair, ids):
+    """The classes of ids holding a vertex of G1 ⊔ G2 with a neighbor."""
+    adjacency = (*pair[0].adjacency, *pair[1].adjacency)
+    return sorted({c for c, nbrs in zip(ids, adjacency) if nbrs})
+
+
+def _count_reads(pair):
+    """Make every gather of the pair log its vertex of G1 ⊔ G2 when read,
+    g2's vertices after g1's; returns the log."""
+    reads = []
+
+    def logged(of_nbrs, v):
+        def read(values):
+            reads.append(v)
+            return of_nbrs(values)
+        return read
+
+    for shift, g in zip((0, pair[0].vertex_count), pair):
+        g._gathers = tuple(logged(of, shift + v) for v, of in enumerate(g.gathers))
+    return reads
+
 
 class TestSynthesizeKnownPairs:
     def test_k13_vs_p4(self):
