@@ -14,9 +14,11 @@ A plain file, the header line and then one ``u v`` line per edge, each
 line two numbers in ASCII digits without leading zeros, one blank or tab
 between them and nothing else, with LF or CRLF line ends, the last one
 optional, and no comments or blank lines, is read in bulk (`_read_bulk`):
-one translate tests its shape, one ``json.loads`` reads every number, and
-the edges are checked all at once. Any other file is read line by line.
-Either way an error has the same text and names the same line.
+one translate tests its shape and one ``json.loads`` reads every number.
+Any other file is read line by line. Either way the adjacency build itself
+checks each vertex index's range, self-loops and duplicates are then checked
+over all edges at once, and an error has the same text and names the same
+line.
 """
 
 from __future__ import annotations
@@ -120,20 +122,28 @@ def _adjacency(
 ) -> tuple[tuple[int, ...], ...]:
     """Sorted neighbor tuples of the graph on n vertices with edges (us[i], vs[i]).
 
-    The range, and then repeated neighbors, are checked over all edges at
-    once; only when a check fails are the edges scanned in order, so the
-    error names the first bad edge, at line lines[i] when lines are given.
+    The build itself checks the range: an index at or past n, below -n or
+    past sys.maxsize stops it with IndexError, and one in [-n, -1], which a
+    list takes, lands in the other endpoint's row and is that sorted row's
+    first entry. Repeated neighbors are then checked over all edges at once;
+    only when a check fails are the edges scanned in order, so the error
+    names the first bad edge, at line lines[i] when lines are given.
     """
-    if not us or (0 <= min(min(us), min(vs)) and max(max(us), max(vs)) < n):
-        neighbors: list[list[int]] = [[] for _ in range(n)]
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    try:
         for u, v in zip(us, vs):
             neighbors[u].append(v)
             neighbors[v].append(u)
+    except IndexError:
+        pass
+    else:
         for ns in neighbors:
             ns.sort()
         adjacency = tuple(map(tuple, neighbors))
-        # a duplicate edge or a self-loop repeats a neighbor
-        if sum(map(len, map(set, adjacency))) == 2 * len(us):
+        # a wrapped negative index leads its row; a duplicate edge or a
+        # self-loop repeats a neighbor
+        if (min(map(itemgetter(0), filter(None, adjacency)), default=0) >= 0
+                and sum(map(len, map(set, adjacency))) == 2 * len(us)):
             return adjacency
     i, message = _first_bad_edge(n, us, vs)
     raise GraphFormatError(message, None if lines is None else lines[i])

@@ -243,15 +243,14 @@ def joint_refine(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTab
 distinguishing_level = joint_refine
 
 
-def _hand_over(pair: tuple[Graph, Graph], prev, ids, classes: int):
+def _hand_over(prev, ids, classes: int):
     """The worklist's start from the last two dense levels' class ids, or
     None while the last round moved more than half of the vertices.
 
     A vertex moved when it lies outside the largest piece of its previous
-    class. The start is (adjacency, color, members, moved): the adjacency
-    of the disjoint union, g2's vertices following g1's, a copy of the ids,
-    each class's vertex set, and the vertex set of each class outside the
-    kept largest pieces, the pieces that moved, by id ascending.
+    class. The start is (color, members, moved): a copy of the ids, each
+    class's vertex set, and the vertex set of each class outside the kept
+    largest pieces, the pieces that moved, by id ascending.
     """
     parent = dict(zip(ids, prev))
     largest = {}
@@ -259,14 +258,12 @@ def _hand_over(pair: tuple[Graph, Graph], prev, ids, classes: int):
         largest[parent[q]] = max(largest.get(parent[q], (0, 0)), (size, q))
     if 2 * sum(size for size, _ in largest.values()) < len(ids):
         return None
-    n1 = pair[0].vertex_count
-    adjacency = [*pair[0].adjacency, *([w + n1 for w in nbrs] for nbrs in pair[1].adjacency)]
     members = [set() for _ in range(classes)]
     for v, q in enumerate(ids):
         members[q].add(v)
     kept = {q for _, q in largest.values()}
     moved = {q: piece for q, piece in enumerate(members) if q not in kept}
-    return adjacency, list(ids), members, moved
+    return list(ids), members, moved
 
 
 def _moving_pieces(members: set[int], pieces: list[list[int]]) -> list[list[int]]:
@@ -302,7 +299,7 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
     levels, classes, start = [[0] * (n1 + g2.vertex_count)], 1, None
     while not (stabilization is not None or len(levels) > max_level
                or stop_at_difference and distinguishing is not None):
-        if len(levels) > 1 and (start := _hand_over(pair, *levels[-2:], classes)):
+        if len(levels) > 1 and (start := _hand_over(*levels[-2:], classes)):
             break
         keys = (_keys(pair, levels[-1], classes) if len(levels) > 1
                 else [len(nbrs) for g in pair for nbrs in g.adjacency])
@@ -316,18 +313,24 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
         classes = len(id_of)
     if start is None:
         return distinguishing, stabilization, levels[1:], []
-    adjacency, color, members, moved = start
+    color, members, moved = start
+    adjacency1, adjacency2 = g1.adjacency, g2.adjacency
     level, rounds = len(levels) - 1, []
     while level < max_level and not (stop_at_difference and distinguishing is not None):
         # The touched vertices, the neighbors of the last moved pieces, each
         # with the ids of its neighbors among them, ascending as the pieces
         # are listed, and keyed by class id and then those ids; the rest of
-        # each class keeps its old label.
+        # each class keeps its old label. A vertex's neighbors are read off
+        # its own graph's adjacency, g2's shifted by n1.
         moved_ids: defaultdict[int, list[int]] = defaultdict(list)
         for q, piece in moved.items():
             for u in piece:
-                for w in adjacency[u]:
-                    moved_ids[w].append(q)
+                if u < n1:
+                    for w in adjacency1[u]:
+                        moved_ids[w].append(q)
+                else:
+                    for w in adjacency2[u - n1]:
+                        moved_ids[w + n1].append(q)
         by_class: defaultdict[int, dict[tuple[int, ...], list[int]]] = defaultdict(dict)
         for v, ids in moved_ids.items():
             by_class[color[v]].setdefault(tuple(ids), []).append(v)
@@ -344,7 +347,7 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
             stabilization = level - 1
             break
         rounds.append(moved)
-        if distinguishing is None and any(2 * sum(v < n1 for v in piece) != len(piece)
+        if distinguishing is None and any(2 * sum(map(n1.__gt__, piece)) != len(piece)
                                           for piece in moved.values()):
             distinguishing = level
     return distinguishing, stabilization, levels[1:], rounds

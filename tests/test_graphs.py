@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 
 import pytest
@@ -57,6 +58,30 @@ class TestConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Graph(2, [(0, 2)])
+
+    @pytest.mark.parametrize("n, edges, message", [
+        # a list takes an index in [-n, -1]: it must not wrap into a vertex
+        (3, [(0, 1), (2, -1)], "vertex index -1 out of range [0, 3)"),
+        (3, [(-3, 1)], "vertex index -3 out of range [0, 3)"),
+        (3, [(0, 2), (0, -1)], "vertex index -1 out of range [0, 3)"),
+        (3, [(0, -4)], "vertex index -4 out of range [0, 3)"),
+        (3, [(3, 0)], "vertex index 3 out of range [0, 3)"),
+        (3, [(0, 1), (1, 3)], "vertex index 3 out of range [0, 3)"),
+        (3, [(0, 1), (sys.maxsize + 1, 2)], "vertex index <19 digits> out of range [0, 3)"),
+        (3, [(0, -sys.maxsize - 2)], "vertex index -<19 digits> out of range [0, 3)"),
+        (0, [(0, 0)], "vertex index 0 out of range [0, 0)"),
+        # the first bad edge in order is the one named
+        (3, [(0, 1), (1, 5), (1, 0)], "vertex index 5 out of range [0, 3)"),
+        (3, [(0, 1), (1, 0), (1, 5)], "duplicate edge 0 1"),
+        (3, [(0, 1), (2, -1), (1, 0)], "vertex index -1 out of range [0, 3)"),
+        (3, [(0, 1), (1, 0), (2, -1)], "duplicate edge 0 1"),
+        (3, [(1, 1), (0, -1)], "self-loop at vertex 1"),
+    ])
+    def test_edge_error_message(self, n, edges, message):
+        with pytest.raises(GraphFormatError) as exc:
+            Graph(n, edges)
+        assert exc.value.line is None
+        assert str(exc.value) == message
 
     def test_degree_out_of_range(self):
         with pytest.raises(IndexError):

@@ -588,6 +588,25 @@ class TestRefineVerdict:
         _agrees_with_oracle(g1, g2, (None, 0, level - 1, level, level + 1))
         assert refine_verdict(g1, g2, stop_at_difference=True) == (level, None)
 
+    @pytest.mark.parametrize("g1, g2", [
+        (path_graph(40), path_graph(41)),
+        (path_graph(41), shuffled(path_graph(40), 40)),
+        (caterpillar_pair(7)[0], disjoint_union(caterpillar_pair(7)[1], Graph(1, []))),
+        (disjoint_union(caterpillar_pair(7)[0], Graph(1, [])), caterpillar_pair(7)[1]),
+    ])
+    def test_unequal_sides_after_hand_over(self, g1, g2):
+        # Sides of unequal size differ at level 0; refining on to
+        # stabilization hands over after level 1, and the worklist reads
+        # g2's rows with its vertices numbered after g1's.
+        assert g1.vertex_count != g2.vertex_count
+        for max_level in (2, 5, None):
+            with pytest.MonkeyPatch.context() as mp:
+                dense = _count_dense_rounds(mp)
+                verdict = refine_verdict(g1, g2, max_level, stop_at_difference=False)
+            assert verdict == _oracle(g1, g2, max_level, False), max_level
+            assert len(dense) == 1
+        assert verdict[0] == 0 and verdict[1] > 5
+
     def test_negative_max_level(self):
         with pytest.raises(ValueError):
             refine_verdict(K13, P4, max_level=-1)
@@ -650,11 +669,12 @@ class TestHubs:
     def test_fan_refines_in_quasilinear_neighbor_reads(self, monkeypatch):
         # Signing the hub of F_2000 by all of its neighbors in each of the
         # worklist's 999 rounds reads about V^2 / 2 entries. Counted: the
-        # entries of the adjacency lists and of the class ids the worklist
-        # reads.
+        # entries of both graphs' adjacency rows the worklist reads by
+        # index (dense rounds only iterate over the rows), and the entries
+        # of the class ids it reads.
         reads = [0]
 
-        class Adjacency(list):
+        class Adjacency(tuple):
             def __getitem__(self, u):
                 nbrs = super().__getitem__(u)
                 reads[0] += len(nbrs)
@@ -670,13 +690,17 @@ class TestHubs:
         def counted(*args):
             start = hand_over(*args)
             if start is not None:
-                adjacency, color, *rest = start
-                start = (Adjacency(adjacency), Color(color), *rest)
+                color, *rest = start
+                start = (Color(color), *rest)
             return start
+
+        def counted_rows(g):
+            return Graph._from_adjacency(g.vertex_count, Adjacency(g.adjacency))
 
         monkeypatch.setattr(wl, "_hand_over", counted)
         g = _fan(2000)
-        assert refine_verdict(g, shuffled(g, 2000)) == (None, 999)
+        pair = counted_rows(g), counted_rows(shuffled(g, 2000))
+        assert refine_verdict(*pair) == (None, 999)
         vertices, edges = 2 * g.vertex_count, 2 * g.edge_count
         assert 0 < reads[0] <= 2 * (vertices + edges) * math.log2(vertices)
 
