@@ -4,6 +4,7 @@ argument parser that every `main` call in a process shares."""
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -13,7 +14,12 @@ from pathlib import Path
 
 import pytest
 
+from wlhom import cli as cli_module
 from wlhom.cli import main
+from wlhom.graphs import serialize_graph
+from wlhom.synth import SynthesisInvariantError
+
+from .conftest import caterpillar
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -218,6 +224,87 @@ def test_main_builds_no_parser(write, monkeypatch, capsys):
     for _ in range(3):
         assert run(["compare", ta, tb], capsys) == (0, "distinguished at level 2\n", "")
     assert built == []
+
+
+@pytest.fixture
+def collector():
+    """Puts the cyclic collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+# argv with file names for write's files, the function of wlhom.cli patched
+# to raise and what it raises, and the exit code or the exception that
+# propagates out of main.
+EXITS = {
+    "exit 0": (["compare", "ta", "tb"], None, 0),
+    "exit 1": (["compare", "ta", "ta"], None, 1),
+    "value error": (["compare", "range", "ta"], None, 2),
+    "memory error": (["compare", "ta", "tb"], ("parse_graph", MemoryError), 2),
+    "invariant error": (["synthesize", "ta", "tb"],
+                        ("synthesize", SynthesisInvariantError), 2),
+    "uncaught": (["compare", "ta", "tb"], ("parse_graph", RuntimeError), RuntimeError),
+    "usage": (["compare", "--max-level", "x", "ta", "tb"], None, 2),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller on", "caller off"])
+@pytest.mark.parametrize("path", EXITS)
+def test_main_leaves_the_collector_as_found(path, enabled, write, collector,
+                                            monkeypatch, capsys):
+    argv, fault, expected = EXITS[path]
+    files = {"ta": write("ta", TA), "tb": write("tb", TB),
+             "range": write("range", "3 1\n0 3\n")}
+    argv = [files.get(arg, arg) for arg in argv]
+    if fault:
+        name, exc = fault
+
+        def failing(*args):
+            raise exc
+
+        monkeypatch.setattr(cli_module, name, failing)
+    (gc.enable if enabled else gc.disable)()
+    if isinstance(expected, int):
+        assert run(argv, capsys)[0] == expected
+    else:
+        with pytest.raises(expected):
+            main(argv)
+    assert gc.isenabled() is enabled
+
+
+def test_paused_commands_leave_no_garbage_that_grows(write, tmp_path, collector,
+                                                     capsys):
+    # With the collector off, what a command leaves in reference cycles
+    # stays until a collection. It must not grow with the input: the same
+    # number of objects on 15-vertex and 161-vertex caterpillar pairs.
+    found = {14: {}, 160: {}}
+    for spine in found:
+        g1_text = serialize_graph(caterpillar(spine, 7))
+        g1 = write(f"g1-{spine}", g1_text)
+        g2 = write(f"g2-{spine}", serialize_graph(caterpillar(spine, 8)))
+        # One vertex short in the header: the pendant vertex is out of range.
+        bad = write(f"bad-{spine}", g1_text.replace(f"{spine + 1} ", f"{spine} ", 1))
+        cert, tree = str(tmp_path / f"cert-{spine}.json"), str(tmp_path / f"tree-{spine}")
+        commands = {
+            "synthesize": ["synthesize", g1, g2, "--out", cert],
+            "compare": ["compare", g1, g2],
+            "compare --json": ["compare", "--json", g1, g2],
+            "labels": ["labels", g1],
+            "hom-count": ["hom-count", tree, g1],
+            "verify": ["verify", cert, g1, g2],
+            "expand": ["expand", cert],
+            "parse error": ["compare", bad, g2],
+        }
+        gc.disable()
+        gc.collect()
+        for name, argv in commands.items():
+            rc = run(argv, capsys)[0]
+            assert rc == (2 if name == "parse error" else 0), (name, spine)
+            found[spine][name] = gc.collect()
+            if name == "synthesize":
+                Path(tree).write_text(json.loads(Path(cert).read_text())["tree"])
+    assert found[14] == found[160]
 
 
 def test_import_builds_the_parser_once():
