@@ -25,10 +25,10 @@ argument behind the label test / homomorphism-count correspondence:
   over one leaf, and the chain starts at m_2. Distinct values are all the
   final step needs (the linear-algebra view of Dell, Grohe and Rattan,
   "Lovasz meets Weisfeiler and Leman", ICALP 2018); no order is sought, so
-  the classes may carry any names, and synthesize takes the refinement
-  driver's own (wl.refine_to_difference), with its distinguishing and
-  stabilization levels as plain integers and no table; wl's canonical
-  order is kept only for joint_refine and `wlhom labels`.
+  the classes may carry any names, and synthesize reads the refinement
+  driver's own record (wl._refine), with its distinguishing and
+  stabilization levels as plain integers; wl's canonical order is kept
+  only for joint_refine and `wlhom labels`.
   Write t(c) for the number of distinct values s_j(w) over the neighbors w
   of class c's vertex; when s_j is distinct over the level-j classes, two
   classes c, c' then differ by a nonzero exponential sum in m of at most
@@ -70,7 +70,7 @@ from collections.abc import Sequence
 from .graphs import Graph, gather, quote, too_long
 from .homs import hom_count
 from .trees import TreeArena, parse_tree, serialize_tree
-from .wl import refine_to_difference, refine_verdict
+from .wl import _refine, refine_verdict
 
 MODES = ("tree", "single-node", "equivalent")
 
@@ -225,10 +225,11 @@ def lift(
     the counts at every vertex.
 
     ids[v] is the level-`level` class of vertex v of G1 ⊔ G2, g2's vertices
-    after g1's, and base[v] the rooted count at v of a tree T, constant on
-    the level-(level-1) classes. The count at v is the sum of base[w] ** m
-    over the neighbors w of v: the rooted count of one root over m copies
-    of T. Each candidate m is tried at one vertex of each non-isolated class,
+    after g1's, and base[v] the rooted count at v of a tree T of depth at
+    least 1, constant on the level-(level-1) classes, so 0 exactly at the
+    isolated vertices. The count at v is the sum of base[w] ** m over the
+    neighbors w of v: the rooted count of one root over m copies of T.
+    Each candidate m is tried at one vertex of each non-isolated class,
     those classes' representatives, and the first whose values there are
     distinct is taken. A candidate is rejected at its first collision: the
     representatives' values go into a dict in order until one repeats, and
@@ -247,8 +248,7 @@ def lift(
     """
     g1, g2 = pair
     n1, of_nbrs = g1.vertex_count, (*g1.gathers, *g2.gathers)
-    adjacency, rep_of = (*g1.adjacency, *g2.adjacency), dict(zip(ids, range(len(ids))))
-    S = [v for v in rep_of.values() if adjacency[v]]
+    S = [v for v in dict(zip(ids, range(len(ids)))).values() if base[v]]
     if not S:
         raise ValueError("the level has no non-isolated class")
     # g1's gathers read parts[0] and g2's parts[1]: at m = 1 the vector over
@@ -304,22 +304,26 @@ def synthesize(
 ) -> Certificate:
     """Distinguishing chain, tree and counts, or Certificate() if equivalent.
 
-    Refinement (refine_to_difference) runs refine_verdict's driver, so an
-    equivalent pair costs about what refine_verdict does. It returns the
-    distinguishing and stabilization levels and, on a pair first differing
-    at level k, the driver's class ids at levels 1..k. If no level differs
-    up to stabilization, the graphs are equivalent; reaching max_level
-    first raises InconclusiveError. At k = 0 the vertex counts differ and
-    the empty chain, a lone leaf, distinguishes. Otherwise level 1's counts
-    are the degrees, one lift per level from 2 on computes that level's
-    counts at every vertex, and each level's counts are checked against its
-    classes; the chain is the m each lift chose, then the least n whose
-    powers of the level-k counts sum differently over the two graphs,
-    searched over the nonzero differences of the two graphs' histograms of
-    those counts. Those sums are the tree's counts, and no certificate byte
-    depends on how classes are named.
+    Refinement runs refine_verdict's driver once (wl._refine), stopped at
+    the first difference, so an equivalent pair costs about what
+    refine_verdict does. It returns the distinguishing and stabilization
+    levels and, on a pair first differing at level k, its record: the class
+    ids of the dense levels 1..h, then the pieces that moved in each of the
+    worklist's rounds h+1..k. If no level differs up to stabilization, the
+    graphs are equivalent; reaching max_level first raises
+    InconclusiveError. At k = 0 the vertex counts differ and the empty
+    chain, a lone leaf, distinguishes. Otherwise level 1's counts are the
+    degrees, one lift per level from 2 on computes that level's counts at
+    every vertex, and each level's counts are checked against its classes.
+    Past level h, a level's ids are level h's list with its round's moved
+    pieces given their ids, in place, just before its lift reads them, so
+    no level is copied. The chain is the m each lift chose, then the least
+    n whose powers of the level-k counts sum differently over the two
+    graphs, searched over the nonzero differences of the two graphs'
+    histograms of those counts. Those sums are the tree's counts, and no
+    certificate byte depends on how classes are named.
     """
-    distinguishing, stabilization, levels = refine_to_difference(g1, g2, max_level)
+    distinguishing, stabilization, levels, rounds = _refine(g1, g2, max_level, True)
     if distinguishing is None:
         if stabilization is None:
             raise InconclusiveError(f"inconclusive: no verdict by level {max_level}")
@@ -332,6 +336,14 @@ def synthesize(
     _one_per_class(levels[0], counts, 1)
     lifts = []
     for level, ids in enumerate(levels[1:], 2):
+        m, counts = lift((g1, g2), ids, level, counts)
+        lifts.append(m)
+    # Past the hand-over, each round's moved pieces take their ids in place.
+    ids = levels[-1]
+    for level, moved in enumerate(rounds, len(levels) + 1):
+        for q, piece in moved.items():
+            for v in piece:
+                ids[v] = q
         m, counts = lift((g1, g2), ids, level, counts)
         lifts.append(m)
 

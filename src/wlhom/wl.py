@@ -58,10 +58,9 @@ the two graphs' vertices.
 refine_verdict returns the verdict and the stabilization round, all that
 compare and verify read. synthesize needs, at each level up to the first
 differing one, only counts that are distinct over the level's classes, so
-any names for the classes serve, and refine_to_difference hands it the
-engine's own: the dense levels' ids, then the worklist's, each level's
-read by giving the pieces that moved in its round their ids on the level
-before.
+any names for the classes serve, and it reads _refine's own record: the
+dense levels' ids, and each later level as the last of them with the
+pieces that moved in the worklist's rounds up to it given their ids.
 
 joint_refine, which serves `wlhom labels` and the tests' oracle, is the one
 place that orders labels. Its levels are LevelLabels, whose ranks respect
@@ -287,12 +286,13 @@ def _refine(g1: Graph, g2: Graph, max_level: int | None, stop_at_difference: boo
     Returns (distinguishing level, stabilization level, dense levels,
     rounds): the two levels, the worklist's included, each None if not
     reached; the class ids of levels 1 .. h up to the hand-over; and the
-    pieces that took new ids in each of the worklist's rounds, by id
-    ascending. A worklist round signs only the touched vertices, the
-    neighbors of the pieces that moved in the round before (at the
-    hand-over, for the first), each by the ids of its neighbors in those
-    pieces, read before the round changes any vertex set: the rest of a
-    class share one next label, which no touched vertex of the class has.
+    pieces that took new ids in each of the worklist's rounds, each round's
+    a dict from new id to piece, by id ascending. A worklist round signs
+    only the touched vertices, the neighbors of the pieces that moved in
+    the round before (at the hand-over, for the first), each by the ids of
+    its neighbors in those pieces, read before the round changes any vertex
+    set: the rest of a class share one next label, which no touched vertex
+    of the class has.
     """
     pair, n1 = (g1, g2), g1.vertex_count
     max_level, stabilization, distinguishing = _level_zero(g1, g2, max_level)
@@ -360,26 +360,3 @@ def refine_verdict(
     reports them for the same arguments, from the joint partition alone."""
     return _refine(g1, g2, max_level, stop_at_difference)[:2]
 
-
-def refine_to_difference(g1: Graph, g2: Graph, max_level: int | None = None
-                         ) -> tuple[int | None, int | None, list]:
-    """(distinguishing_level, stabilization_level, levels), stopped at the
-    first difference k as refine_verdict(..., stop_at_difference=True) is;
-    levels holds, on a distinguished pair, the class ids of its levels
-    1..k, and is [] on any other.
-
-    ids[v] is the class id of vertex v of G1 ⊔ G2, g2's vertices after
-    g1's: its dense level's id up to the hand-over, then its worklist id,
-    the ids being 0 .. C - 1 for C classes.
-    """
-    distinguishing, stabilization, levels, rounds = _refine(g1, g2, max_level, True)
-    if distinguishing is None:
-        return distinguishing, stabilization, []
-    # Past the hand-over, each round's moved pieces take their new ids.
-    for moved in rounds:
-        color = list(levels[-1])
-        for q, piece in moved.items():
-            for v in piece:
-                color[v] = q
-        levels.append(color)
-    return distinguishing, stabilization, levels

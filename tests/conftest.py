@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from wlhom import Graph, TreeArena, joint_refine, path_graph, permute
-from wlhom import synth
+from wlhom import synth, wl
 from wlhom.wl import LabelTable
 
 PROPERTY_SETTINGS = settings(
@@ -136,19 +136,38 @@ def tuple_rounds(g1: Graph, g2: Graph, levels: int) -> list:
     return out
 
 
+def replay_to_difference(g1: Graph, g2: Graph, max_level: int | None = None) -> tuple:
+    """(distinguishing level, stabilization level, levels) from the record
+    of wl._refine stopped at the first difference k, the walk synthesize
+    makes, replayed into copies: levels holds, on a distinguished pair, the
+    class ids of its levels 1..k as full lists over G1 ⊔ G2, and is []
+    otherwise. Past the dense levels, each level is the one before with the
+    pieces that moved in its worklist round given their ids."""
+    distinguishing, stabilization, levels, rounds = wl._refine(g1, g2, max_level, True)
+    if distinguishing is None:
+        return distinguishing, stabilization, []
+    for moved in rounds:
+        color = list(levels[-1])
+        for q, piece in moved.items():
+            for v in piece:
+                color[v] = q
+        levels.append(color)
+    return distinguishing, stabilization, levels
+
+
 def force_ids(monkeypatch, ids) -> None:
     """Make synthesize read the given levels instead of refining.
 
     ids[i] holds the class ids of level i + 1 per graph (g1's, g2's),
-    joined into the one id vector of a level of wl.refine_to_difference,
-    and the last level is reported as the first differing one. The ids
-    need not be any true partition's.
+    joined into the one id vector of a dense level of wl._refine's record,
+    which then has no worklist round, and the last level is reported as
+    the first differing one. The ids need not be any true partition's.
     """
 
     def fake_refine(g1, g2, *args, **kwargs):
-        return len(ids), None, [(*r1, *r2) for r1, r2 in ids]
+        return len(ids), None, [(*r1, *r2) for r1, r2 in ids], []
 
-    monkeypatch.setattr(synth, "refine_to_difference", fake_refine)
+    monkeypatch.setattr(synth, "_refine", fake_refine)
 
 
 @functools.cache

@@ -10,10 +10,12 @@ from __future__ import annotations
 import functools
 import random
 import time
+from itertools import permutations
 
 import pytest
 
 from wlhom import (
+    Certificate,
     LabelConsistencyError,
     SynthesisInvariantError,
     TreeArena,
@@ -25,6 +27,7 @@ from wlhom import (
     hom_count,
     joint_refine,
     permute,
+    refine_verdict,
     rooted_hom,
     synthesize,
     verify,
@@ -185,6 +188,45 @@ def test_criterion_06_completeness_sweep():
     # non-isomorphic pair needs 6 vertices
     assert certified == len(census) * (len(census) - 1) // 2
     assert brute_checked >= 500
+
+
+# The four pairs of graphs on 6 vertices that no level separates and that
+# are not isomorphic, the smallest such pairs (criterion 6), frozen from
+# enumerate_graphs(6), which is too slow for tier-1, each with its
+# stabilization round.
+EQUIVALENT_ON_SIX = [
+    pytest.param(C6, TWO_C3, 0, id="c6-2c3"),
+    pytest.param(Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (3, 5)]),
+                 Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (3, 5), (4, 5)]),
+                 1, id="seven-edges"),
+    pytest.param(Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4)]),
+                 Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4), (3, 5), (4, 5)]),
+                 1, id="eight-edges"),
+    pytest.param(Graph(6, [(u, v) for u in range(3) for v in range(3, 6)]),
+                 Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                           (0, 3), (1, 4), (2, 5)]),
+                 0, id="k33-prism"),
+]
+
+
+@pytest.mark.parametrize("g1, g2, stabilization", EQUIVALENT_ON_SIX)
+def test_equivalent_pairs_have_equal_tree_counts(g1, g2, stabilization):
+    # The theorem's converse direction at its smallest size: no level
+    # separates the pair, so every tree has equal counts in both graphs,
+    # checked here on all 37 trees of at most 6 nodes, yet no relabelling
+    # maps one graph onto the other.
+    assert refine_verdict(g1, g2) == (None, stabilization)
+    cert = synthesize(g1, g2)
+    assert cert == Certificate()
+    assert verify(cert, g1, g2)
+    arena = TreeArena()
+    shapes = rooted_tree_shapes(6)
+    assert len(shapes) == 37
+    for shape in shapes:
+        t = build_shape(arena, shape)
+        assert hom_count(arena, t, g1) == hom_count(arena, t, g2), shape
+    assert not any(permute(g1, perm).edges == g2.edges
+                   for perm in permutations(range(6)))
 
 
 @criterion(7, "K1,3 vs P4 yields k=1, n=2, counts 12 vs 10")

@@ -34,8 +34,9 @@ P3P3 = "6 4\n0 1\n1 2\n3 4\n4 5\n"
 C6 = "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
 C3C3 = "6 6\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n"
 # Two 15-vertex caterpillars: a 14-vertex spine with a pendant at vertex 7
-# respectively 8. Canonical rounds hand over at level 1, and the worklist
-# runs on to the first difference at level 4.
+# respectively 8. The refinement driver hands over to its worklist after
+# one dense level, and the worklist runs on to the first difference at
+# level 4.
 SPINE = "15 14\n" + "".join(f"{i} {i + 1}\n" for i in range(13))
 CAT7 = SPINE + "7 14\n"
 CAT8 = SPINE + "8 14\n"
@@ -160,10 +161,10 @@ class TestRoundTrips:
         assert run(["verify", cert, c6, c3c3], capsys) == (0, "PASS\n", "")
 
     def test_worklist_certificate_bytes(self, write, tmp_path, capsys):
-        # The worklist's 3 rounds up to the first difference at level 4 are
-        # replayed onto canonical levels. No certificate byte names a rank,
-        # so this digest does not guard the replay's canonical ranks: the
-        # joint_refine oracle of tests/test_wl.py does.
+        # synthesize walks the worklist's 3 rounds up to the first
+        # difference at level 4 in place on the dense level's class ids. No
+        # certificate byte names a class, so this digest does not guard the
+        # driver's ids: the tuple oracle of tests/test_wl.py does.
         cat7, cat8, cert = write("cat7", CAT7), write("cat8", CAT8), str(tmp_path / "cat.json")
         rc, _, raw = synthesize(cat7, cat8, cert, capsys)
         assert rc == 0

@@ -57,6 +57,7 @@ from .conftest import (
     force_ids,
     graphs,
     isolated_vertices,
+    replay_to_difference,
     star_graph,
     tuple_rounds,
 )
@@ -152,9 +153,11 @@ class TestLift:
         assert (counts[0], counts[4], len(set(ids))) == (4, 5, 6)
 
     def test_rejects_empty_rank_set(self):
+        # base is a count of a tree of depth at least 1, here the degrees,
+        # so it is 0 at every vertex of two edgeless graphs
         pair = (empty_graph(2), empty_graph(2))
         with pytest.raises(ValueError):
-            lift(pair, (0,) * 4, 1, (1,) * 4)
+            lift(pair, (0,) * 4, 2, _degrees(pair))
 
     def test_shared_definition_stops_at_the_descartes_bound(self):
         # Classes 0 and 1, vertices 0 and 1, share their neighbors 3..8, so
@@ -283,7 +286,7 @@ class TestLiftSearch:
         # of the search's reads bound what the two rejected candidates
         # read: fewer than |S| per candidate, where a full scan reads |S|.
         pair = _wheel_pair()
-        ids = wl.refine_to_difference(*pair)[2][1]
+        ids = replay_to_difference(*pair)[2][1]
         reads = _count_reads(pair)
         m, _ = lift(pair, ids, 2, _degrees(pair))
         assert m == 3
@@ -859,7 +862,7 @@ class TestNamingInvariance:
     def test_caterpillar_pairs(self, level):
         # Past the hand-over the driver's ids are not the canonical ranks.
         g1, g2 = caterpillar_pair(level)
-        ids = wl.refine_to_difference(g1, g2)[2][-1]
+        ids = replay_to_difference(g1, g2)[2][-1]
         assert tuple(ids) != tuple_rounds(g1, g2, level)[level][1]
         assert self._same_certificate(g1, g2).level == level
 

@@ -31,7 +31,6 @@ from wlhom import (
 )
 from wlhom import synth, wl
 from wlhom.cli import main
-from wlhom.wl import refine_to_difference
 
 from .conftest import (
     C6,
@@ -49,6 +48,7 @@ from .conftest import (
     early_table,
     graphs,
     label_defs,
+    replay_to_difference,
     shuffled,
     star_graph,
     tuple_rounds,
@@ -404,7 +404,7 @@ class TestEarlyExit:
         full = distinguishing_level(g1, g2)
         with pytest.MonkeyPatch.context() as mp:
             dense = _count_dense_rounds(mp)
-            k, _, levels = refine_to_difference(g1, g2)
+            k, _, levels = replay_to_difference(g1, g2)
         assert k == full.distinguishing_level
         _induce_canonical_partitions(dense, full)
         _matches_contract(g1, g2, k, levels)
@@ -422,7 +422,7 @@ class TestEarlyExit:
         g2 = disjoint_union(path_graph(300), path_graph(300))
         with pytest.MonkeyPatch.context() as mp:
             dense = _count_dense_rounds(mp)
-            k, stable, levels = refine_to_difference(g1, g2)
+            k, stable, levels = replay_to_difference(g1, g2)
         assert k == 1
         assert len(dense) <= 1 and len(levels) == 1
         assert stable is None
@@ -438,7 +438,8 @@ def _oracle(g1, g2, max_level, stop_at_difference):
 
 def _count_dense_rounds(mp):
     """The class ids of each level a dense round of wl._refine computes,
-    one per round, while `mp` (a pytest MonkeyPatch) holds its patch."""
+    one per round, while `mp` (a pytest MonkeyPatch) holds its patch on
+    the driver's two bindings, wl's and the one synthesize calls."""
     dense = []
     refine = wl._refine
 
@@ -447,7 +448,8 @@ def _count_dense_rounds(mp):
         dense.extend(out[2])
         return out
 
-    mp.setattr(wl, "_refine", counted)
+    for module in (wl, synth):
+        mp.setattr(module, "_refine", counted)
     return dense
 
 
@@ -464,7 +466,7 @@ def _agrees_with_oracle(g1, g2, max_levels=(None, 0, 1, 2, 3)):
     for max_level in max_levels:
         with pytest.MonkeyPatch.context() as mp:
             dense = _count_dense_rounds(mp)
-            k, stable, levels = refine_to_difference(g1, g2, max_level)
+            k, stable, levels = replay_to_difference(g1, g2, max_level)
             to_difference = len(dense)
             verdict = refine_verdict(g1, g2, max_level, True)
         assert len(dense) == 2 * to_difference, max_level
@@ -490,7 +492,7 @@ def _induce_canonical_partitions(dense, table):
 
 
 def _matches_contract(g1, g2, k, levels):
-    """refine_to_difference's levels against the tuple oracle: levels 1..k
+    """replay_to_difference's levels against the tuple oracle: levels 1..k
     on a pair first differing at k, else none; at each, the ids, 0 .. C - 1
     for C classes, induce the oracle's partition."""
     assert len(levels) == (k or 0)
@@ -718,7 +720,7 @@ class TestRefineToDifference:
     @pytest.mark.parametrize("level", range(5, 12))
     def test_caterpillar_relabels_after_hand_over(self, level, dense_rounds):
         g1, g2 = caterpillar_pair(level)
-        k, _, levels = refine_to_difference(g1, g2)
+        k, _, levels = replay_to_difference(g1, g2)
         # Round 1 moves only the leaves and the branch vertices, so the ids
         # of levels 2..level are the worklist's.
         assert len(dense_rounds) == 1
@@ -728,7 +730,7 @@ class TestRefineToDifference:
 
     def test_negative_max_level(self):
         with pytest.raises(ValueError):
-            refine_to_difference(K13, P4, max_level=-1)
+            synthesize(K13, P4, max_level=-1)
 
     def test_capped_synthesize_after_hand_over(self, dense_rounds):
         g = path_graph(40)
@@ -828,14 +830,14 @@ def _key_kinds(mp):
 class TestPackedRounds:
     """A round keys a vertex by its count vector packed into one integer,
     or by its label past PACKED_KEY_BITS; a canonical level records its
-    ranks and class count. The dense levels and refine_to_difference's ids
+    ranks and class count. The dense levels and replay_to_difference's ids
     induce each level's partition, whatever the rounds keyed by."""
 
     @staticmethod
     def _matches_oracle(g1, g2, bound):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(wl, "PACKED_KEY_BITS", bound)
-            k, _, levels = refine_to_difference(g1, g2)
+            k, _, levels = replay_to_difference(g1, g2)
             table = joint_refine(g1, g2)
             dense = wl._refine(g1, g2, None, False)[2]
         oracle = tuple_rounds(g1, g2, table.max_recorded_level)
@@ -919,10 +921,9 @@ class TestPackedRounds:
             (tmp_path / name).write_text(
                 f"{g.vertex_count} {g.edge_count}\n"
                 + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)), encoding="utf-8")
-        # compare refines with refine_verdict alone, never with
-        # synthesize's refine_to_difference
-        self._forbid(monkeypatch, (wl, "refine_to_difference"),
-                     (synth, "refine_to_difference"))
+        # compare refines with refine_verdict alone, never through
+        # synthesize's binding of the driver, and never lifts
+        self._forbid(monkeypatch, (synth, "_refine"), (synth, "lift"))
         for flags in ([], ["--json"]):
             assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b"), *flags]) == 0
         capsys.readouterr()
@@ -932,25 +933,27 @@ class TestPackedRounds:
     @example((TA, TB))
     @example(caterpillar_pair(8))
     def test_synthesize_reads_only_kept_labels(self, pair):
-        # synthesize lifts on exactly the class ids refine_to_difference
-        # hands over past level 1, whose counts are the degrees, and no
-        # round it runs is keyed by labels.
-        handed, lifted = [], []
+        # synthesize runs the driver once and lifts on exactly the class
+        # ids of its record past level 1, whose counts are the degrees, as
+        # replay_to_difference reads them, and no round it runs is keyed by
+        # labels. A lift gets one list that changes between levels, so each
+        # level is recorded as a copy.
+        handed, refined, lifted = replay_to_difference(*pair)[2], [], []
 
         def recorded_refine(*args):
-            out = refine_to_difference(*args)
-            handed.extend(out[2])
-            return out
+            refined.append(args)
+            return wl._refine(*args)
 
         def recorded_lift(pair, ids, *args):
-            lifted.append(ids)
+            lifted.append(list(ids))
             return lift(pair, ids, *args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(synth, "refine_to_difference", recorded_refine)
+            mp.setattr(synth, "_refine", recorded_refine)
             mp.setattr(synth, "lift", recorded_lift)
             kinds = _key_kinds(mp)
             cert = synthesize(*pair)
+        assert refined == [(*pair, None, True)]
         assert lifted == handed[1:]
         assert tuple not in kinds
         assert verify(cert, *pair)
@@ -999,7 +1002,7 @@ class TestVerdictBoundary:
         def answers():
             verdicts = [refine_verdict(g1, g2, max_level, stop)
                         for max_level in (None, 0, 1, 2, 3) for stop in (False, True)]
-            to_difference = refine_to_difference(g1, g2)
+            to_difference = replay_to_difference(g1, g2)
             cert = synthesize(g1, g2)
             equivalent = verify(Certificate(), g1, g2)
             compared = []
