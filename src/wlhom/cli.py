@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .graphs import empty_graph, parse_graph, quote, serialize_graph, spell, Graph
-from .homs import rooted_hom
+from .homs import hom_count, rooted_hom
 from .synth import (SynthesisInvariantError, certificate_from_json,
                     certificate_to_json, json_text, synthesize, verify)
 from .trees import expand_tree, parse_tree
@@ -141,15 +141,14 @@ def _cmd_labels(args) -> int:
 def _cmd_hom_count(args) -> int:
     arena, root = parse_tree(_read(args.tree))
     g = parse_graph(_read(args.g))
-    vector = rooted_hom(arena, root, g)
-    count = sum(vector)
     if args.json:
+        vector = rooted_hom(arena, root, g)
         _emit(args, json_text({
-            "count": str(count),
+            "count": str(sum(vector)),
             "rooted": [str(x) for x in vector],
         }))
     else:
-        _emit(args, f"{count}\n")
+        _emit(args, f"{hom_count(arena, root, g)}\n")
     return 0
 
 

@@ -8,18 +8,24 @@ at t that send its root to v. A leaf contributes 1 everywhere; otherwise
 
 and the unrooted count is the sum of entry(t, v) over all v. The DP runs on
 the succinct DAG directly: a child repeated with multiplicity m costs one
-exponentiation, never m subtree copies. `rooted_hom` is the DP of any
-tree, and synth.lift runs the same neighbor sums on a chain, one level at
-a time. `rooted_hom` computes one vector per reachable node, a whole
-vector at a time: a child's neighbor sums over all vertices at once, then
-one elementwise power and product per child. A vertex's neighbor sum is
-read through the graph's gather (graphs.gather), which the graph builds on
-first use and keeps; no count is kept from one call to the next.
+exponentiation, never m subtree copies. One private producer,
+`_root_terms`, is the DP of any tree, and synth.lift runs the same
+neighbor sums on a chain, one level at a time. `_root_terms` makes the
+root's terms entry(t, v) for each v in order. Every node below the root
+is one whole vector, computed a whole vector at a time: a child's
+neighbor sums over all vertices at once, then one elementwise power and
+product per child. The root's terms are the same powers and products as
+lazy C-level maps, made one at a time as they are read. A vertex's
+neighbor sum is read through the graph's gather (graphs.gather), which
+the graph builds on first use and keeps; no count is kept from one call
+to the next.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from .graphs import Graph
@@ -53,32 +59,46 @@ class LabelConsistencyError(RuntimeError):
         )
 
 
-def rooted_hom(arena: TreeArena, t: int, graph: Graph) -> tuple[int, ...]:
-    """Vector of entry(t, v) over all vertices v of the graph.
+def _root_terms(arena: TreeArena, t: int, graph: Graph) -> Iterable[int]:
+    """entry(t, v) for each vertex v of the graph, in order.
 
-    One vector per node reachable from t, children first, each computed a
-    whole vector at a time. A parent reads a child only through its
-    neighbor sums, so those are kept, once per node however often it
-    recurs in the DAG; a leaf's are the degrees. A first child of
-    multiplicity 1 is its sums themselves, never copied and never changed.
+    Every node below t is one whole vector, children first, because its
+    parents read it only through its neighbor sums, which are kept once per
+    node however often it recurs in the DAG; a leaf's are the degrees. A
+    node's terms are its children's sums raised elementwise and multiplied
+    across children in order, as flat C-level maps, however many children
+    the node has. Below t they are made into a vector at once; t's are
+    returned unmade, so a caller that only sums them holds one at a time.
     """
     sums: dict[int, list[int]] = {}
     for node in arena.reachable(t):
-        vector = None
-        for child, mult in arena.children(node):
-            s = sums[child]
-            if vector is not None:
-                vector = [x * y ** mult for x, y in zip(vector, s)]
-            else:
-                vector = s if mult == 1 else [y ** mult for y in s]
+        powers = [sums[c] if m == 1 else map(pow, sums[c], itertools.repeat(m))
+                  for c, m in arena.children(node)]
+        terms = powers[0] if len(powers) == 1 else map(math.prod, zip(*powers))
         if node == t:
-            return (1,) * graph.vertex_count if vector is None else tuple(vector)
-        sums[node] = ([len(nbrs) for nbrs in graph.adjacency] if vector is None
-                      else [sum(nbr_values(vector)) for nbr_values in graph.gathers])
+            return terms if powers else itertools.repeat(1, graph.vertex_count)
+        if not powers:
+            sums[node] = [len(nbrs) for nbrs in graph.adjacency]
+        else:
+            vector = list(terms)
+            sums[node] = [sum(nbr_values(vector)) for nbr_values in graph.gathers]
+
+
+def rooted_hom(arena: TreeArena, t: int, graph: Graph) -> tuple[int, ...]:
+    """Vector of entry(t, v) over all vertices v of the graph.
+
+    The root's terms from `_root_terms`, made whole.
+    """
+    return tuple(_root_terms(arena, t, graph))
 
 
 def hom_count(arena: TreeArena, t: int, graph: Graph) -> int:
-    return sum(rooted_hom(arena, t, graph))
+    """Sum of entry(t, v) over all v: the homomorphism count of the tree.
+
+    Sums the root's terms as `_root_terms` makes them, so it holds the
+    level below the root and one term, never the root's vector.
+    """
+    return sum(_root_terms(arena, t, graph))
 
 
 def hom_by_label(

@@ -12,6 +12,7 @@ import pytest
 from wlhom import (
     certificate_to_json,
     path_graph,
+    rooted_hom,
     serialize_graph,
     synthesize,
 )
@@ -189,6 +190,25 @@ class TestHomCount:
             "count": "12",
             "rooted": ["9", "1", "1", "1"],
         }
+
+    def test_only_json_builds_the_rooted_vector(self, gfile, tmp_path, capsys,
+                                                monkeypatch):
+        built = []
+
+        def counting_rooted_hom(*args):
+            built.append(args)
+            return rooted_hom(*args)
+
+        monkeypatch.setattr(cli_module, "rooted_hom", counting_rooted_hom)
+        tree = tmp_path / "t"
+        tree.write_text(STAR2, encoding="utf-8")
+        g = gfile("g", K13)
+        assert main(["hom-count", str(tree), g]) == 0
+        assert capsys.readouterr().out == "12\n"
+        assert built == []
+        assert main(["hom-count", str(tree), g, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == "12"
+        assert len(built) == 1
 
     def test_long_child_id_named_by_digit_count(self, gfile, tmp_path, capsys):
         tree = tmp_path / "t"

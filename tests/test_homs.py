@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ast
 import random
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -163,6 +165,49 @@ class TestHomCount:
         mid_rooted = star(a2, 2)
         for g in (P4, K13, C6):
             assert hom_count(a1, end_rooted, g) == hom_count(a2, mid_rooted, g)
+
+
+class TestHomCountMemory:
+    def test_sums_the_root_terms_without_holding_them(self):
+        # C_2000 under the chain of multiplicities 63 and then 64: every root
+        # term is 2 ** 4096, so the root's vector takes over 1 MiB, while the
+        # level below it holds 65-bit sums
+        g = cycle_graph(2000)
+        arena = TreeArena()
+        t = arena.attach([(arena.attach([(arena.leaf(), 63)]), 64)])
+        vector = rooted_hom(arena, t, g)
+        vector_bytes = sum(map(sys.getsizeof, vector))
+        assert vector_bytes >= 2**20
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            count = hom_count(arena, t, g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert count == sum(vector) == 2000 * 2**4096
+        assert peak < vector_bytes / 2
+
+    def test_node_with_many_distinct_children(self):
+        # A root over the 100000 chains of lengths 1..100000: every chain
+        # maps into K2 in one way per image of its root. The products across
+        # a node's children stay flat however many children it has.
+        arena = TreeArena()
+        chain = arena.leaf()
+        chains = []
+        for _ in range(100_000):
+            chain = arena.attach([(chain, 1)])
+            chains.append((chain, 1))
+        t = arena.attach(chains)
+        below = arena.attach([(t, 1)])
+        g = path_graph(2)
+        assert hom_count(arena, t, g) == 2
+        assert rooted_hom(arena, t, g) == (1, 1)
+        assert rooted_hom(arena, below, g) == (1, 1)
 
 
 class TestChainAndPowerIdentities:
