@@ -51,8 +51,9 @@ argument behind the label test / homomorphism-count correspondence:
   classes.
 
 So the emitted tree is a chain: a leaf under roots repeating their one
-child m_2, ..., m_k and n times, and a certificate is that chain with the
-tree and its two counts. The counts are the tree's own, from the DP, so
+child m_2, ..., m_k and n times, and a certificate is that tree, its depth
+and its two counts; the chain is read back off the tree, never written
+beside it. The counts are the tree's own, from the DP, so
 they hold by construction. What is checked, once per level, is the one
 fact the search relies on: the level's counts are constant on each of the
 driver's classes and distinct across them, which every true level-j
@@ -72,7 +73,7 @@ from .homs import hom_count
 from .trees import TreeArena, parse_tree, serialize_tree
 from .wl import _refine, refine_verdict
 
-MODES = ("tree", "single-node", "equivalent")
+MODES = ("tree", "equivalent")
 
 
 class SynthesisInvariantError(RuntimeError):
@@ -96,19 +97,19 @@ class Certificate(namedtuple(
     The claim is its chain, the multiplicities m_2, ..., m_k, n of the
     separating tree: () for a lone leaf, None when no level ever separates
     the graphs, so Certificate() claims equivalence. A separating claim
-    also holds the tree (tree file format) and both counts. mode and level,
-    the tree's depth, are read off the chain, and the JSON format is their
-    view. As the level-k labels fix a depth-k tree's counts, level is
-    certified only as an upper bound on the first differing level.
+    also holds the tree (tree file format) and both counts. mode, "tree"
+    for every separating claim, the lone leaf's included, and level, the
+    tree's depth, are read off the chain. The JSON format writes the mode,
+    level, tree and counts, not the chain, which is the tree's own. As the
+    level-k labels fix a depth-k tree's counts, level is certified only as
+    an upper bound on the first differing level.
     """
 
     __slots__ = ()
 
     @property
     def mode(self) -> str:
-        if self.chain is None:
-            return "equivalent"
-        return "tree" if self.chain else "single-node"
+        return "equivalent" if self.chain is None else "tree"
 
     @property
     def level(self) -> int | None:
@@ -131,8 +132,6 @@ def certificate_to_json(cert: Certificate) -> str:
     if cert.chain is not None:
         payload.update(level=cert.level, tree=cert.tree_text,
                        count_g1=str(cert.count_g1), count_g2=str(cert.count_g2))
-    if cert.chain:
-        payload.update(m_per_level=list(cert.chain[:-1]), n_final=cert.chain[-1])
     return json_text(payload)
 
 
@@ -153,12 +152,13 @@ def _parse_count(value: object, field: str) -> int:
         raise CertificateError(f"{field}: {too_long((value,))}") from None
 
 
-def _is_int(value: object, least: float = float("-inf")) -> bool:
-    """value is a JSON integer of at least `least`; a bool is not one."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
 def certificate_from_json(text: str) -> Certificate:
+    """The record of a certificate's JSON, every field checked.
+
+    A separating certificate's chain is read off its tree: from the root,
+    each node must have exactly one child, with its multiplicity, down to
+    the leaf, and `level` must be that chain's length, the tree's depth.
+    """
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -167,10 +167,8 @@ def certificate_from_json(text: str) -> Certificate:
     mode = data.get("mode")
     _require(mode in MODES, f"mode must be one of {MODES}, got {quote(mode)}")
     expected = {"mode"}
-    if mode != "equivalent":
-        expected |= {"level", "tree", "count_g1", "count_g2"}
     if mode == "tree":
-        expected |= {"m_per_level", "n_final"}
+        expected |= {"level", "tree", "count_g1", "count_g2"}
     _require(
         set(data) == expected,
         f"mode {mode} certificate must have exactly the fields {sorted(expected)}",
@@ -178,31 +176,25 @@ def certificate_from_json(text: str) -> Certificate:
     if mode == "equivalent":
         return Certificate()
     level = data["level"]
-    _require(_is_int(level), "level must be an integer")
+    # a bool is not a JSON integer
+    _require(isinstance(level, int) and not isinstance(level, bool),
+             "level must be an integer")
     tree_text = data["tree"]
     _require(isinstance(tree_text, str), "tree must be a string")
     try:
-        parse_tree(tree_text)
+        arena, node = parse_tree(tree_text)
     except ValueError as exc:
         raise CertificateError(f"embedded tree: {exc}") from None
     count_g1 = _parse_count(data["count_g1"], "count_g1")
     count_g2 = _parse_count(data["count_g2"], "count_g2")
-    if mode == "single-node":
-        _require(level == 0, "single-node certificate must have level 0")
-        chain = ()
-    else:
-        _require(level >= 1, "tree certificate must have level >= 1")
-        m_per_level = data["m_per_level"]
-        _require(
-            isinstance(m_per_level, list) and all(_is_int(m, 1) for m in m_per_level),
-            "m_per_level must be a list of positive integers",
-        )
-        _require(len(m_per_level) == level - 1,
-                 "m_per_level must have one entry per level from 2 to k")
-        n_final = data["n_final"]
-        _require(_is_int(n_final, 1), "n_final must be a positive integer")
-        chain = (*m_per_level, n_final)
-    return Certificate(chain, tree_text, count_g1, count_g2)
+    chain = []
+    while children := arena.children(node):
+        _require(len(children) == 1, "tree must be a chain: a node has "
+                                     f"{len(children)} distinct children")
+        node, mult = children[0]
+        chain.append(mult)
+    _require(level == len(chain), f"level must be the tree's depth, {len(chain)}")
+    return Certificate(tuple(reversed(chain)), tree_text, count_g1, count_g2)
 
 
 def _chain(mults: Sequence[int]) -> tuple[TreeArena, int]:

@@ -161,8 +161,8 @@ class TestLabels:
 
 STAR2 = "T 2\nnode 0 :\nnode 1 : 0*2\nroot 1\n"
 LEAF = "T 1\nnode 0 :\nroot 0\n"
-# A single-node certificate whose count_g1 is past int()'s default digit limit.
-LONG_COUNT = json.dumps({"mode": "single-node", "level": 0, "tree": LEAF,
+# A level-0 certificate whose count_g1 is past int()'s default digit limit.
+LONG_COUNT = json.dumps({"mode": "tree", "level": 0, "tree": LEAF,
                          "count_g1": "1" * 5000, "count_g2": "1"})
 
 
@@ -325,8 +325,8 @@ class TestVerify:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: mode must be one of ('tree', 'single-node', "
-                                "'equivalent'), got <4000 characters>\n")
+        assert captured.err == ("error: mode must be one of ('tree', 'equivalent'), "
+                                "got <4000 characters>\n")
 
     def test_deeply_nested_certificate(self, gfile, tmp_path, capsys):
         deep = tmp_path / "deep.json"
@@ -431,7 +431,57 @@ def test_certificate_with_histogram_rows_refused(command, gfile, tmp_path, capsy
     assert rc == 2
     assert capsys.readouterr() == ("", (
         "error: mode tree certificate must have exactly the fields ['count_g1', "
-        "'count_g2', 'level', 'm_per_level', 'mode', 'n_final', 'tree']\n"))
+        "'count_g2', 'level', 'mode', 'tree']\n"))
+
+
+def _run_on_certificate(command, data, gfile, tmp_path, g1, g2):
+    """`command`'s exit code on the certificate `data`, written as JSON."""
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(data), encoding="utf-8")
+    graphs = [gfile("a", g1), gfile("b", g2)] if command == "verify" else []
+    return main([command, str(cert), *graphs])
+
+
+@pytest.mark.parametrize("command", ["verify", "expand"])
+def test_certificate_tree_not_a_chain_refused(command, gfile, tmp_path, capsys):
+    # a root over two distinct children: no chain, so no certificate
+    data = json.loads(certificate_to_json(synthesize(TA, TB)))
+    data["tree"] = "T 3\nnode 0 :\nnode 1 : 0*1\nnode 2 : 0*1 1*1\nroot 2\n"
+    assert _run_on_certificate(command, data, gfile, tmp_path, TA, TB) == 2
+    assert capsys.readouterr() == (
+        "", "error: tree must be a chain: a node has 2 distinct children\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "expand"])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_certificate_level_off_the_chain_refused(command, delta, gfile, tmp_path,
+                                                 capsys):
+    # T_A / T_B's chain (3, 2) has length 2
+    data = json.loads(certificate_to_json(synthesize(TA, TB)))
+    data["level"] += delta
+    assert _run_on_certificate(command, data, gfile, tmp_path, TA, TB) == 2
+    assert capsys.readouterr() == ("", "error: level must be the tree's depth, 2\n")
+
+
+# Certificates of the earlier format, which carried the chain beside the tree.
+OLD_TREE = {"mode": "tree", "level": 2, "m_per_level": [3], "n_final": 2,
+            "tree": "T 3\nnode 0 :\nnode 1 : 0*3\nnode 2 : 1*2\nroot 2\n",
+            "count_g1": "2714", "count_g2": "2928"}
+OLD_SINGLE_NODE = {"mode": "single-node", "level": 0, "tree": LEAF,
+                   "count_g1": "1", "count_g2": "2"}
+
+
+@pytest.mark.parametrize("command", ["verify", "expand"])
+@pytest.mark.parametrize("data, g1, g2, message", [
+    (OLD_TREE, TA, TB, "mode tree certificate must have exactly the fields "
+                       "['count_g1', 'count_g2', 'level', 'mode', 'tree']"),
+    (OLD_SINGLE_NODE, path_graph(1), path_graph(2),
+     "mode must be one of ('tree', 'equivalent'), got 'single-node'"),
+], ids=["tree", "single-node"])
+def test_old_format_certificate_refused(command, data, g1, g2, message, gfile,
+                                        tmp_path, capsys):
+    assert _run_on_certificate(command, data, gfile, tmp_path, g1, g2) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["compare", "synthesize", "verify"])

@@ -148,9 +148,10 @@ class TestRoundTrips:
         assert run(["verify", cert, p6, q6], capsys) == (0, "PASS\n", "")
 
     def test_single_node_certificate(self, write, tmp_path, capsys):
+        # The lone leaf is the tree certificate of level 0.
         s4, s3, cert = write("s4", S4), write("s3", S3), str(tmp_path / "sn.json")
         rc, payload, _ = synthesize(s4, s3, cert, capsys)
-        assert (rc, payload["mode"]) == (0, "single-node")
+        assert (rc, payload["mode"], payload["level"]) == (0, "tree", 0)
         assert run(["verify", cert, s4, s3], capsys) == (0, "PASS\n", "")
 
     def test_regular_pair_certificate(self, write, tmp_path, capsys):
@@ -169,7 +170,7 @@ class TestRoundTrips:
         rc, _, raw = synthesize(cat7, cat8, cert, capsys)
         assert rc == 0
         assert hashlib.sha256(raw).hexdigest() == (
-            "c40d2b1c66abcac2f3392eb6813f8bf0afcd7dd20522d98db32fed15b4cd17d7")
+            "749c413fa1ead9c411310dfecf4b84378f48f8c7cce5f4ce12bebbba78f1f566")
         assert run(["verify", cert, cat7, cat8], capsys) == (0, "PASS\n", "")
 
     def test_isolated_vertex_certificate_bytes(self, write, tmp_path, capsys):
@@ -179,7 +180,7 @@ class TestRoundTrips:
         rc, payload, raw = synthesize(ta7, tb7, cert, capsys)
         assert rc == 0
         assert hashlib.sha256(raw).hexdigest() == (
-            "73c7e743ef6ae3c4bba5735518be7d074747da54c309fa096e84c092ba1c00d7")
+            "e5e0dfc3ff034c8da8eafc5f281c5f86fe9ea3e49a5117197ffe1683411f8c63")
         assert run(["verify", cert, ta7, tb7], capsys) == (0, "PASS\n", "")
         tree = write("tree7.txt", payload["tree"])
         expected = ('{\n  "count": "2714",\n  "rooted": [\n    "64",\n    "784",\n'

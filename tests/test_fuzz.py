@@ -264,9 +264,12 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=12,
 )
+# m_per_level, n_final and histograms are fields of earlier formats: like
+# any field too many, they must fail with a ValueError, never otherwise
 FIELDS = ("mode", "level", "tree", "count_g1", "count_g2", "m_per_level",
           "n_final", "histograms", "extra")
-# one certificate of each mode, and a tree certificate with a lift
+# one certificate of each mode, the lone leaf of level 0, and a tree
+# certificate with a lift
 VALID = tuple(
     json.loads(certificate_to_json(synthesize(g1, g2)))
     for g1, g2 in ((C6, TWO_C3), (empty_graph(1), path_graph(2)), (K13, P4), (TA, TB))

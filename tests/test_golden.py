@@ -14,8 +14,8 @@ from wlhom import Graph, certificate_to_json, synthesize
 
 from .conftest import enumerate_graphs
 
-CENSUS_DIGEST = "03635d50034ac7556247e8358c66d81b6b1886408a781479a7ff22449d90b8f3"
-SWAP_DIGEST = "a47d20cf2074bda4f1a11c00ba350b3a0ff97688155fa76551c8192763649766"
+CENSUS_DIGEST = "c35a4d39a327f19194b745e0b9a6135361bef274f4d3e10a77a8430675155f62"
+SWAP_DIGEST = "2f1c8c3a74950a6cf5327717dc29e7ab03a6fe624ebeb9640e69c6442c0b8044"
 
 
 def _digest(pairs) -> str:

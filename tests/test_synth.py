@@ -62,6 +62,10 @@ from .conftest import (
     tuple_rounds,
 )
 
+LEAF = "T 1\nnode 0 :\nroot 0\n"
+TREE_FIELDS = ("mode tree certificate must have exactly the fields ['count_g1', "
+               "'count_g2', 'level', 'mode', 'tree']")
+
 
 class TestBaseFamily:
     # the base of every chain: a star, one root over n leaves
@@ -379,7 +383,7 @@ class TestSynthesizeKnownPairs:
     def test_triangle_plus_point_vs_triangle(self):
         g1 = disjoint_union(cycle_graph(3), empty_graph(1))
         cert = synthesize(g1, cycle_graph(3))
-        assert cert.mode == "single-node"
+        assert (cert.mode, cert.level) == ("tree", 0)
         assert (cert.count_g1, cert.count_g2) == (4, 3)
         arena, root = cert.tree()
         assert arena.children(root) == ()
@@ -409,7 +413,7 @@ class TestSynthesizeKnownPairs:
 
     def test_single_vertex_vs_edge(self):
         cert = synthesize(empty_graph(1), path_graph(2))
-        assert cert.mode == "single-node"
+        assert (cert.mode, cert.level) == ("tree", 0)
         assert (cert.count_g1, cert.count_g2) == (1, 2)
         assert verify(cert, empty_graph(1), path_graph(2))
 
@@ -424,7 +428,7 @@ class TestSynthesizeKnownPairs:
     def test_empty_graphs(self):
         assert synthesize(empty_graph(), empty_graph()).mode == "equivalent"
         cert = synthesize(empty_graph(), empty_graph(1))
-        assert cert.mode == "single-node"
+        assert (cert.mode, cert.level) == ("tree", 0)
         assert (cert.count_g1, cert.count_g2) == (0, 1)
 
     def test_symmetry(self):
@@ -499,7 +503,7 @@ class TestSynthesizeProperties:
         if ranks is not None:
             assert (cert.mode, cert.level) == ("tree", max(ranks))
         elif labels.distinguished:
-            assert (cert.mode, cert.level) == ("single-node", 0)
+            assert (cert.mode, cert.level) == ("tree", 0)
         else:
             assert cert.mode == "equivalent"
 
@@ -513,8 +517,11 @@ class TestCertificateJson:
         assert certificate_to_json(again) == text
 
     def test_round_trip_single_node(self):
+        # the lone leaf is the tree certificate of level 0
         cert = synthesize(empty_graph(1), path_graph(2))
         text = certificate_to_json(cert)
+        assert json.loads(text) == {"mode": "tree", "level": 0, "tree": LEAF,
+                                    "count_g1": "1", "count_g2": "2"}
         assert certificate_from_json(text) == cert
         assert certificate_to_json(certificate_from_json(text)) == text
 
@@ -549,11 +556,12 @@ class TestCertificateJson:
             lambda d: d.update(tree="T 1\nnode 0\nroot 0\n"),
             lambda d: d.update(level="1"),
             lambda d: d.update(level=0),
+            # the earlier format's chain transcript is a field too many
             lambda d: d.update(m_per_level=[0]),
             lambda d: d.update(m_per_level=[1, 1]),
             lambda d: d.update(n_final=0),
-            lambda d: d.pop("m_per_level"),
-            lambda d: d.pop("n_final"),
+            lambda d: d.pop("level"),
+            lambda d: d.update(level=2),
             # the histogram rows of the earlier format are a field too many
             lambda d: d.update(histograms=[{"rank": 0, "g1": 1, "g2": 2}]),
         ],
@@ -565,18 +573,26 @@ class TestCertificateJson:
             certificate_from_json(json.dumps(data))
 
     @pytest.mark.parametrize("field, value, message", [
-        ("mode", "x" * 4000, "mode must be one of ('tree', 'single-node', 'equivalent'), "
+        ("mode", "x" * 4000, "mode must be one of ('tree', 'equivalent'), "
                              "got <4000 characters>"),
-        ("mode", "nonsense", "mode must be one of ('tree', 'single-node', 'equivalent'), "
+        ("mode", "nonsense", "mode must be one of ('tree', 'equivalent'), "
                              "got 'nonsense'"),
-        ("mode", None, "mode must be one of ('tree', 'single-node', 'equivalent'), got None"),
+        ("mode", None, "mode must be one of ('tree', 'equivalent'), got None"),
         # a bool is not a JSON integer, whatever the field
         ("level", True, "level must be an integer"),
-        ("m_per_level", [True], "m_per_level must be a list of positive integers"),
-        ("n_final", True, "n_final must be a positive integer"),
-        ("histograms", [{"rank": 0, "g1": 1, "g2": 2}],
-         "mode tree certificate must have exactly the fields ['count_g1', "
-         "'count_g2', 'level', 'm_per_level', 'mode', 'n_final', 'tree']"),
+        # the chain's transcript, which the tree holds, is a field too many
+        ("m_per_level", [True], TREE_FIELDS),
+        ("n_final", True, TREE_FIELDS),
+        ("histograms", [{"rank": 0, "g1": 1, "g2": 2}], TREE_FIELDS),
+        # T_A / T_B's chain (3, 2) has length 2
+        ("level", 1, "level must be the tree's depth, 2"),
+        ("level", 3, "level must be the tree's depth, 2"),
+        # a root over two distinct children, and a chain whose middle node
+        # has two
+        ("tree", "T 3\nnode 0 :\nnode 1 : 0*1\nnode 2 : 0*1 1*1\nroot 2\n",
+         "tree must be a chain: a node has 2 distinct children"),
+        ("tree", "T 4\nnode 0 :\nnode 1 : 0*2\nnode 2 : 0*1 1*3\nnode 3 : 2*2\nroot 3\n",
+         "tree must be a chain: a node has 2 distinct children"),
     ])
     def test_malformed_field_message(self, field, value, message):
         data = json.loads(certificate_to_json(synthesize(TA, TB)))
@@ -613,8 +629,24 @@ class TestCertificateJson:
         cert = synthesize(empty_graph(1), path_graph(2))
         data = json.loads(certificate_to_json(cert))
         data["level"] = 1
-        with pytest.raises(CertificateError):
+        with pytest.raises(CertificateError,
+                           match="^level must be the tree's depth, 0$"):
             certificate_from_json(json.dumps(data))
+
+    def test_chain_is_read_off_the_tree(self):
+        # merged duplicate children are one child; nodes the root does not
+        # reach are no part of the chain
+        data = json.loads(certificate_to_json(synthesize(TA, TB)))
+        data["tree"] = ("T 4\nnode 0 :\nnode 1 : 0*1 0*2\nnode 2 : 1*2\n"
+                        "node 3 : 0*5\nroot 2\n")
+        assert certificate_from_json(json.dumps(data)) == synthesize(TA, TB)._replace(
+            tree_text=data["tree"])
+
+    @PROPERTY_SETTINGS
+    @given(graphs(max_vertices=8), graphs(max_vertices=8))
+    def test_json_round_trip_is_the_record(self, g1, g2):
+        cert = synthesize(g1, g2)
+        assert certificate_from_json(certificate_to_json(cert)) == synthesize(g1, g2)
 
 
 class TestVerify:
@@ -682,14 +714,17 @@ class TestVerify:
         assert not verify(cert, g1, g2)
 
     @pytest.mark.parametrize("mangle", [
-        lambda d: d.update(n_final=d["n_final"] + 1),
-        lambda d: d.update(m_per_level=[d["m_per_level"][0] + 1]),
+        # the chains (3, 3) and (4, 2), where the true chain is (3, 2)
+        lambda d: d.update(
+            tree="T 3\nnode 0 :\nnode 1 : 0*3\nnode 2 : 1*3\nroot 2\n"),
+        lambda d: d.update(
+            tree="T 3\nnode 0 :\nnode 1 : 0*4\nnode 2 : 1*2\nroot 2\n"),
         lambda d: d.update(count_g1=str(int(d["count_g1"]) + 1)),
         lambda d: d.update(count_g2=str(int(d["count_g2"]) - 1)),
         lambda d: d.update(count_g1=d["count_g2"], count_g2=d["count_g1"]),
-        # the chain of m_per_level [3] and n 3, where n_final is 2
+        # the chain (2, 2)
         lambda d: d.update(
-            tree="T 3\nnode 0 :\nnode 1 : 0*3\nnode 2 : 1*3\nroot 2\n"),
+            tree="T 3\nnode 0 :\nnode 1 : 0*2\nnode 2 : 1*2\nroot 2\n"),
     ])
     def test_fields_inconsistent_with_the_tree_fail(self, mangle):
         # each case changes one field, or swaps the counts; every other
