@@ -51,15 +51,16 @@ argument behind the label test / homomorphism-count correspondence:
   classes.
 
 So the emitted tree is a chain: a leaf under roots repeating their one
-child m_2, ..., m_k and n times, and a certificate is that tree, its depth
-and its two counts; the chain is read back off the tree, never written
-beside it. The counts are the tree's own, from the DP, so
-they hold by construction. What is checked, once per level, is the one
-fact the search relies on: the level's counts are constant on each of the
-driver's classes and distinct across them, which every true level-j
-partition gives. A driver whose partition is too coarse or too fine fails
-it, or the search, and SynthesisInvariantError is raised before anything
-is emitted.
+child m_2, ..., m_k and n times, and a certificate record is that chain
+and its two counts. The tree is built from the chain where it is written
+or counted, and never stored; the JSON writes the tree, its depth and the
+counts, and the chain is read back off the tree, never written beside it.
+The counts are the tree's own, from the DP, so they hold by construction.
+What is checked, once per level, is the one fact the search relies on:
+the level's counts are constant on each of the driver's classes and
+distinct across them, which every true level-j partition gives. A driver
+whose partition is too coarse or too fine fails it, or the search, and
+SynthesisInvariantError is raised before anything is emitted.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class InconclusiveError(ValueError):
 
 
 class Certificate(namedtuple(
-    "Certificate", "chain tree_text count_g1 count_g2", defaults=(None,) * 4,
+    "Certificate", "chain count_g1 count_g2", defaults=(None,) * 3,
 )):
     """A claim about two graphs, checkable on its own; an immutable value
     record whose fields default to None.
@@ -97,12 +98,12 @@ class Certificate(namedtuple(
     The claim is its chain, the multiplicities m_2, ..., m_k, n of the
     separating tree: () for a lone leaf, None when no level ever separates
     the graphs, so Certificate() claims equivalence. A separating claim
-    also holds the tree (tree file format) and both counts. mode, "tree"
-    for every separating claim, the lone leaf's included, and level, the
-    tree's depth, are read off the chain. The JSON format writes the mode,
-    level, tree and counts, not the chain, which is the tree's own. As the
-    level-k labels fix a depth-k tree's counts, level is certified only as
-    an upper bound on the first differing level.
+    also holds both counts. Its tree, its mode, "tree" for every
+    separating claim, the lone leaf's included, and its level, the tree's
+    depth, are read off the chain, and none is stored. The JSON format
+    writes the mode, level, tree and counts, not the chain, which is the
+    tree's own. As the level-k labels fix a depth-k tree's counts, level
+    is certified only as an upper bound on the first differing level.
     """
 
     __slots__ = ()
@@ -116,9 +117,16 @@ class Certificate(namedtuple(
         return None if self.chain is None else len(self.chain)
 
     def tree(self) -> tuple[TreeArena, int]:
-        if self.tree_text is None:
+        """A leaf under roots repeating their one child chain[0], chain[1],
+        ... times: the tree of every separating claim, the empty chain's a
+        lone leaf."""
+        if self.chain is None:
             raise ValueError(f"{self.mode}-mode certificate carries no tree")
-        return parse_tree(self.tree_text)
+        arena = TreeArena()
+        t = arena.leaf()
+        for mult in self.chain:
+            t = arena.attach([(t, mult)])
+        return arena, t
 
 
 def json_text(payload) -> str:
@@ -130,7 +138,7 @@ def certificate_to_json(cert: Certificate) -> str:
     """Canonical JSON form; counts become decimal strings."""
     payload: dict = {"mode": cert.mode}
     if cert.chain is not None:
-        payload.update(level=cert.level, tree=cert.tree_text,
+        payload.update(level=cert.level, tree=serialize_tree(*cert.tree()),
                        count_g1=str(cert.count_g1), count_g2=str(cert.count_g2))
     return json_text(payload)
 
@@ -179,10 +187,10 @@ def certificate_from_json(text: str) -> Certificate:
     # a bool is not a JSON integer
     _require(isinstance(level, int) and not isinstance(level, bool),
              "level must be an integer")
-    tree_text = data["tree"]
-    _require(isinstance(tree_text, str), "tree must be a string")
+    tree = data["tree"]
+    _require(isinstance(tree, str), "tree must be a string")
     try:
-        arena, node = parse_tree(tree_text)
+        arena, node = parse_tree(tree)
     except ValueError as exc:
         raise CertificateError(f"embedded tree: {exc}") from None
     count_g1 = _parse_count(data["count_g1"], "count_g1")
@@ -194,17 +202,7 @@ def certificate_from_json(text: str) -> Certificate:
         node, mult = children[0]
         chain.append(mult)
     _require(level == len(chain), f"level must be the tree's depth, {len(chain)}")
-    return Certificate(tuple(reversed(chain)), tree_text, count_g1, count_g2)
-
-
-def _chain(mults: Sequence[int]) -> tuple[TreeArena, int]:
-    """A leaf under roots repeating their one child mults[0], mults[1], ...
-    times: the tree of every certificate, the empty chain at level 0."""
-    arena = TreeArena()
-    t = arena.leaf()
-    for mult in mults:
-        t = arena.attach([(t, mult)])
-    return arena, t
+    return Certificate(tuple(reversed(chain)), count_g1, count_g2)
 
 
 def lift(
@@ -294,7 +292,7 @@ def synthesize(
     g2: Graph,
     max_level: int | None = None,
 ) -> Certificate:
-    """Distinguishing chain, tree and counts, or Certificate() if equivalent.
+    """Distinguishing chain and counts, or Certificate() if equivalent.
 
     Refinement runs refine_verdict's driver once (wl._refine), stopped at
     the first difference, so an equivalent pair costs about what
@@ -322,7 +320,7 @@ def synthesize(
         return Certificate()
     n1 = g1.vertex_count
     if distinguishing == 0:
-        return Certificate((), serialize_tree(*_chain(())), n1, g2.vertex_count)
+        return Certificate((), n1, g2.vertex_count)
     # s_1, the count of a root over one leaf, is the degree.
     counts = [len(nbrs) for g in (g1, g2) for nbrs in g.adjacency]
     _one_per_class(levels[0], counts, 1)
@@ -352,8 +350,7 @@ def synthesize(
             f"no separating n within |S_k| = {len(s_k)} steps"
         )
     c1 = sum(count * b ** n for b, count in hist1.items())
-    chain = (*lifts, n)
-    return Certificate(chain, serialize_tree(*_chain(chain)), c1, c1 - gap)
+    return Certificate((*lifts, n), c1, c1 - gap)
 
 
 def verify(cert: Certificate, g1: Graph, g2: Graph) -> bool:
@@ -362,15 +359,15 @@ def verify(cert: Certificate, g1: Graph, g2: Graph) -> bool:
     Recomputes from scratch: the claim of equivalence (chain None) re-runs
     the level comparison on the joint partition alone (refine_verdict).
     Every other claim, the lone leaf's empty chain included, has one check:
-    the embedded tree must be the chain, whose length is the claimed level;
-    then the graph DP recounts homomorphisms of the tree, which for a lone
-    leaf are the vertex counts, and both must match plus differ.
+    the graph DP counts homomorphisms of the chain's tree, which for a lone
+    leaf are the vertex counts, and both must match the claimed counts and
+    differ. The record holds no tree of its own, so nothing else can
+    disagree with the chain; a certificate's JSON is checked against its
+    chain by certificate_from_json.
     """
     if cert.chain is None:
         return refine_verdict(g1, g2, stop_at_difference=True)[0] is None
     arena, root = cert.tree()
-    if arena.extract(root) != _chain(cert.chain):
-        return False
     c1 = hom_count(arena, root, g1)
     c2 = hom_count(arena, root, g2)
     return c1 == cert.count_g1 and c2 == cert.count_g2 and c1 != c2

@@ -38,11 +38,6 @@ class TreeArena:
     def __len__(self) -> int:
         return len(self._children)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TreeArena):
-            return NotImplemented
-        return self._children == other._children
-
     def leaf(self) -> int:
         self._children.append(())
         return len(self._children) - 1

@@ -72,10 +72,11 @@ always minimal. On previous ranks both keys order as the labels do: a
 descending tuple by plain tuple order, and a packed integer at its highest
 differing digit, the largest rank the two labels hold a different number
 of times, the one holding more copies being larger. So one sort of a
-level's distinct keys ranks it (_intern), and level 1, whose keys are the
-degrees, is _degree_level. Past stabilization the partition is fixed but
-its numbering can cycle, so the table steps on from its deepest level when
-asked for a deeper one.
+level's distinct keys ranks it (_intern), level 1 included: on the one
+level-0 class a vertex of degree d has the packed key d and the tuple key
+of d zeros, both in degree order. Past stabilization the partition is
+fixed but its numbering can cycle, so the table steps on from its deepest
+level when asked for a deeper one.
 """
 
 from __future__ import annotations
@@ -187,15 +188,6 @@ def _keys(pair: tuple[Graph, Graph], ids, classes: int) -> list:
             for of_nbrs in g.gathers]
 
 
-def _degree_level(pair: tuple[Graph, Graph]) -> LevelLabels:
-    """Canonical level 1, read off the degrees: the level after level 0.
-
-    Each level-1 label is d copies of the one level-0 rank, whose packed
-    key is d, so ranks index the sorted distinct degrees.
-    """
-    return _intern([len(nbrs) for g in pair for nbrs in g.adjacency])
-
-
 def _level_zero(g1: Graph, g2: Graph, max_level: int | None) -> tuple:
     """(max_level, stabilization level, distinguishing level): max_level
     checked, by default |V1|+|V2|, which reaches stabilization, and the
@@ -224,8 +216,7 @@ def joint_refine(g1: Graph, g2: Graph, max_level: int | None = None) -> LabelTab
     table = LabelTable((g1, g2), [level0], *verdict)
     while not table.complete and table.max_recorded_level < max_level:
         prev = table.levels[-1]
-        level = (_intern(_keys(table.graphs, *prev)) if table.max_recorded_level
-                 else _degree_level(table.graphs))
+        level = _intern(_keys(table.graphs, *prev))
         table.levels.append(level)
         k = table.max_recorded_level
         if not table.distinguished and table.histogram(0, k) != table.histogram(1, k):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from wlhom import (
+    certificate_from_json,
     certificate_to_json,
     path_graph,
     rooted_hom,
@@ -461,6 +462,25 @@ def test_certificate_level_off_the_chain_refused(command, delta, gfile, tmp_path
     data["level"] += delta
     assert _run_on_certificate(command, data, gfile, tmp_path, TA, TB) == 2
     assert capsys.readouterr() == ("", "error: level must be the tree's depth, 2\n")
+
+
+def test_non_canonical_tree_is_read_as_its_chain(gfile, tmp_path, capsys):
+    # T_A / T_B's chain (3, 2), written with merged duplicate children
+    # (0*1 0*2) and a node the root does not reach: the record read back is
+    # synthesize's, verify passes, and expand, which expands the record's
+    # chain, writes the canonical certificate's output byte for byte.
+    canonical = json.loads(certificate_to_json(synthesize(TA, TB)))
+    data = dict(canonical, tree="T 4\nnode 0 :\nnode 1 : 0*1 0*2\nnode 2 : 1*2\n"
+                                "node 3 : 0*5\nroot 2\n")
+    assert certificate_from_json(json.dumps(data)) == synthesize(TA, TB)
+    assert _run_on_certificate("verify", data, gfile, tmp_path, TA, TB) == 0
+    assert capsys.readouterr() == ("PASS\n", "")
+    expanded = []
+    for cert in (data, canonical):
+        assert _run_on_certificate("expand", cert, gfile, tmp_path, TA, TB) == 0
+        expanded.append(capsys.readouterr())
+    assert expanded[0] == expanded[1]
+    assert expanded[0].out.startswith("# root 0\n9 8\n")
 
 
 # Certificates of the earlier format, which carried the chain beside the tree.

@@ -18,7 +18,7 @@ import operator
 from hypothesis import example, given
 
 from wlhom import Graph, hom_count, joint_refine
-from wlhom.synth import _chain, lift
+from wlhom.synth import Certificate, lift
 
 from .conftest import K13, P4, PROPERTY_SETTINGS, TA, TB, early_table, graphs, tuple_rounds
 
@@ -101,7 +101,7 @@ class TestOrderingLemma:
     def test_chain_separates_every_distinguished_pair(self, g1, g2):
         if early_table(g1, g2).distinguishing_level is None:
             return
-        arena, root = _chain(ordering_chain(g1, g2))
+        arena, root = Certificate(ordering_chain(g1, g2)).tree()
         assert hom_count(arena, root, g1) != hom_count(arena, root, g2)
 
     @PROPERTY_SETTINGS

@@ -278,10 +278,13 @@ class TestLiftSearch:
         monkeypatch.setattr(synth_module, "TreeArena", CountingArena)
         cert = synthesize(g1, g2)
         assert cert.chain[:-1] == (3,)
-        assert len(arenas) == 1
+        # The record is the chain and its counts: no candidate, and not the
+        # chain taken, builds a tree.
+        assert arenas == [] and attaches == []
+        # The tree is built where it is used, one node per chain entry
+        # above the leaf.
         arena, root = cert.tree()
-        bound = len(arena.reachable(root)) + 4 * len(cert.chain[:-1])
-        assert len(attaches) <= bound
+        assert arenas == [arena] and len(attaches) == len(cert.chain)
 
     def test_rejected_candidates_stop_at_a_collision(self):
         # The pair of test_rejected_candidates_build_nothing, whose level-2
@@ -367,7 +370,9 @@ class TestSynthesizeKnownPairs:
     def test_hexagon_vs_triangles(self):
         cert = synthesize(C6, TWO_C3)
         assert cert.mode == "equivalent"
-        assert cert.tree_text is None
+        assert cert.chain is None
+        with pytest.raises(ValueError, match="carries no tree"):
+            cert.tree()
         assert verify(cert, C6, TWO_C3)
 
     def test_capped_run_is_inconclusive(self):
@@ -487,7 +492,8 @@ class TestSynthesizeProperties:
         cert = synthesize(*pair)
         if cert.mode == "tree":
             arena = TreeArena()
-            assert cert.tree_text == serialize_tree(arena, _chain(arena, cert.chain))
+            tree = json.loads(certificate_to_json(cert))["tree"]
+            assert tree == serialize_tree(arena, _chain(arena, cert.chain))
 
     @PROPERTY_SETTINGS
     @given(graphs(max_vertices=8), st.data())
@@ -639,8 +645,7 @@ class TestCertificateJson:
         data = json.loads(certificate_to_json(synthesize(TA, TB)))
         data["tree"] = ("T 4\nnode 0 :\nnode 1 : 0*1 0*2\nnode 2 : 1*2\n"
                         "node 3 : 0*5\nroot 2\n")
-        assert certificate_from_json(json.dumps(data)) == synthesize(TA, TB)._replace(
-            tree_text=data["tree"])
+        assert certificate_from_json(json.dumps(data)) == synthesize(TA, TB)
 
     @PROPERTY_SETTINGS
     @given(graphs(max_vertices=8), graphs(max_vertices=8))
@@ -686,19 +691,17 @@ class TestVerify:
                           empty_graph(1), path_graph(2))
 
     def test_single_node_equal_counts_fail(self):
-        cert = Certificate(
-            chain=(), tree_text="T 1\nnode 0 :\nroot 0\n",
-            count_g1=3, count_g2=3,
-        )
+        cert = Certificate(chain=(), count_g1=3, count_g2=3)
         assert not verify(cert, path_graph(3), cycle_graph(3))
 
     def test_single_node_non_leaf_tree_fails(self):
-        cert = Certificate(
-            chain=(),
-            tree_text="T 2\nnode 0 :\nnode 1 : 0*1\nroot 1\n",
-            count_g1=1, count_g2=2,
-        )
-        assert not verify(cert, empty_graph(1), path_graph(2))
+        # A record holds no tree beside its chain, so a level-0 claim whose
+        # tree has an edge fails as it is read, before any count.
+        data = json.loads(certificate_to_json(synthesize(empty_graph(1), path_graph(2))))
+        data["tree"] = "T 2\nnode 0 :\nnode 1 : 0*1\nroot 1\n"
+        with pytest.raises(CertificateError,
+                           match="^level must be the tree's depth, 1$"):
+            certificate_from_json(json.dumps(data))
 
     def test_true_but_equal_counts_fail(self):
         # correct counts that do not differ prove nothing
@@ -706,11 +709,7 @@ class TestVerify:
         t = _chain(arena, (1,))
         g1, g2 = path_graph(3), star_graph(2)  # isomorphic
         c = hom_count(arena, t, g1)
-        cert = Certificate(
-            chain=(1,),
-            tree_text="T 2\nnode 0 :\nnode 1 : 0*1\nroot 1\n",
-            count_g1=c, count_g2=c,
-        )
+        cert = Certificate(chain=(1,), count_g1=c, count_g2=c)
         assert not verify(cert, g1, g2)
 
     @pytest.mark.parametrize("mangle", [
@@ -734,22 +733,18 @@ class TestVerify:
         assert not verify(certificate_from_json(json.dumps(data)), TA, TB)
 
     @PROPERTY_SETTINGS
-    @given(graphs(max_vertices=6), graphs(max_vertices=6), st.booleans(),
+    @given(graphs(max_vertices=6), graphs(max_vertices=6),
            st.integers(-1, 1), st.integers(-1, 1))
-    def test_single_node_matches_the_lone_leaf_predicate(self, g1, g2, edge,
-                                                         d1, d2):
+    def test_single_node_matches_the_lone_leaf_predicate(self, g1, g2, d1, d2):
         # A single-node claim is checked as the empty chain; that must
         # accept exactly what a lone leaf whose counts are the vertex counts,
-        # and differ, would.
+        # and differ, would. A level-0 tree with an edge is refused as it is
+        # read (test_single_node_non_leaf_tree_fails).
         count_g1, count_g2 = g1.vertex_count + d1, g2.vertex_count + d2
         assume(count_g1 >= 0 and count_g2 >= 0)
-        tree_text = ("T 2\nnode 0 :\nnode 1 : 0*1\nroot 1\n" if edge
-                     else "T 1\nnode 0 :\nroot 0\n")
-        cert = Certificate(chain=(), tree_text=tree_text,
-                           count_g1=count_g1, count_g2=count_g2)
+        cert = Certificate(chain=(), count_g1=count_g1, count_g2=count_g2)
         assert verify(cert, g1, g2) == (
-            not edge
-            and count_g1 == g1.vertex_count
+            count_g1 == g1.vertex_count
             and count_g2 == g2.vertex_count
             and count_g1 != count_g2
         )

@@ -91,13 +91,18 @@ class TestArena:
         assert len(compact) == 2
         assert compact.children(root) == ((0, 2),)
 
-    def test_equality(self):
+    def test_equal_builds_store_equal_nodes(self):
+        # An arena compares by identity; what two equal builds share is
+        # their stored nodes, child ids and multiplicities alike.
         a1, a2 = TreeArena(), TreeArena()
         star(a1, 2)
         star(a2, 2)
-        assert a1 == a2
-        star(a2, 1)
         assert a1 != a2
+        assert [a1.children(t) for t in range(len(a1))] == [
+            a2.children(t) for t in range(len(a2))]
+        star(a2, 1)
+        assert len(a2) == len(a1) + 2
+        assert a2.children(len(a2) - 1) != a1.children(len(a1) - 1)
 
 
 class TestFormat:

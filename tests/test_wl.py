@@ -190,15 +190,18 @@ class TestJointRefine:
     @example(C6, TWO_C3)
     @example(C6, empty_graph(6))
     def test_degree_level_is_the_round_after_level_zero(self, g1, g2):
-        # Every table's level 1 comes from _degree_level, so it is checked
-        # here against the generic round, which no longer builds level 1,
-        # keyed by labels (bound 0) and packed (bound 10 ** 9).
-        pair = (g1, g2)
-        level0 = joint_refine(g1, g2, max_level=0).levels[0]
+        # Level 1 is the generic round on the one level-0 class, keyed by
+        # labels (bound 0) and packed (bound 10 ** 9): both keys rank the
+        # degrees as the oracle's round does. An empty pair is stable at
+        # level 0, where its table stops.
+        levels = 1 if g1.vertex_count + g2.vertex_count else 0
+        expected = [wl.LevelLabels(ranks, len(defs))
+                    for defs, ranks in tuple_rounds(g1, g2, levels)]
         for bound in (0, 10 ** 9):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(wl, "PACKED_KEY_BITS", bound)
-                assert wl._degree_level(pair) == wl._intern(wl._keys(pair, *level0))
+                table = joint_refine(g1, g2, max_level=1)
+            assert table.levels == expected
 
     def test_k13_p4_level1_histograms(self):
         table = joint_refine(K13, P4)
@@ -814,7 +817,8 @@ def _descending_label(counts):
 def _key_kinds(mp):
     """The type of the first key each _keys call returns while `mp` holds
     its patch: int for a packed round, tuple for a round keyed by labels.
-    Level 1 is read off the degrees and calls no _keys."""
+    joint_refine's level 1 is a _keys round; _refine's is read off the
+    degrees and calls no _keys."""
     kinds = []
     keys_of = wl._keys
 
@@ -967,8 +971,8 @@ class TestPackedRounds:
         h = shuffled(g, 12)
         kinds = _key_kinds(monkeypatch)
         table = joint_refine(g, h, max_level=3)
-        # level 1 is read off the degrees, level 2 packed, level 3 by label
-        assert kinds == [int, tuple]
+        # levels 1 and 2 packed, level 3 by label
+        assert kinds == [int, int, tuple]
         width = max(map(len, g.adjacency)).bit_length()
         assert table.levels[1].classes * width <= wl.PACKED_KEY_BITS
         assert table.levels[2].classes * width > wl.PACKED_KEY_BITS
